@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success (a mathematical "no" is still a successful run),
 2 = document parse error, 3 = invalid object (failed validation), 1 = an
-internal cross-check failed.
+internal cross-check failed (including the h0 stability check).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def cmd_classify_p1(args) -> int:
     doc = _load(args.file, ("laurent_matrix",))
     bundle = projline.BundleOnP1(doc.matrix)
     factorization = projline.birkhoff_factorize(bundle)
-    stype = projline.splitting_type(bundle)
+    stype = factorization.splitting_type
     w, c = doc.matrix.det_unit_exponent()
     window = args.twist_window
     lines = [
@@ -88,14 +88,11 @@ def cmd_classify_p1(args) -> int:
         f"birkhoff B = {render_laurent_matrix(factorization.B)}",
         "factorization exact = yes",
     ]
-    for m in range(-window, window + 1):
-        lines.append(f"h0 twist {m} = {projline.h0_dimension(bundle, m)}")
+    h0 = {m: projline.h0_dimension(bundle, m) for m in range(-window, window + 1)}
+    lines += [f"h0 twist {m} = {dim}" for m, dim in h0.items()]
     if args.verify:
-        agree = all(
-            projline.h0_dimension(bundle, m)
-            == sum(max(0, d + m + 1) for d in stype)
-            for m in range(-window, window + 1)
-        )
+        agree = all(dim == sum(max(0, d + m + 1) for d in stype)
+                    for m, dim in h0.items())
         if not agree:
             raise CommandError("h0 oracle disagrees with the splitting type",
                                EXIT_INTERNAL)
@@ -434,7 +431,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except AssertionError as exc:
+    except (AssertionError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

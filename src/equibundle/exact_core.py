@@ -430,24 +430,6 @@ def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
     return basis
 
 
-def solve_linear(field: Field, rows, rhs):
-    """One solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return tuple()
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = row_reduce(field, aug)
-    for r in range(len(rref)):
-        if all(not v for v in rref[r][:ncols]) and rref[r][ncols]:
-            return None
-    x = [field.zero] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = rref[r][ncols]
-    return tuple(x)
-
-
 def invert_matrix(field: Field, rows):
     """Inverse of a square scalar matrix, or None if singular."""
     n = len(rows)

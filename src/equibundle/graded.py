@@ -377,6 +377,8 @@ class GradedModulePresentation:
         rows = []
         # module relations, multiplied by all monomials of the right degree
         for col, delta in zip(self.relations, self.column_degrees):
+            if delta is None:  # an all-zero column relates nothing
+                continue
             for mono in alg.monomials_of_degree(degree - delta):
                 shift = Polynomial.monomial(alg.field, alg.nvars, mono, alg.field.one)
                 row = [alg.field.zero] * total

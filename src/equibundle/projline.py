@@ -101,6 +101,11 @@ class BirkhoffFactorization:
     B: LaurentMatrix
     exponents: tuple[int, ...]
 
+    @property
+    def splitting_type(self) -> SplittingType:
+        """d_i = -k_i, weakly decreasing."""
+        return SplittingType(tuple(sorted((-k for k in self.exponents), reverse=True)))
+
 
 def cocharacter_to_bundle(d: SplittingType, field: Field = QQ) -> BundleOnP1:
     """Transition matrix diag(t^-d_1, ..., t^-d_n) of O(d_1)+...+O(d_n)."""
@@ -197,8 +202,7 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
 
 def splitting_type(bundle: BundleOnP1) -> SplittingType:
     """Splitting type of the bundle: d_i = -k_i, weakly decreasing."""
-    factorization = birkhoff_factorize(bundle)
-    return SplittingType(tuple(sorted((-k for k in factorization.exponents), reverse=True)))
+    return birkhoff_factorize(bundle).splitting_type
 
 
 # ---------------------------------------------------------------------------
@@ -206,48 +210,45 @@ def splitting_type(bundle: BundleOnP1) -> SplittingType:
 # ---------------------------------------------------------------------------
 
 
-def _sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
-    """dim of {f in k[t]^n, deg <= bound : t^(-twist) * g * f has no positive exponent}.
+def _constraint_rows(g: LaurentMatrix, twist: int, bound: int, p: Optional[int]) -> list[dict]:
+    """Sparse rows whose common kernel is the section space at a degree bound.
 
-    Sparse elimination over the exact field; variables are the coefficients
-    f[j, d] for 0 <= d <= bound.
+    Variables are the coefficients f[j, d] for 0 <= d <= bound, numbered
+    j * (bound + 1) + d; there is one row per output coordinate i and
+    exponent e >= 1 of t^(-twist) * g * f.  Coefficients are native scalars:
+    the int residue over F_p (p given), the Fraction over Q (p is None).
     """
-    field = g.field
     n = g.n
-    nvars = n * (bound + 1)
-
-    # rows[e_i] : dict var -> coeff, one row per (output coordinate, exponent >= 1)
-    rows: list[dict[int, Scalar]] = []
+    rows: list[dict] = []
     for i in range(n):
-        entries = [g.entry(i, j) for j in range(n)]
-        max_e = max(
-            (entry.max_exp() - twist + bound for entry in entries if not entry.is_zero),
-            default=0,
-        )
-        for e in range(1, max_e + 1):
-            row: dict[int, Scalar] = {}
-            for j, entry in enumerate(entries):
-                if entry.is_zero:
-                    continue
-                for exp, coeff in entry.terms():
-                    d = e - (exp - twist)
-                    if 0 <= d <= bound:
-                        var = j * (bound + 1) + d
-                        acc = row.get(var, field.zero) + coeff
-                        if acc:
-                            row[var] = acc
-                        else:
-                            row.pop(var, None)
-            if row:
-                rows.append(row)
+        entries = [[(exp, coeff.residue if p else coeff) for exp, coeff in g.entry(i, j).terms()]
+                   for j in range(n)]
+        max_e = max((terms[-1][0] - twist + bound for terms in entries if terms), default=0)
+        block: list[dict] = [{} for _ in range(max_e)]
+        for j, terms in enumerate(entries):
+            for exp, coeff in terms:
+                # row e holds coeff at d = e - (exp - twist); distinct
+                # exponents of one entry land in distinct variables
+                shift = exp - twist
+                for d in range(max(0, 1 - shift), bound + 1):
+                    block[d + shift - 1][j * (bound + 1) + d] = coeff
+        rows += [row for row in block if row]
+    return rows
 
-    # Sparse Gaussian elimination.  Rank = number of pivots.
+
+def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
+    """Sparse Gaussian elimination; consumes the rows.
+
+    Returns the pivots (var, row) in the order found, each row normalized at
+    its pivot.  No pivot row holds the variable of an earlier pivot, so a
+    further row reduces against them in order (see ``_reduce``).
+    """
     var_rows: dict[int, set[int]] = {}
     for idx, row in enumerate(rows):
         for var in row:
             var_rows.setdefault(var, set()).add(idx)
     active = set(range(len(rows)))
-    rank = 0
+    pivots: list[tuple[int, dict]] = []
 
     # Phase 1: a singleton row forces its variable to zero, so eliminating it
     # from other rows is pure deletion; this resolves diagonal-shaped systems
@@ -257,14 +258,11 @@ def _sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
         idx = queue.pop()
         if idx not in active:
             continue
-        row = rows[idx]
-        if len(row) != 1:
-            continue
         active.discard(idx)
-        rank += 1
-        var = next(iter(row))
+        var = next(iter(rows[idx]))
+        pivots.append((var, {var: 1}))
         for other_idx in var_rows.pop(var, ()):
-            if other_idx == idx or other_idx not in active:
+            if other_idx not in active:
                 continue
             other = rows[other_idx]
             other.pop(var, None)
@@ -276,34 +274,85 @@ def _sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
     # Phase 2: general elimination on whatever is left.
     while active:
         idx = min(active, key=lambda i: (len(rows[i]), i))
-        row = rows[idx]
         active.discard(idx)
+        row = rows[idx]
         if not row:
             continue
-        rank += 1
         pivot = min(row, key=lambda v: (len(var_rows.get(v, ())), v))
-        inv = field.inv(row[pivot])
-        row = {v: inv * c for v, c in row.items()}
-        rows[idx] = row
-        for other_idx in list(var_rows.get(pivot, ())):
-            if other_idx == idx or other_idx not in active:
+        if p:
+            inv = pow(row[pivot], -1, p)
+            row = {v: inv * c % p for v, c in row.items()}
+        else:
+            inv = 1 / row[pivot]
+            row = {v: inv * c for v, c in row.items()}
+        pivots.append((pivot, row))
+        for other_idx in var_rows.pop(pivot, ()):
+            if other_idx not in active:
                 continue
             other = rows[other_idx]
             factor = other.get(pivot)
             if factor is None:
                 continue
             for v, c in row.items():
-                acc = other.get(v, field.zero) - factor * c
+                acc = other.get(v, 0) - factor * c
+                if p:
+                    acc %= p
                 if acc:
                     if v not in other:
                         var_rows.setdefault(v, set()).add(other_idx)
                     other[v] = acc
                 else:
-                    if v in other:
-                        del other[v]
+                    del other[v]
+                    if v != pivot:
                         var_rows[v].discard(other_idx)
-        var_rows.pop(pivot, None)
-    return nvars - rank
+    return pivots
+
+
+def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict:
+    """What is left of the row after reducing it against echelon pivots in order."""
+    for var, pivot_row in pivots:
+        factor = row.get(var)
+        if factor is None:
+            continue
+        for v, c in pivot_row.items():
+            acc = row.get(v, 0) - factor * c
+            if p:
+                acc %= p
+            if acc:
+                row[v] = acc
+            else:
+                row.pop(v, None)
+    return row
+
+
+def _sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
+    """dim of {f in k[t]^n, deg <= bound : t^(-twist) * g * f has no positive exponent}."""
+    p = getattr(g.field, "p", None)
+    return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound, p), p))
+
+
+def _stable_sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
+    """``_sections_dimension`` at bound, checked to be unchanged at bound + 1.
+
+    One elimination of the system at bound + 1 gives the dimension there.
+    The sections at bound are those at bound + 1 whose top coefficients
+    f[j, bound + 1] vanish (the rows the larger system adds involve only
+    those coefficients), so the dimension at bound is lower by the rank of
+    the unit rows f[j, bound + 1] = 0 modulo the rows already eliminated.
+    """
+    p = getattr(g.field, "p", None)
+    top = bound + 1
+    pivots = _eliminate(_constraint_rows(g, twist, top, p), p)
+    recheck = g.n * (top + 1) - len(pivots)
+    one = g.field.one.residue if p else g.field.one
+    units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(g.n)]
+    dim = recheck - len(_eliminate(units, p))
+    if recheck != dim:
+        raise ArithmeticError(
+            f"section space not stable at degree bound {bound} "
+            f"({dim} vs {recheck}); the bound is too small for this input"
+        )
+    return dim
 
 
 def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
@@ -313,20 +362,16 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
     bound n*(e_max - e_min) + |twist| + 1, where the exponent window of the
     transition matrix is normalized to contain 0 (otherwise monomial
     diagonals t^-d would get a window of width zero and sections of degree d
-    would be truncated).  Stability is verified by recomputing at bound + 1.
+    would be truncated).  Stability is verified exactly within one sparse
+    elimination: the system is solved at bound + 1, and the dimension at the
+    bound follows by forcing the top coefficients to zero; the two must
+    agree, or ArithmeticError is raised.
     """
     g = bundle.matrix
     e_min, e_max = g.exponent_range()
     e_min, e_max = min(e_min, 0), max(e_max, 0)
     bound = g.n * (e_max - e_min) + abs(twist) + 1
-    dim = _sections_dimension(g, twist, bound)
-    recheck = _sections_dimension(g, twist, bound + 1)
-    if recheck != dim:
-        raise ArithmeticError(
-            f"section space not stable at degree bound {bound} "
-            f"({dim} vs {recheck}); the bound is too small for this input"
-        )
-    return dim
+    return _stable_sections_dimension(g, twist, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,29 @@ class TestCli:
         code, _ = run_cli(capsys, "classify-p1", corpus_path("poset_vee.txt"))
         assert code == 2
 
+    def test_arithmetic_error_exit_1(self, capsys, monkeypatch):
+        from equibundle import projline
+
+        def unstable(bundle, twist=0):
+            raise ArithmeticError("section space not stable at degree bound 3")
+
+        monkeypatch.setattr(projline, "h0_dimension", unstable)
+        code = main(["classify-p1", corpus_path("laurent_matrix_o1.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "internal check failed: section space not stable" in err
+        assert "Traceback" not in err
+
+    def test_nakayama_verify_zero_relation_column(self, tmp_path, capsys):
+        doc = tmp_path / "zero_column.txt"
+        doc.write_text(
+            "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+            "generators = 0\nmodule_relation = [1*x^1]\nmodule_relation = [0]\n")
+        code, out = run_cli(capsys, "nakayama", str(doc), "--verify")
+        assert code == 0
+        assert "module is zero = no" in out
+        assert "component enumeration up to degree 5 = agrees" in out
+
     def test_negative_verdict_exits_zero(self, capsys):
         code, out = run_cli(capsys, "prop-b3", corpus_path("monotone_map_constant.txt"))
         assert code == 0

@@ -142,6 +142,18 @@ class TestH0:
             for m in range(-3, 4):
                 assert h0_dimension(b, m) == h0_formula(d, m)
 
+    def test_matches_formula_on_dense_bundles(self, rng):
+        # planted splitting type, mixed by 2n elementary factors per side
+        for field in (QQ, GF(5), GF(2**31 - 1)):
+            for n in range(3, 7):
+                degrees = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+                d = LaurentMatrix.monomial_diagonal(field, [-x for x in degrees])
+                a = random_unimodular(rng, field, n, negative=True, factors=2 * n)
+                c = random_unimodular(rng, field, n, negative=False, factors=2 * n)
+                b = BundleOnP1((a @ d) @ c)
+                for m in range(-3, 4):
+                    assert h0_dimension(b, m) == h0_formula(degrees, m), (field, n, m)
+
 
 class TestSparseElimination:
     def test_matches_dense_rank_on_random_systems(self, rng):
@@ -149,9 +161,10 @@ class TestSparseElimination:
         from equibundle.exact_core import matrix_rank
         from equibundle.projline import _sections_dimension
 
-        for _ in range(25):
+        for k in range(75):
+            field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
             n = rng.randint(1, 3)
-            b = random_bundle(rng, QQ, n)
+            b = random_bundle(rng, field, n)
             twist = rng.randint(-2, 2)
             bound = rng.randint(1, 5)
             g = b.matrix
@@ -162,7 +175,7 @@ class TestSparseElimination:
                 max_e = max((e.max_exp() - twist + bound
                              for e in entries if not e.is_zero), default=0)
                 for e in range(1, max_e + 1):
-                    row = [QQ.zero] * nvars
+                    row = [field.zero] * nvars
                     for j, entry in enumerate(entries):
                         for exp, coeff in entry.terms():
                             d = e - (exp - twist)
@@ -170,8 +183,36 @@ class TestSparseElimination:
                                 row[j * (bound + 1) + d] = row[j * (bound + 1) + d] + coeff
                     if any(row):
                         dense.append(row)
-            expected = nvars - matrix_rank(QQ, dense)
+            expected = nvars - matrix_rank(field, dense)
             assert _sections_dimension(g, twist, bound) == expected
+
+
+class TestStabilityCheck:
+    def test_compares_dimensions_at_bound_and_next(self, rng):
+        # the one-elimination check must compare exactly the from-scratch
+        # dimensions at bound and bound + 1, and raise iff they differ
+        from equibundle.projline import _sections_dimension, _stable_sections_dimension
+
+        for _ in range(20):
+            for field in (QQ, GF(5)):
+                g = random_bundle(rng, field, rng.randint(1, 3)).matrix
+                twist = rng.randint(-2, 2)
+                bound = rng.randint(0, 6)
+                dim = _sections_dimension(g, twist, bound)
+                recheck = _sections_dimension(g, twist, bound + 1)
+                if dim == recheck:
+                    assert _stable_sections_dimension(g, twist, bound) == dim
+                else:
+                    with pytest.raises(ArithmeticError, match=rf"\({dim} vs {recheck}\)"):
+                        _stable_sections_dimension(g, twist, bound)
+
+    def test_too_small_bound_raises(self):
+        from equibundle.projline import _stable_sections_dimension
+
+        g = bundle(QQ, [[((1, -5),)]]).matrix  # O(5): six sections, degrees 0..5
+        with pytest.raises(ArithmeticError, match="degree bound 1 "):
+            _stable_sections_dimension(g, 0, 1)
+        assert _stable_sections_dimension(g, 0, 5) == 6
 
 
 class TestFiber:
@@ -195,18 +236,24 @@ class TestFiber:
         assert (report.rank, report.chart, report.is_trivial) == (2, "Uinf", True)
 
 
-def random_unimodular(rng, field, n, negative):
-    """Product of elementary matrices over k[t] (or k[1/t]), constant det."""
+def random_unimodular(rng, field, n, negative, factors=None):
+    """Product of elementary matrices over k[t] (or k[1/t]), constant det.
+
+    With factors given, that many elementary factors whose exponents
+    alternate between 0 and 1; otherwise 1-3 factors with exponents 0-3.
+    """
     out = LaurentMatrix.identity(field, n)
     sign = -1 if negative else 1
-    for _ in range(rng.randint(1, 3)):
+    count = rng.randint(1, 3) if factors is None else factors
+    for k in range(count):
         if n == 1:
             break
         i, j = rng.sample(range(n), 2)
         rows = [[LaurentPoly.one(field) if a == b else LaurentPoly.zero(field)
                  for b in range(n)] for a in range(n)]
         coeff = rng.choice([1, -1, 2])
-        rows[i][j] = lp(field, (coeff, sign * rng.randint(0, 3)))
+        exp = rng.randint(0, 3) if factors is None else k % 2
+        rows[i][j] = lp(field, (coeff, sign * exp))
         out = out @ LaurentMatrix(field, rows)
     return out
 
