@@ -8,6 +8,7 @@ internal cross-check failed (including the h0 stability check).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from equibundle import filtered, graded, hensel, projline, topospace
@@ -396,7 +397,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="equibundle",
         description="Exact bundle classification, graded lifting, filtration "

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class FieldMismatchError(ValueError):
@@ -146,13 +147,8 @@ class RationalField:
             raise FieldMismatchError("prime-field element is not a rational")
         return Fraction(value)
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def validate(self, value) -> Fraction:
         if not isinstance(value, Fraction):
@@ -446,86 +442,157 @@ def invert_matrix(field: Field, rows):
 # ---------------------------------------------------------------------------
 
 
+def _poly_cross(a: list, b: list, c: list, d: list, p: Optional[int]) -> list:
+    """a*b - c*d for dense coefficient lists (index = degree), trimmed."""
+    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    for f, g, sign in ((a, b, 1), (c, d, -1)):
+        g_terms = [(j, y) for j, y in enumerate(g) if y]
+        for i, x in enumerate(f):
+            if x:
+                x *= sign
+                for j, y in g_terms:
+                    out[i + j] += x * y
+    if p:
+        out = [v % p for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_exact_div(num: list, den: list, p: Optional[int]) -> list:
+    """num / den for dense coefficient lists; ArithmeticError unless exact."""
+    top = len(den) - 1
+    lead = den[-1]
+    inv = pow(lead, -1, p) if p else None
+    rem = list(num)
+    quot = [0] * max(len(num) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + top]
+        if not c:
+            continue
+        if p:
+            c = c * inv % p
+        else:
+            c, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("Bareiss division left a remainder")
+        quot[k] = c
+        for j, d in enumerate(den):
+            rem[k + j] -= c * d
+    if any(v % p if p else v for v in rem[:top]):
+        raise ArithmeticError("Bareiss division left a remainder")
+    return quot
+
+
 def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) -> LaurentPoly:
-    # Expansion by minors, memoized over column subsets; division-free.
-    n = len(rows)
-    cache: dict[int, LaurentPoly] = {}
+    """Determinant by fraction-free (Bareiss) elimination over k[t].
 
-    def minor(mask: int) -> LaurentPoly:
-        if mask == 0:
-            return LaurentPoly.one(field)
-        if mask in cache:
-            return cache[mask]
-        row = n - bin(mask).count("1")
-        acc = LaurentPoly.zero(field)
-        sign = 1
-        for col in range(n):
-            if not mask & (1 << col):
-                continue
-            entry = rows[row][col]
-            if not entry.is_zero:
-                sub = minor(mask & ~(1 << col))
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign  # parity of the column's position within the mask
-        cache[mask] = acc
-        return acc
+    Row i is shifted by t^-r_i, its smallest exponent, into k[t] and held as
+    dense coefficient lists of native scalars: int residues over F_p, and
+    over Q integers, after scaling the row by the lcm of its denominators.
+    Every division in the elimination is then exact, and
+    det = t^(sum r_i) * det(shifted) / prod(lcm).
+    """
+    p = getattr(field, "p", None)
+    shift, scale, mat = 0, 1, []
+    for row in rows:
+        exps = [e for entry in row for e in entry._terms]
+        if not exps:
+            return LaurentPoly.zero(field)
+        low = min(exps)
+        factor = 1 if p else lcm(*(c.denominator for entry in row for c in entry._terms.values()))
+        dense = []
+        for entry in row:
+            coeffs = [0] * (entry.max_exp() - low + 1) if entry._terms else []
+            for e, c in entry._terms.items():
+                coeffs[e - low] = c.residue if p else c.numerator * (factor // c.denominator)
+            dense.append(coeffs)
+        mat.append(dense)
+        shift += low
+        scale *= factor
 
-    return minor((1 << n) - 1)
+    n = len(mat)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        candidates = [i for i in range(k, n) if mat[i][k]]
+        if not candidates:
+            return LaurentPoly.zero(field)
+        pivot = min(candidates, key=lambda i: len(mat[i][k]))
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        akk, row_k = mat[k][k], mat[k]
+        for i in range(k + 1, n):
+            row_i = mat[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                entry = _poly_cross(akk, row_i[j], aik, row_k[j], p)
+                row_i[j] = _poly_exact_div(entry, prev, p) if prev != [1] else entry
+        prev = akk
+    det = mat[n - 1][n - 1] if n else [1]
+    if p:
+        terms = {e + shift: FpElement(p, sign * c) for e, c in enumerate(det) if c}
+    else:
+        terms = {e + shift: Fraction(sign * c, scale) for e, c in enumerate(det) if c}
+    return LaurentPoly(field, terms)
 
 
 class LaurentMatrix:
     """Invertible square matrix over k[t, 1/t].
 
     The determinant is required to be a unit c * t^w, i.e., to consist of a
-    single nonzero term; this is checked at construction time and cached.
+    single nonzero term.  The public constructor computes and checks it;
+    matrices the library derives (products, monomial diagonals, Birkhoff
+    factors) carry the determinant their construction proves.
     """
 
     __slots__ = ("field", "n", "rows", "_det_exp", "_det_coeff")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[LaurentPoly]]):
-        n = len(rows)
-        if n < 1:
-            raise ValueError("matrix rank must be at least 1")
-        grid = []
         for row in rows:
-            if len(row) != n:
+            if len(row) != len(rows):
                 raise ValueError("matrix must be square")
             for entry in row:
                 if not isinstance(entry, LaurentPoly) or entry.field != field:
                     raise FieldMismatchError("matrix entry over the wrong field")
-            grid.append(tuple(row))
-        self.field = field
-        self.n = n
-        self.rows = tuple(grid)
-        det = _laurent_determinant(self.rows, field)
+        det = _laurent_determinant(rows, field)
         if det.is_zero or not det.is_monomial:
             raise UnitDeterminantError(
                 "determinant is not a unit of k[t, 1/t]; "
                 f"support {det.support if not det.is_zero else ()}"
             )
-        self._det_exp = det.min_exp()
-        self._det_coeff = det.coeff(self._det_exp)
+        w = det.min_exp()
+        self._assign(field, rows, w, det.coeff(w))
+
+    def _assign(self, field: Field, rows, det_exp: int, det_coeff: Scalar) -> None:
+        if len(rows) < 1:
+            raise ValueError("matrix rank must be at least 1")
+        self.field = field
+        self.n = len(rows)
+        self.rows = tuple(tuple(row) for row in rows)
+        self._det_exp = det_exp
+        self._det_coeff = det_coeff
+
+    @classmethod
+    def _with_det(cls, field: Field, rows, det_exp: int, det_coeff: Scalar) -> "LaurentMatrix":
+        """A derived matrix whose determinant det_coeff * t^det_exp is known."""
+        matrix = cls.__new__(cls)
+        matrix._assign(field, rows, det_exp, det_coeff)
+        return matrix
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "LaurentMatrix":
-        one = LaurentPoly.one(field)
-        zero = LaurentPoly.zero(field)
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, field: Field, entries: Sequence[LaurentPoly]) -> "LaurentMatrix":
-        zero = LaurentPoly.zero(field)
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.monomial_diagonal(field, [0] * n)
 
     @classmethod
     def monomial_diagonal(cls, field: Field, exponents: Sequence[int]) -> "LaurentMatrix":
-        return cls.diagonal(
-            field, [LaurentPoly.monomial(field, field.one, e) for e in exponents]
-        )
+        zero = LaurentPoly.zero(field)
+        n = len(exponents)
+        rows = [[LaurentPoly.monomial(field, field.one, e) if i == j else zero
+                 for j in range(n)] for i, e in enumerate(exponents)]
+        return cls._with_det(field, rows, sum(exponents), field.one)
 
     # -- queries -------------------------------------------------------------
 
@@ -569,7 +636,8 @@ class LaurentMatrix:
                         acc = acc + a * b
                 row.append(acc)
             rows.append(row)
-        return LaurentMatrix(self.field, rows)
+        return LaurentMatrix._with_det(self.field, rows, self._det_exp + other._det_exp,
+                                       self._det_coeff * other._det_coeff)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):

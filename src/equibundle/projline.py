@@ -122,9 +122,10 @@ def _top_data(column: Sequence[LaurentPoly]) -> tuple[int, list[Scalar]]:
 def _column_reduce(g: LaurentMatrix):
     """Right-reduce g over k[t] until the top-coefficient matrix is invertible.
 
-    Returns (columns, tops, w) with g = C * W exactly, where C has the given
-    columns, W is invertible over k[t] with constant determinant, and the
-    top-coefficient vectors of the columns of C are linearly independent.
+    Returns (columns, tops, w, w_det) with g = C * W exactly, where C has the
+    given columns, W is invertible over k[t] with the constant determinant
+    w_det, and the top-coefficient vectors of the columns of C are linearly
+    independent.
     """
     field = g.field
     n = g.n
@@ -132,6 +133,7 @@ def _column_reduce(g: LaurentMatrix):
     one = LaurentPoly.one(field)
     zero = LaurentPoly.zero(field)
     w = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    w_det = field.one
 
     while True:
         tops = []
@@ -143,7 +145,7 @@ def _column_reduce(g: LaurentMatrix):
         # Columns of the scalar matrix are the top-coefficient vectors.
         kernel = nullspace(field, [[tcs[j][i] for j in range(n)] for i in range(n)], n)
         if not kernel:
-            return cols, tops, w
+            return cols, tops, w, w_det
         lam = kernel[0]
         support = [j for j in range(n) if lam[j]]
         pivot = max(support, key=lambda j: (tops[j], j))
@@ -160,8 +162,11 @@ def _column_reduce(g: LaurentMatrix):
                     new_col[i] = new_col[i] + cols[j][i].scaled(lam[j]).shifted(shift)
         cols[pivot] = new_col
         # Maintain g = C * W: the inverse operation acts on the rows of W.
+        # Scaling a row multiplies det W by inv_pivot; the row additions
+        # below leave it unchanged.
         inv_pivot = field.inv(lam[pivot])
         w[pivot] = [entry.scaled(inv_pivot) for entry in w[pivot]]
+        w_det = w_det * inv_pivot
         for j in support:
             if j == pivot:
                 continue
@@ -177,22 +182,28 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
     """Factor the transition matrix as A * D * B with D = diag(t^k_i).
 
     The factorization is verified by exact multiplication before returning.
+    No factor's determinant is recomputed: det B is the product of the
+    reduction's row scalings, det D = t^(sum tops), and det A = det g /
+    (det D * det B).  The residual check A * D * B == g is what makes the
+    carried determinant of A exact.
     """
     g = bundle.matrix
     field = g.field
     n = g.n
-    cols, tops, w = _column_reduce(g)
+    cols, tops, w, w_det = _column_reduce(g)
+    g_exp, g_coeff = g.det_unit_exponent()
 
     # A = C * D^(-1): strip t^top from each column; entries land in k[1/t].
     a_rows = [[cols[j][i].shifted(-tops[j]) for j in range(n)] for i in range(n)]
-    A = LaurentMatrix(field, a_rows)
+    A = LaurentMatrix._with_det(field, a_rows, g_exp - sum(tops), g_coeff / w_det)
     D = LaurentMatrix.monomial_diagonal(field, tops)
-    B = LaurentMatrix(field, w)
+    B = LaurentMatrix._with_det(field, w, 0, w_det)
 
     if not A.entries_in_inverse_poly_ring():
         raise AssertionError("left factor escaped k[1/t]")
     if not B.entries_in_poly_ring():
         raise AssertionError("right factor escaped k[t]")
+    # det B is constant by construction; for A this tests sum(tops) == w(g).
     if A.det_unit_exponent()[0] != 0 or B.det_unit_exponent()[0] != 0:
         raise AssertionError("outer factor determinant is not constant")
     if (A @ D) @ B != g:

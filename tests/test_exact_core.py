@@ -10,6 +10,8 @@ from equibundle.exact_core import (
     LaurentMatrix,
     LaurentPoly,
     UnitDeterminantError,
+    _laurent_determinant,
+    _poly_exact_div,
     invert_matrix,
     matrix_rank,
     nullspace,
@@ -162,6 +164,133 @@ def random_unit_matrix(rng, field, n):
         rows[i][j] = lp(field, (rng.randint(-2, 2), rng.randint(-2, 2)))
         m = m @ LaurentMatrix(field, rows)
     return m
+
+
+def minor_expansion_determinant(rows, field):
+    """Reference determinant: expansion by minors over column subsets."""
+    n = len(rows)
+    cache = {}
+
+    def minor(mask):
+        if mask == 0:
+            return LaurentPoly.one(field)
+        if mask not in cache:
+            row = n - bin(mask).count("1")
+            acc = LaurentPoly.zero(field)
+            sign = 1
+            for col in range(n):
+                if not mask & (1 << col):
+                    continue
+                entry = rows[row][col]
+                if not entry.is_zero:
+                    term = entry * minor(mask & ~(1 << col))
+                    acc = acc + (term if sign > 0 else -term)
+                sign = -sign
+            cache[mask] = acc
+        return cache[mask]
+
+    return minor((1 << n) - 1)
+
+
+RATIONAL_COEFFS = [Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), Fraction(5), Fraction(-1)]
+
+
+def random_laurent_rows(rng, field, n):
+    """Random square grid with negative exponents, sparse entries and, at
+    times, a zero row or a repeated row (singular)."""
+    def coeff():
+        if field == QQ:
+            return rng.choice(RATIONAL_COEFFS)
+        return rng.randrange(1, field.p)
+
+    rows = [[lp(field, *[(coeff(), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))])
+             for _ in range(n)] for _ in range(n)]
+    roll = rng.random()
+    if n > 1 and roll < 0.1:
+        rows[rng.randrange(n)] = [LaurentPoly.zero(field)] * n
+    elif n > 1 and roll < 0.2:
+        i, j = rng.sample(range(n), 2)
+        rows[i] = list(rows[j])
+    return rows
+
+
+class TestBareissDeterminant:
+    @pytest.mark.parametrize("field", [QQ, F5, GF(2**31 - 1)], ids=["Q", "F5", "F2^31-1"])
+    def test_matches_minor_expansion(self, rng, field):
+        for k in range(70):
+            rows = random_laurent_rows(rng, field, k % 7 + 1)
+            assert _laurent_determinant(rows, field) == minor_expansion_determinant(rows, field)
+
+    def test_two_term_and_zero_row_determinants(self):
+        t = lp(QQ, (1, 1))
+        one = LaurentPoly.one(QQ)
+        half = lp(QQ, (Fraction(1, 2), -2))
+        two_term = [[t, one], [one, half]]  # t^-1 / 2 - 1
+        assert _laurent_determinant(two_term, QQ) == lp(QQ, (Fraction(1, 2), -1), (-1, 0))
+        zero_row = [[t, one], [LaurentPoly.zero(QQ)] * 2]
+        assert _laurent_determinant(zero_row, QQ).is_zero
+
+    def test_rational_determinant_reduces_to_fp(self, rng):
+        # an integer matrix: its Q determinant mod p is the F_p determinant
+        # of the reduced matrix
+        for k in range(30):
+            n = k % 6 + 1
+            grid = [[[(rng.randint(-9, 9), rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))]
+                     for _ in range(n)] for _ in range(n)]
+            det_q = _laurent_determinant([[lp(QQ, *e) for e in row] for row in grid], QQ)
+            for p in (5, 2**31 - 1):
+                field = GF(p)
+                det_p = _laurent_determinant([[lp(field, *e) for e in row] for row in grid],
+                                             field)
+                expected = {e: c.numerator * pow(c.denominator, -1, p) % p
+                            for e, c in det_q.terms()}
+                assert {e: c.residue for e, c in det_p.terms()} == {
+                    e: c for e, c in expected.items() if c}
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            _poly_exact_div([1, 1], [0, 2], None)   # (1 + t) / 2t
+        with pytest.raises(ArithmeticError):
+            _poly_exact_div([1, 0, 1], [1, 1], 5)   # (1 + t^2) / (1 + t)
+        assert _poly_exact_div([2, 4, 2], [2, 2], None) == [1, 1]
+        assert _poly_exact_div([1, 2, 1], [1, 1], 5) == [1, 1]
+
+    def test_singular_and_non_unit_rejected_over_fp(self):
+        one = LaurentPoly.one(F5)
+        t = lp(F5, (1, 1))
+        with pytest.raises(UnitDeterminantError):
+            LaurentMatrix(F5, [[one, lp(F5, (2, 0))], [lp(F5, (3, 0)), one]])  # 1 - 6 = 0
+        with pytest.raises(UnitDeterminantError):
+            LaurentMatrix(F5, [[t, one], [one, t]])
+
+
+class TestCarriedDeterminant:
+    def test_derived_matrices_carry_the_determinant(self, rng):
+        from test_projline import random_unimodular
+
+        from equibundle.projline import BundleOnP1, birkhoff_factorize
+
+        def check(m):
+            det = _laurent_determinant(m.rows, m.field)
+            w, c = m.det_unit_exponent()
+            assert det == LaurentPoly(m.field, {w: c})
+
+        for field in (QQ, F5, GF(2**31 - 1)):
+            for n in (2, 4, 6):
+                d = LaurentMatrix.monomial_diagonal(field, [rng.randint(-2, 2) for _ in range(n)])
+                # a scalar diagonal through the public constructor, so that
+                # the carried coefficients are not all 1
+                zero = LaurentPoly.zero(field)
+                s = LaurentMatrix(field, [[lp(field, (rng.randint(2, 4), 0)) if i == j else zero
+                                           for j in range(n)] for i in range(n)])
+                a = random_unimodular(rng, field, n, negative=True, factors=2 * n)
+                b = random_unimodular(rng, field, n, negative=False, factors=2 * n)
+                ad = a @ d
+                g = (ad @ s) @ b
+                f = birkhoff_factorize(BundleOnP1(g))
+                for m in (a, d, b, ad, ad @ s, g, f.A, f.D, f.B,
+                          LaurentMatrix.identity(field, n)):
+                    check(m)
 
 
 class TestLinearAlgebra:

@@ -184,6 +184,16 @@ class TestCli:
         assert out1 == out2
         assert "splitting type = (0, 0)" in out1
 
+    def test_cached_parser_keeps_no_flags_between_calls(self, capsys):
+        path = corpus_path("laurent_matrix_o1.txt")
+        code, out = run_cli(capsys, "classify-p1", path, "--verify", "--twist-window", "6")
+        assert code == 0
+        assert "h0 twist 6 = " in out and "h0 oracle" in out
+        code, out = run_cli(capsys, "classify-p1", path)
+        assert code == 0
+        assert "h0 twist 3 = " in out and "h0 twist 4 = " not in out
+        assert "h0 oracle" not in out
+
     def test_classify_o1_convention(self, capsys):
         code, out = run_cli(capsys, "classify-p1", corpus_path("laurent_matrix_o1.txt"))
         assert code == 0

@@ -66,6 +66,30 @@ class TestBirkhoff:
             assert f.A.det_unit_exponent()[0] == 0
             assert f.B.det_unit_exponent()[0] == 0
 
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2**31 - 1)], ids=["Q", "F5", "F2^31-1"])
+    def test_dense_planted_splitting_type(self, rng, field):
+        # 2n elementary factors per side; the product is rebuilt through the
+        # public constructor, so its determinant is recomputed from scratch
+        for n in range(6, 13):
+            degrees = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            g = planted_bundle(rng, field, degrees).matrix
+            f = birkhoff_factorize(BundleOnP1(LaurentMatrix(field, g.rows)))
+            assert f.splitting_type.degrees == tuple(degrees), (field, n)
+            assert (f.A @ f.D) @ f.B == g
+
+    def test_dense_rank16_cli(self, rng, tmp_path, capsys):
+        from equibundle.cli import main
+        from equibundle.io import LaurentMatrixDoc
+
+        degrees = sorted((rng.randint(-2, 2) for _ in range(16)), reverse=True)
+        bundle16 = planted_bundle(rng, QQ, degrees)
+        path = tmp_path / "dense16.txt"
+        path.write_text(LaurentMatrixDoc(field=QQ, matrix=bundle16.matrix).render())
+        assert main(["birkhoff", str(path)]) == 0
+        out = capsys.readouterr().out
+        exponents = out.split("exponents = ")[1].splitlines()[0]
+        assert sorted((-int(k) for k in exponents.split(", ")), reverse=True) == degrees
+
 
 class TestSplittingType:
     def test_identity_rank3(self):
@@ -147,10 +171,7 @@ class TestH0:
         for field in (QQ, GF(5), GF(2**31 - 1)):
             for n in range(3, 7):
                 degrees = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
-                d = LaurentMatrix.monomial_diagonal(field, [-x for x in degrees])
-                a = random_unimodular(rng, field, n, negative=True, factors=2 * n)
-                c = random_unimodular(rng, field, n, negative=False, factors=2 * n)
-                b = BundleOnP1((a @ d) @ c)
+                b = planted_bundle(rng, field, degrees)
                 for m in range(-3, 4):
                     assert h0_dimension(b, m) == h0_formula(degrees, m), (field, n, m)
 
@@ -256,6 +277,15 @@ def random_unimodular(rng, field, n, negative, factors=None):
         rows[i][j] = lp(field, (coeff, sign * exp))
         out = out @ LaurentMatrix(field, rows)
     return out
+
+
+def planted_bundle(rng, field, degrees):
+    """A * D * B with D = diag(t^-d) and 2n elementary factors in A and in B."""
+    n = len(degrees)
+    d = LaurentMatrix.monomial_diagonal(field, [-x for x in degrees])
+    a = random_unimodular(rng, field, n, negative=True, factors=2 * n)
+    c = random_unimodular(rng, field, n, negative=False, factors=2 * n)
+    return BundleOnP1((a @ d) @ c)
 
 
 def random_bundle(rng, field, n):
