@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from equibundle.exact_core import Field, Scalar
+from equibundle.exact_core import Field, Scalar, matrix_rank
 from equibundle.projline import SplittingType
 
 
@@ -176,8 +176,10 @@ def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
     """A retraction R with R*T = identity, or None if T is not split injective.
 
     Over the local base a map of free modules is split injective exactly when
-    its residue matrix has full column rank, which is what unit-pivot
-    elimination detects.
+    its residue matrix has full column rank (Nakayama), which is what
+    unit-pivot elimination detects.  Callers that need only the verdict
+    (`validate_filtered`, `split_filtration`) take the residue rank instead;
+    the retraction itself serves `solve_columns`.
     """
     if not t:
         return []
@@ -195,7 +197,11 @@ def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
 
 
 def solve_columns(ring: EpsRing, t: Matrix, rhs: Matrix) -> Optional[Matrix]:
-    """Solve T*X = RHS when T is split injective; None if any column fails."""
+    """Solve T*X = RHS for a split-injective T.
+
+    Returns None if some column of RHS lies outside the column span of T, and
+    raises ValueError if T is not split injective.
+    """
     retraction = split_injection_retraction(ring, t)
     if retraction is None:
         raise ValueError("coefficient matrix is not split injective")
@@ -261,15 +267,23 @@ class ValidationReport:
         return self.ok
 
 
+def _residue_rank(ring: EpsRing, rows) -> int:
+    """Rank over the residue field of a matrix over the local base ring."""
+    return matrix_rank(ring.field, [[ring.residue(v) for v in row] for row in rows])
+
+
 def validate_filtered(f: FilteredModule) -> ValidationReport:
-    """Check the bundle conditions; failures are reported, not raised."""
+    """Check the bundle conditions; failures are reported, not raised.
+
+    A transition is a split injection exactly when its residue matrix has
+    full column rank, so the verdict is one rank over the residue field.
+    """
     for step in range(len(f.maps)):
-        t = [list(row) for row in f.maps[step]]
         if f.ranks[step] > f.ranks[step + 1]:
             return ValidationReport(False, f"rank drops at step {f.lo + step}")
         if f.ranks[step] == 0:
             continue
-        if split_injection_retraction(f.ring, t) is None:
+        if _residue_rank(f.ring, f.maps[step]) < f.ranks[step]:
             return ValidationReport(
                 False,
                 f"transition at index {f.lo + step} is not a split injection",
@@ -341,10 +355,10 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
     """Split the filtration by a grading, constructively.
 
     Over the residue field one completes bases step by step; over a truncated
-    polynomial ring the same unit-pivot selection performs the nilpotent
-    correction automatically (a candidate column is accepted exactly when it
-    completes a basis mod eps, and exactness of the partial sums is verified
-    at the end).
+    polynomial ring no nilpotent correction is needed: a candidate column is
+    accepted exactly when its residue raises the residue rank of the columns
+    chosen so far, which by Nakayama makes the chosen columns a split
+    injection, and exactness of the partial sums is verified at the end.
     """
     ring = f.ring
     report = validate_filtered(f)
@@ -361,9 +375,7 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
             if len(chosen) == target:
                 break
             candidate = [basis_matrix[r][col_idx] for r in range(top_rank)]
-            trial = [list(col) for col in chosen] + [candidate]
-            trial_matrix = [[trial[c][r] for c in range(len(trial))] for r in range(top_rank)]
-            if split_injection_retraction(ring, trial_matrix) is not None:
+            if _residue_rank(ring, chosen + [candidate]) > len(chosen):
                 chosen.append(candidate)
                 degrees.append(index)
         if len(chosen) != target:

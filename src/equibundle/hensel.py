@@ -44,7 +44,8 @@ class FiniteDimAlgebra:
 
     structure[i][j] is the coordinate vector of e_i * e_j.  Commutativity,
     associativity, unitality, and closure of the distinguished ideal under
-    multiplication are all checked at construction.
+    multiplication are all checked at construction, except for the
+    constructions that prove them (see `_trusted`).
     """
 
     field: Field
@@ -87,6 +88,19 @@ class FiniteDimAlgebra:
             for i in range(d):
                 if not self.in_span(self.mul(self.unit_vector(i), vec), ideal):
                     raise ValueError("ideal is not closed under multiplication")
+
+    @classmethod
+    def _trusted(cls, field: Field, dim: int, structure, ideal,
+                 basis_names) -> "FiniteDimAlgebra":
+        """An algebra whose construction proves every check of __init__.
+
+        The table and the ideal must already hold field elements.
+        """
+        algebra = cls.__new__(cls)
+        for name, value in (("field", field), ("dim", dim), ("structure", structure),
+                            ("ideal", ideal), ("basis_names", basis_names)):
+            object.__setattr__(algebra, name, value)
+        return algebra
 
     # -- element helpers -----------------------------------------------------
 
@@ -219,8 +233,13 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
         reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
         ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
     names = tuple("1" if i == 0 else f"x^{i}" for i in range(d))
-    return FiniteDimAlgebra(field=field, dim=d, structure=tuple(structure),
-                            ideal=tuple(ideal_vectors), basis_names=names)
+    # Every check of the public constructor holds by construction: e_i * e_j
+    # is x^(i+j) mod f, so the table is commutative, e_0 = 1 is the unit, and
+    # associativity is that of k[x] carried through the ring map mod f.  The
+    # span of x^s * g mod f for s < d is the whole ideal g * k[x]/(f), since
+    # x^s for s >= d reduces mod f to lower powers, so the ideal is closed.
+    return FiniteDimAlgebra._trusted(field, d, tuple(structure),
+                                     tuple(ideal_vectors), names)
 
 
 def dual_numbers_extension(algebra: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -261,26 +280,21 @@ def dual_numbers_extension(algebra: FiniteDimAlgebra) -> FiniteDimAlgebra:
 def jacobson_radical(algebra: FiniteDimAlgebra) -> list[Vector]:
     """Basis of the nilradical (= Jacobson radical in the artinian case).
 
-    Over the rationals this is the kernel of the trace form; over a prime
-    field the kernel of the (linear) iterated Frobenius.  Every basis vector
-    of the result is certified nilpotent by explicit powering.
+    Write A as a product of local factors A_i of length l_i with residue
+    fields k_i.  Then Tr_A(x) = sum_i l_i * Tr_{k_i/k}(x mod m_i), and each
+    k_i/k is separable (k is Q or a prime field), so the kernel of the trace
+    form (u, v) -> Tr_A(uv) is the nilradical whenever no l_i is divisible by
+    the characteristic.  That holds over Q, and over F_p whenever p > dim,
+    since every l_i <= dim.  For p <= dim the trace form can degenerate (it
+    vanishes on F_2[x]/(x^2 + 1)), and the radical is the kernel of the
+    (linear) iterated Frobenius x -> x^(p^e) with p^e >= dim.  Every basis
+    vector of the result is certified nilpotent by explicit powering.
     """
     d = algebra.dim
     field = algebra.field
-    if isinstance(field, RationalField):
-        # trace form: (u, v) -> trace of multiplication by u*v
-        gram = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                prod = algebra.structure[i][j]
-                trace = field.zero
-                for l in range(d):
-                    if prod[l]:
-                        trace = trace + prod[l] * _mult_trace_coeff(algebra, l)
-                row.append(trace)
-            gram.append(row)
-        basis = nullspace(field, gram, d)
+    if isinstance(field, RationalField) or (
+            isinstance(field, PrimeField) and field.p > d):
+        basis = nullspace(field, _trace_form(algebra), d)
     elif isinstance(field, PrimeField):
         e = 1
         while field.p**e < d:
@@ -296,24 +310,39 @@ def jacobson_radical(algebra: FiniteDimAlgebra) -> list[Vector]:
     return [tuple(v) for v in basis]
 
 
-def _mult_trace_coeff(algebra: FiniteDimAlgebra, index: int) -> Scalar:
-    # trace of multiplication by basis vector e_index
-    return sum(
-        (algebra.structure[index][j][j] for j in range(algebra.dim)),
-        algebra.field.zero,
-    )
+def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
+    """Gram matrix of (u, v) -> trace of multiplication by u*v on the basis."""
+    d = algebra.dim
+    field = algebra.field
+    # trace of multiplication by each basis vector e_l
+    traces = [sum((algebra.structure[l][j][j] for j in range(d)), field.zero)
+              for l in range(d)]
+    gram = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            trace = field.zero
+            for coeff, t in zip(algebra.structure[i][j], traces):
+                if coeff:
+                    trace = trace + coeff * t
+            row.append(trace)
+        gram.append(row)
+    return gram
 
 
 def is_henselian_pair(algebra: FiniteDimAlgebra,
-                      ideal: Optional[Sequence[Vector]] = None) -> bool:
+                      ideal: Optional[Sequence[Vector]] = None,
+                      radical: Optional[Sequence[Vector]] = None) -> bool:
     """True iff the ideal lies in the Jacobson radical.
 
     For artinian commutative algebras this characterizes henselian pairs (a
     finite product of henselian local rings), and it matches the topological
-    criterion on the finite spectrum.
+    criterion on the finite spectrum.  A caller that already holds
+    `jacobson_radical(algebra)` passes it as `radical`.
     """
     ideal = algebra.ideal if ideal is None else tuple(algebra.coerce(v) for v in ideal)
-    radical = jacobson_radical(algebra)
+    if radical is None:
+        radical = jacobson_radical(algebra)
     return all(algebra.in_span(vec, radical) for vec in ideal)
 
 

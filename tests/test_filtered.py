@@ -19,6 +19,7 @@ from equibundle.projline import SplittingType
 
 RQ = EpsRing(QQ)          # the rational field itself
 RD = EpsRing(QQ, 2)       # dual numbers Q[eps]/(eps^2)
+FIELDS = [QQ, GF(5), GF(2**31 - 1)]
 
 
 def fm(ring, lo, ranks, maps):
@@ -140,6 +141,53 @@ class TestSplitFiltration:
             assert split_filtration(f).graded_ranks == associated_graded(f)
 
 
+class TestResidueVerdicts:
+    """The residue-rank verdicts against the retraction as the reference."""
+
+    def test_validate_matches_retraction(self, rng):
+        seen = set()
+        for field in FIELDS:
+            for order in (1, 2, 3):
+                ring = EpsRing(field, order)
+                for _ in range(25):
+                    a = rng.randint(1, 3)
+                    b = rng.randint(a, 4)
+                    t = random_transition(rng, ring, a, b)
+                    verdict = bool(validate_filtered(fm(ring, 0, [a, b], [t])))
+                    assert verdict == (split_injection_retraction(ring, t) is not None)
+                    seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_eps_multiple_of_a_split_column_is_rejected(self, rng):
+        # Scaling one column of a split injection by eps keeps the map
+        # nonzero but drops the residue rank, so it no longer splits.
+        for field in FIELDS:
+            for order in (2, 3):
+                ring = EpsRing(field, order)
+                for _ in range(10):
+                    a = rng.randint(1, 3)
+                    b = rng.randint(a, 4)
+                    t = [list(row) for row in random_filtered(rng, ring, [a, b]).maps[0]]
+                    col = rng.randrange(a)
+                    for row in t:
+                        row[col] = ring.mul(ring.eps, row[col])
+                    assert any(not ring.is_zero(row[col]) for row in t)
+                    assert not validate_filtered(fm(ring, 0, [a, b], [t]))
+                    assert split_injection_retraction(ring, t) is None
+
+    def test_split_basis_matches_retraction_selection(self, rng):
+        for field in FIELDS:
+            for order in (1, 2, 3):
+                ring = EpsRing(field, order)
+                for _ in range(6):
+                    ranks = sorted(rng.randint(0, 4) for _ in range(4))
+                    f = random_filtered(rng, ring, ranks)
+                    basis, degrees = retraction_selection(f)
+                    s = split_filtration(f)
+                    assert s.basis == basis
+                    assert s.degrees_by_column == degrees
+
+
 class TestIsoClass:
     def test_constant_rank2(self):
         f = fm(RQ, 0, [2, 2], [mat_identity(RQ, 2)])
@@ -205,3 +253,50 @@ def invert(ring, mat):
     out = solve_columns(ring, [row[:] for row in mat], rhs)
     assert out is not None
     return out
+
+
+def random_transition(rng, ring, a, b):
+    """A b x a matrix that is split injective in about two draws of five.
+
+    Entries are sparse with eps-parts; a residue-deficient column is made by
+    scaling a combination of the others, or an existing column, by eps.
+    """
+    def entry():
+        if rng.random() < 0.4:
+            return ring.zero
+        return ring(tuple(rng.randint(-2, 2) for _ in range(ring.order)))
+
+    t = [[entry() for _ in range(a)] for _ in range(b)]
+    if a > 1 and rng.random() < 0.4:
+        src, dst = rng.sample(range(a), 2)
+        scale = ring(tuple(rng.randint(-2, 2) for _ in range(ring.order)))
+        if ring.order > 1 and rng.random() < 0.5:
+            scale = ring.mul(ring.eps, scale)
+        for row in t:
+            row[dst] = ring.mul(scale, row[src])
+    elif ring.order > 1 and rng.random() < 0.3:
+        col = rng.randrange(a)
+        for row in t:
+            row[col] = ring.mul(ring.eps, row[col])
+    return t
+
+
+def retraction_selection(f):
+    """Reference selection: a candidate is kept when the chosen columns plus
+    the candidate admit a retraction over the ring."""
+    ring = f.ring
+    top_rank, steps = colimit_module(f)
+    chosen, degrees = [], []
+    for index, basis_matrix in steps:
+        target = f.rank(index)
+        for col_idx in range(len(basis_matrix[0]) if basis_matrix else 0):
+            if len(chosen) == target:
+                break
+            candidate = [basis_matrix[r][col_idx] for r in range(top_rank)]
+            trial = chosen + [candidate]
+            trial_matrix = [[trial[c][r] for c in range(len(trial))]
+                            for r in range(top_rank)]
+            if split_injection_retraction(ring, trial_matrix) is not None:
+                chosen.append(candidate)
+                degrees.append(index)
+    return tuple(tuple(col) for col in chosen), tuple(degrees)

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from equibundle.exact_core import GF, QQ
+from equibundle import hensel
+from equibundle.exact_core import GF, QQ, nullspace
 from equibundle.graded import GradedAlgebra
 from equibundle.hensel import (
+    FiniteDimAlgebra,
     dual_numbers_extension,
     from_univariate_quotient,
     idempotents_modulo,
@@ -72,6 +74,55 @@ class TestJacobsonRadical:
         # trace arguments degenerate in small characteristic
         alg = from_univariate_quotient(F5, [0, -1, 1])
         assert jacobson_radical(alg) == []
+
+
+class TestRadicalBranches:
+    def test_trace_form_matches_frobenius_reference(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, "_trace_form")
+        nonzero = 0
+        for p in (7, 11, 2**31 - 1):
+            field = GF(p)
+            for _ in range(4):
+                alg = from_univariate_quotient(
+                    field, random_quotient(rng, field, rng.randint(1, min(p - 1, 8))))
+                radical = jacobson_radical(alg)
+                assert radical == frobenius_radical(alg)
+                nonzero += bool(radical)
+        assert calls == [None] * 12
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("p, quotient, radical_dim", [
+        (2, [1, 0, 1], 1),            # x^2 + 1 = (x + 1)^2
+        (3, [0, 0, 0, 1], 2),         # x^3
+        (5, [-1, 0, 0, 0, 0, 1], 4),  # x^5 - 1 = (x - 1)^5
+        (3, [0, -1, 0, 1], 0),        # x^3 - x, split etale
+    ])
+    def test_small_characteristic_takes_frobenius(self, monkeypatch, p, quotient,
+                                                   radical_dim):
+        calls = count_calls(monkeypatch, "_trace_form")
+        alg = from_univariate_quotient(GF(p), quotient)
+        assert len(jacobson_radical(alg)) == radical_dim
+        assert calls == []
+
+    def test_trace_form_vanishes_in_characteristic_two(self):
+        # F2[x]/(x^2 + 1) is local of length 2: every trace is 2 * (...) = 0,
+        # so the trace form cannot see the radical when p <= dim.
+        alg = from_univariate_quotient(GF(2), [1, 0, 1])
+        assert all(not v for row in hensel._trace_form(alg) for v in row)
+
+
+class TestTrustedQuotient:
+    def test_public_constructor_accepts_and_agrees(self, rng):
+        for field in (QQ, F5, GF(2**31 - 1)):
+            for d in range(1, 11):
+                quotient = random_quotient(rng, field, d)
+                gens = [[rng.randint(-3, 3) for _ in range(rng.randint(1, d + 2))]
+                        for _ in range(rng.randint(0, 2))]
+                alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
+                rebuilt = FiniteDimAlgebra(field=field, dim=alg.dim,
+                                           structure=alg.structure, ideal=alg.ideal,
+                                           basis_names=alg.basis_names)
+                assert rebuilt == alg
 
 
 class TestHenselianPair:
@@ -215,3 +266,48 @@ def crt_idempotent(field, roots, mults, subset, dim):
         for i, c in enumerate(num):
             coeffs[i] = coeffs[i] + c * inv
     return tuple(coeffs)
+
+
+def count_calls(monkeypatch, name):
+    """Record each call of hensel.<name> in the returned list."""
+    calls = []
+    original = getattr(hensel, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hensel, name, counted)
+    return calls
+
+
+def random_quotient(rng, field, d):
+    """Monic coefficients, constant first, of a degree-d product of random
+    monic factors, one of them repeated whenever d > 1."""
+    def poly_mul(a, b):
+        out = [field.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    quotient = [field.one]
+    left = d
+    while left:
+        degree = rng.randint(1, min(2, left))
+        factor = [field(rng.randint(-3, 3)) for _ in range(degree)] + [field.one]
+        for _ in range(rng.randint(2, max(2, left // degree)) if left >= 2 * degree else 1):
+            quotient = poly_mul(quotient, factor)
+            left -= degree
+    return quotient
+
+
+def frobenius_radical(alg):
+    """Kernel of x -> x^(p^e) with p^e >= dim: the radical in any characteristic p."""
+    p = alg.field.p
+    q = p
+    while q < alg.dim:
+        q *= p
+    images = [alg.power(alg.unit_vector(i), q) for i in range(alg.dim)]
+    rows = [[images[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+    return [tuple(v) for v in nullspace(alg.field, rows, alg.dim)]

@@ -262,6 +262,21 @@ class TestCli:
         code, out = run_cli(capsys, "hensel-check", corpus_path("findim_algebra_dual.txt"))
         assert code == 0 and "henselian pair = yes" in out
 
+    def test_hensel_check_computes_the_radical_once(self, capsys, monkeypatch):
+        from equibundle import hensel
+
+        calls = []
+        original = hensel.jacobson_radical
+
+        def counted(algebra):
+            calls.append(algebra)
+            return original(algebra)
+
+        monkeypatch.setattr(hensel, "jacobson_radical", counted)
+        code, out = run_cli(capsys, "hensel-check", corpus_path("findim_algebra_cusp.txt"))
+        assert code == 0 and "radical dimension = 1" in out
+        assert len(calls) == 1
+
     def test_pi0_antichain(self, capsys):
         code, out = run_cli(capsys, "pi0", corpus_path("poset_antichain3.txt"))
         assert code == 0 and "components = 3" in out
@@ -282,6 +297,15 @@ class TestCli:
         assert code == 0
         assert "exact = yes" in out
         assert "splitting type = (1, 0)" in out
+
+    def test_split_filtration_verify_flag_changes_nothing(self, capsys):
+        # split-filtration always verifies its splitting once
+        for name in ("filtered_module_eps.txt", "filtered_module_step.txt",
+                     "filtered_module_three_steps.txt"):
+            plain = run_cli(capsys, "split-filtration", corpus_path(name))
+            verified = run_cli(capsys, "split-filtration", corpus_path(name), "--verify")
+            assert plain == verified
+            assert plain[0] == 0 and "exact = yes" in plain[1]
 
     def test_every_command_runs_on_corpus(self, capsys):
         pairs = [
