@@ -5,58 +5,95 @@ y), so closed points are maximal, closed sets are up-closed, and opens are
 the generization-closed (down-closed) sets.  Every finite poset satisfies the
 basis condition for spectral spaces, quotients by connected components are
 discrete, and pro-clopen coincides with clopen; the operations below verify
-these coincidences rather than assume them.
+these coincidences rather than assume them.  Subsets are ``int`` bitmasks
+(bit x for point x), and pi0 is computed once per poset, memoized on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Iterable, Iterator
+
+ENUMERATION_LIMIT = 16  # enumerate at most 2^16 subsets, clopen sets or open sets
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The points of a subset, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _check_limit(what: str, exponent: int, sets: str) -> None:
+    if exponent > ENUMERATION_LIMIT:
+        raise ValueError(f"{what} enumerates 2^{exponent} {sets}; "
+                         f"the limit is 2^{ENUMERATION_LIMIT}")
+
+
+def _preimage(mapping: tuple[int, ...], subset: int) -> int:
+    return sum(1 << x for x, v in enumerate(mapping) if subset >> v & 1)
+
+
+def _union(masks, subset: int) -> int:
+    """The union of masks[i] over the points i of subset."""
+    out = 0
+    while subset:
+        low = subset & -subset
+        out |= masks[low.bit_length() - 1]
+        subset ^= low
+    return out
+
+
+def _is_monotone(source: FinitePoset, target: FinitePoset, mapping) -> bool:
+    return all(target.up[mapping[x]] >> mapping[y] & 1
+               for x in range(source.size) for y in _bits(source.up[x]))
 
 
 @dataclass(frozen=True)
 class FinitePoset:
     size: int
     leq: tuple[tuple[bool, ...], ...]  # leq[x][y]: x specializes to y
+    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pi0: Pi0 | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.size
-        matrix = tuple(tuple(bool(v) for v in row) for row in self.leq)
+        # from lists: a tuple grown from a generator is resized, fragmenting memory
+        matrix = tuple([tuple([bool(v) for v in row]) for row in self.leq])
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("specialization matrix must be n x n")
         object.__setattr__(self, "leq", matrix)
-        for x in range(n):
-            if not matrix[x][x]:
-                raise ValueError("specialization must be reflexive")
-        for x in range(n):
-            for y in range(n):
-                if x != y and matrix[x][y] and matrix[y][x]:
+        up = [sum(1 << y for y, v in enumerate(row) if v) for row in matrix]
+        if any(not u >> x & 1 for x, u in enumerate(up)):
+            raise ValueError("specialization must be reflexive")
+        down = [0] * n
+        for x, u in enumerate(up):
+            for y in _bits(u):
+                down[y] |= 1 << x
+                if y != x and up[y] >> x & 1:
                     raise ValueError("mutually specializing distinct points")
-                if matrix[x][y]:
-                    for z in range(n):
-                        if matrix[y][z] and not matrix[x][z]:
-                            raise ValueError("specialization must be transitive")
+                if up[y] & ~u:
+                    raise ValueError("specialization must be transitive")
+        object.__setattr__(self, "up", tuple(up))
+        object.__setattr__(self, "down", tuple(down))
 
     @classmethod
     def from_relations(cls, size: int, relations: Iterable[tuple[int, int]]) -> "FinitePoset":
         """Build from generating pairs (x, y) meaning x specializes to y."""
-        leq = [[i == j for j in range(size)] for i in range(size)]
+        rows = [1 << i for i in range(size)]
         for x, y in relations:
             if not (0 <= x < size and 0 <= y < size):
                 raise ValueError(f"relation ({x},{y}) out of range")
-            leq[x][y] = True
-        changed = True
-        while changed:
-            changed = False
-            for x in range(size):
-                for y in range(size):
-                    if leq[x][y]:
-                        for z in range(size):
-                            if leq[y][z] and not leq[x][z]:
-                                leq[x][z] = True
-                                changed = True
-        return cls(size, tuple(tuple(row) for row in leq))
+            rows[x] |= 1 << y
+        for k in range(size):  # Warshall: close through k
+            for i in range(size):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        return cls(size, [[bool(r >> j & 1) for j in range(size)] for r in rows])
 
     @classmethod
     def antichain(cls, size: int) -> "FinitePoset":
@@ -66,28 +103,23 @@ class FinitePoset:
     def chain(cls, size: int) -> "FinitePoset":
         return cls.from_relations(size, [(i, i + 1) for i in range(size - 1)])
 
-    def comparable(self, x: int, y: int) -> bool:
-        return self.leq[x][y] or self.leq[y][x]
-
-    def is_closed(self, subset: frozenset[int]) -> bool:
+    # up[x] and down[x] contain x: a subset is stable iff it is their union over it
+    def is_closed(self, subset: int) -> bool:
         """Closed = stable under specialization (up-closed)."""
-        return all(self.leq[x][y] <= (y in subset) for x in subset for y in range(self.size))
+        return _union(self.up, subset) == subset
 
-    def is_open(self, subset: frozenset[int]) -> bool:
+    def is_open(self, subset: int) -> bool:
         """Open = stable under generization (down-closed)."""
-        return self.is_closed(frozenset(range(self.size)) - subset)
+        return _union(self.down, subset) == subset
 
-    def is_clopen(self, subset: frozenset[int]) -> bool:
+    def is_clopen(self, subset: int) -> bool:
         return self.is_closed(subset) and self.is_open(subset)
 
     def is_discrete(self) -> bool:
-        return all(not self.leq[x][y] for x in range(self.size) for y in range(self.size)
-                   if x != y)
+        return all(u == 1 << x for x, u in enumerate(self.up))
 
-    def subsets(self) -> Iterator[frozenset[int]]:
-        elements = list(range(self.size))
-        for mask in range(1 << self.size):
-            yield frozenset(e for e in elements if mask & (1 << e))
+    def subsets(self) -> Iterable[int]:
+        return range(1 << self.size)
 
 
 @dataclass(frozen=True)
@@ -97,62 +129,73 @@ class Pi0:
     components: tuple[frozenset[int], ...]
     component_of: tuple[int, ...]
     quotient: FinitePoset
+    masks: tuple[int, ...]  # the components as subsets
 
     @property
     def count(self) -> int:
         return len(self.components)
 
 
+def _components(space: FinitePoset) -> list[int]:
+    """Components of the comparability graph, ordered by least point."""
+    neighbours = [u | d for u, d in zip(space.up, space.down)]
+    remaining = (1 << space.size) - 1
+    parts = []
+    while remaining:
+        part = frontier = remaining & -remaining
+        while frontier:
+            reached = _union(neighbours, frontier)
+            frontier = reached & ~part
+            part |= reached
+        parts.append(part)
+        remaining &= ~part
+    return parts
+
+
 def pi0(space: FinitePoset) -> Pi0:
-    """Connected components of the comparability graph; discrete quotient."""
-    n = space.size
-    label = [-1] * n
-    components: list[list[int]] = []
-    for start in range(n):
-        if label[start] != -1:
-            continue
-        index = len(components)
-        stack = [start]
-        label[start] = index
-        bucket = [start]
-        while stack:
-            x = stack.pop()
-            for y in range(n):
-                if label[y] == -1 and space.comparable(x, y):
-                    label[y] = index
-                    stack.append(y)
-                    bucket.append(y)
-        components.append(bucket)
-    quotient = FinitePoset.antichain(len(components))
-    return Pi0(
-        components=tuple(frozenset(b) for b in components),
-        component_of=tuple(label),
-        quotient=quotient,
-    )
+    """Connected components of the comparability graph; discrete quotient.
+    Computed once per poset and memoized on it."""
+    if space._pi0 is None:
+        masks = _components(space)
+        object.__setattr__(space, "_pi0", Pi0(
+            components=tuple(frozenset(_bits(m)) for m in masks),
+            component_of=tuple([next(i for i, m in enumerate(masks) if m >> x & 1)
+                                for x in range(space.size)]),
+            quotient=FinitePoset.antichain(len(masks)),
+            masks=tuple(masks),
+        ))
+    return space._pi0
+
+
+def _clopen_unions(space: FinitePoset) -> list[tuple[int, frozenset[int]]]:
+    """The 2^|pi0| unions of connected components, as masks and as sets."""
+    data = pi0(space)
+    _check_limit("clopen", data.count, "unions of components")
+    out = [(0, frozenset())]
+    for part, points in zip(data.masks, data.components):
+        out += [(m | part, s | points) for m, s in out]
+    return out
 
 
 def clopen_sets(space: FinitePoset) -> list[frozenset[int]]:
     """All clopen subsets = unions of connected components (2^|pi0| of them)."""
-    parts = pi0(space).components
-    out = []
-    for mask in range(1 << len(parts)):
-        subset: frozenset[int] = frozenset()
-        for i, part in enumerate(parts):
-            if mask & (1 << i):
-                subset |= part
-        out.append(subset)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    n = space.size
+    # equal sizes order by sorted points: the lower least differing point comes
+    # first, so the bit-reversed mask is larger
+    ordered = sorted(_clopen_unions(space),
+                     key=lambda u: (len(u[1]), -int(f"{u[0]:0{n}b}"[::-1], 2)))
+    return [points for _, points in ordered]
 
 
-def pro_clopen_check(space: FinitePoset, subset: frozenset[int]) -> bool:
+def pro_clopen_check(space: FinitePoset, subset: int) -> bool:
     """Closed and a union of components; verified to coincide with clopen."""
-    subset = frozenset(subset)
-    parts = pi0(space).components
-    union_of_components = all(
-        part <= subset or not (part & subset) for part in parts
-    )
-    verdict = space.is_closed(subset) and union_of_components
-    if verdict != space.is_clopen(subset):
+    return _pro_clopen(space, pi0(space).masks, subset)
+
+
+def _pro_clopen(space: FinitePoset, parts: tuple[int, ...], subset: int) -> bool:
+    closed = space.is_closed(subset)
+    verdict = closed and all(part & subset in (0, part) for part in parts)
+    if verdict != (closed and space.is_open(subset)):
         raise AssertionError(
             "pro-clopen and clopen disagree on a finite space; impossible")
     return verdict
@@ -165,40 +208,42 @@ def lemma_b2_verify(space: FinitePoset) -> bool:
     nonempty pro-clopen subsets, clopen <-> clopen; with inverse given by the
     image under p.
     """
+    _check_limit("lemma-b2", space.size, "subsets")
     data = pi0(space)
-    quotient = data.quotient
-    parts = data.components
+    quotient, parts = data.quotient, data.masks
+    preimage = partial(_union, parts)
+    image = partial(_union, [1 << c for c in data.component_of])
 
-    def preimage(sub_q: frozenset[int]) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for i in sub_q:
-            out |= parts[i]
-        return out
+    def corresponds(sets_q: set[int], sets_x: set[int]) -> bool:
+        return ({preimage(s) for s in sets_q} == sets_x and len(sets_x) == len(sets_q)
+                and all(image(preimage(s)) == s for s in sets_q))
 
-    def image(sub_x: frozenset[int]) -> frozenset[int]:
-        return frozenset(data.component_of[x] for x in sub_x)
-
-    pro_clopens = {s for s in space.subsets() if pro_clopen_check(space, s)}
+    pro_clopens = {s for s in space.subsets() if _pro_clopen(space, parts, s)}
     closed_q = {s for s in quotient.subsets() if quotient.is_closed(s)}
-    mapped = {preimage(s) for s in closed_q}
-    if mapped != pro_clopens or len(mapped) != len(closed_q):
+    if not corresponds(closed_q, pro_clopens):
         return False
-    if any(image(preimage(s)) != s for s in closed_q):
+    # by increasing size, a nonempty set is minimal iff it contains no
+    # minimal set found before it
+    minimal: list[int] = []
+    for s in sorted(pro_clopens, key=int.bit_count):
+        if s and not any(m & s == m for m in minimal):
+            minimal.append(s)
+    if not corresponds({1 << i for i in range(quotient.size)}, set(minimal)):
         return False
-
-    minimal = {s for s in pro_clopens if s
-               and not any(t and t < s for t in pro_clopens)}
-    singletons = {frozenset([i]) for i in range(quotient.size)}
-    if {preimage(s) for s in singletons} != minimal:
-        return False
-
     clopens_x = {s for s in space.subsets() if space.is_clopen(s)}
     clopens_q = {s for s in quotient.subsets() if quotient.is_clopen(s)}
-    if {preimage(s) for s in clopens_q} != clopens_x:
-        return False
-    if any(image(preimage(s)) != s for s in clopens_q):
-        return False
-    return True
+    return corresponds(clopens_q, clopens_x)
+
+
+def non_open_preimage(source: FinitePoset, target: FinitePoset,
+                      mapping: tuple[int, ...]) -> int | None:
+    """A target point whose principal open has a non-open preimage, or None.
+
+    Every open set is a union of the principal opens down[t] (the minimal
+    basis of a finite T0 space), so all preimages of opens are open iff these.
+    """
+    return next((t for t, open_t in enumerate(target.down)
+                 if not source.is_open(_preimage(mapping, open_t))), None)
 
 
 @dataclass(frozen=True)
@@ -216,38 +261,23 @@ class MonotoneMap:
         if any(not (0 <= v < self.target.size) for v in mapping):
             raise ValueError("mapping value out of range")
         object.__setattr__(self, "mapping", mapping)
-        for x in range(self.source.size):
-            for y in range(self.source.size):
-                if self.source.leq[x][y] and not self.target.leq[mapping[x]][mapping[y]]:
-                    raise ValueError("map does not preserve specialization")
+        if not _is_monotone(self.source, self.target, mapping):
+            raise ValueError("map does not preserve specialization")
         # continuity = openness of preimages, equivalent to monotonicity here;
         # verified directly so the equivalence is exercised, not assumed
-        for open_t in self.target.subsets():
-            if self.target.is_open(open_t) and not self.source.is_open(self.preimage(open_t)):
-                raise AssertionError("monotone map with a non-open preimage; impossible")
+        if non_open_preimage(self.source, self.target, mapping) is not None:
+            raise AssertionError("monotone map with a non-open preimage; impossible")
 
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    def preimage(self, subset: frozenset[int]) -> frozenset[int]:
-        return frozenset(x for x in range(self.source.size) if self.mapping[x] in subset)
-
-
-def compose(second: MonotoneMap, first: MonotoneMap) -> MonotoneMap:
-    if first.target is not second.source and first.target != second.source:
-        raise ValueError("maps are not composable")
-    return MonotoneMap(first.source, second.target,
-                       tuple(second.mapping[v] for v in first.mapping))
+    def preimage(self, subset: int) -> int:
+        return _preimage(self.mapping, subset)
 
 
 def pi0_map(f: MonotoneMap) -> tuple[Pi0, Pi0, tuple[int, ...]]:
     """Induced map on connected components."""
     src, tgt = pi0(f.source), pi0(f.target)
-    induced = [0] * src.count
-    for i, part in enumerate(src.components):
-        representative = next(iter(part))
-        induced[i] = tgt.component_of[f.mapping[representative]]
-    return src, tgt, tuple(induced)
+    induced = tuple(tgt.component_of[f.mapping[(part & -part).bit_length() - 1]]
+                    for part in src.masks)
+    return src, tgt, induced
 
 
 @dataclass(frozen=True)
@@ -266,14 +296,10 @@ class PropB3Report:
 
 def prop_b3_check(f: MonotoneMap) -> PropB3Report:
     """Evaluate the three conditions independently and report them."""
-    clopens_y = clopen_sets(f.target)
-    preimages = [f.preimage(s) for s in clopens_y]
-    clopens_x = set(clopen_sets(f.source))
-    clopen_bijection = (
-        all(s in clopens_x for s in preimages)
-        and len(set(preimages)) == len(clopens_y)
-        and set(preimages) == clopens_x
-    )
+    clopens_y = [m for m, _ in _clopen_unions(f.target)]
+    clopens_x = {m for m, _ in _clopen_unions(f.source)}
+    preimages = {f.preimage(s) for s in clopens_y}
+    clopen_bijection = len(preimages) == len(clopens_y) and preimages == clopens_x
     src, tgt, induced = pi0_map(f)
     bijective = len(set(induced)) == src.count and src.count == tgt.count
     homeomorphism = _is_homeomorphism(src.quotient, tgt.quotient, induced)
@@ -284,20 +310,14 @@ def _is_homeomorphism(source: FinitePoset, target: FinitePoset,
                       mapping: tuple[int, ...]) -> bool:
     if len(set(mapping)) != source.size or source.size != target.size:
         return False
-    inverse = [0] * target.size
-    for x, y in enumerate(mapping):
-        inverse[y] = x
-    forward_continuous = all(
-        source.is_open(frozenset(x for x in range(source.size)
-                                 if mapping[x] in subset))
-        for subset in target.subsets() if target.is_open(subset)
-    )
-    backward_continuous = all(
-        target.is_open(frozenset(y for y in range(target.size)
-                                 if inverse[y] in subset))
-        for subset in source.subsets() if source.is_open(subset)
-    )
-    return forward_continuous and backward_continuous
+    _check_limit("the homeomorphism test", source.size, "open sets")
+    inverse = sorted(range(source.size), key=mapping.__getitem__)
+
+    def continuous(fn, dom: FinitePoset, cod: FinitePoset) -> bool:
+        return all(dom.is_open(_preimage(fn, subset))
+                   for subset in cod.subsets() if cod.is_open(subset))
+
+    return continuous(mapping, source, target) and continuous(inverse, target, source)
 
 
 def homeo_criterion(f: MonotoneMap) -> bool:
@@ -323,37 +343,16 @@ def all_posets(size: int) -> Iterator[FinitePoset]:
     Enumerates exactly the posets whose labeling is a linear extension
     (relation matrix upper triangular); every isomorphism class appears.
     """
-    if size == 0:
-        yield FinitePoset(0, ())
-        return
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
     for mask in range(1 << len(pairs)):
-        chosen = [pairs[b] for b in range(len(pairs)) if mask & (1 << b)]
-        closure = [[i == j for j in range(size)] for i in range(size)]
-        for i, j in chosen:
-            closure[i][j] = True
-        transitive = True
-        for i, j in pairs:
-            if closure[i][j]:
-                continue
-            # transitivity may force (i, j); the subset is then not closed
-            if any(closure[i][l] and closure[l][j] for l in range(size)):
-                transitive = False
-                break
-        if transitive:
-            yield FinitePoset(size, tuple(tuple(row) for row in closure))
+        chosen = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+        poset = FinitePoset.from_relations(size, chosen)
+        # keep the chosen relations only if they are already transitive
+        if sum(u.bit_count() for u in poset.up) == size + len(chosen):
+            yield poset
 
 
 def all_monotone_maps(source: FinitePoset, target: FinitePoset) -> Iterator[MonotoneMap]:
-    if source.size == 0:
-        yield MonotoneMap(source, target, ())
-        return
     for values in product(range(target.size), repeat=source.size):
-        ok = all(
-            target.leq[values[x]][values[y]]
-            for x in range(source.size)
-            for y in range(source.size)
-            if source.leq[x][y]
-        )
-        if ok:
+        if _is_monotone(source, target, values):
             yield MonotoneMap(source, target, values)

@@ -1,19 +1,27 @@
+import os
+import time
+from itertools import product
+
 import pytest
 
+from equibundle import topospace
+from equibundle.cli import main
 from equibundle.topospace import (
+    ENUMERATION_LIMIT,
     FinitePoset,
     MonotoneMap,
     all_monotone_maps,
     all_posets,
     clopen_sets,
-    compose,
     homeo_criterion,
     lemma_b2_verify,
+    non_open_preimage,
     pi0,
     pi0_map,
     pro_clopen_check,
     prop_b3_check,
 )
+from equibundle.topospace import _is_homeomorphism
 
 
 class TestPoset:
@@ -37,9 +45,9 @@ class TestPoset:
 
     def test_opens_are_generization_closed(self):
         poset = FinitePoset.chain(2)  # 0 specializes to 1; closed point is 1
-        assert poset.is_closed(frozenset({1}))
-        assert poset.is_open(frozenset({0}))
-        assert not poset.is_open(frozenset({1}))
+        assert poset.is_closed(0b10)
+        assert poset.is_open(0b01)
+        assert not poset.is_open(0b10)
 
 
 class TestPi0:
@@ -65,7 +73,8 @@ class TestPi0:
                 for f in all_monotone_maps(x, y):
                     for z in posets:
                         for g in all_monotone_maps(y, z):
-                            _, _, gf = pi0_map(compose(g, f))
+                            gf_map = MonotoneMap(x, z, tuple(g.mapping[v] for v in f.mapping))
+                            _, _, gf = pi0_map(gf_map)
                             _, _, f0 = pi0_map(f)
                             _, _, g0 = pi0_map(g)
                             assert gf == tuple(g0[v] for v in f0)
@@ -91,14 +100,14 @@ class TestClopen:
 class TestProClopen:
     def test_single_component(self):
         poset = FinitePoset.from_relations(3, [(0, 1)])
-        assert pro_clopen_check(poset, frozenset({0, 1}))
+        assert pro_clopen_check(poset, 0b011)
 
     def test_non_closed_singleton(self):
         poset = FinitePoset.chain(2)
-        assert not pro_clopen_check(poset, frozenset({0}))
+        assert not pro_clopen_check(poset, 0b01)
 
     def test_empty(self):
-        assert pro_clopen_check(FinitePoset.chain(3), frozenset())
+        assert pro_clopen_check(FinitePoset.chain(3), 0)
 
 
 class TestLemmaB2:
@@ -169,3 +178,331 @@ class TestEnumeration:
     def test_monotone_map_counts_discrete(self):
         x, y = FinitePoset.antichain(2), FinitePoset.antichain(3)
         assert sum(1 for _ in all_monotone_maps(x, y)) == 9
+
+
+# ---------------------------------------------------------------------------
+# Reference: the frozenset implementation the bitmask one replaced, kept
+# verbatim apart from working on a bare leq matrix.
+# ---------------------------------------------------------------------------
+
+
+def ref_validate(size, leq):
+    n = size
+    matrix = tuple(tuple(bool(v) for v in row) for row in leq)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("specialization matrix must be n x n")
+    for x in range(n):
+        if not matrix[x][x]:
+            raise ValueError("specialization must be reflexive")
+    for x in range(n):
+        for y in range(n):
+            if x != y and matrix[x][y] and matrix[y][x]:
+                raise ValueError("mutually specializing distinct points")
+            if matrix[x][y]:
+                for z in range(n):
+                    if matrix[y][z] and not matrix[x][z]:
+                        raise ValueError("specialization must be transitive")
+
+
+def ref_closure(size, relations):
+    leq = [[i == j for j in range(size)] for i in range(size)]
+    for x, y in relations:
+        leq[x][y] = True
+    changed = True
+    while changed:
+        changed = False
+        for x in range(size):
+            for y in range(size):
+                if leq[x][y]:
+                    for z in range(size):
+                        if leq[y][z] and not leq[x][z]:
+                            leq[x][z] = True
+                            changed = True
+    return tuple(tuple(row) for row in leq)
+
+
+def ref_is_closed(leq, subset):
+    return all(leq[x][y] <= (y in subset) for x in subset for y in range(len(leq)))
+
+
+def ref_is_clopen(leq, subset):
+    return ref_is_closed(leq, subset) and ref_is_closed(
+        leq, frozenset(range(len(leq))) - subset)
+
+
+def ref_subsets(size):
+    for mask in range(1 << size):
+        yield frozenset(e for e in range(size) if mask & (1 << e))
+
+
+def ref_pi0(leq):
+    n = len(leq)
+    label = [-1] * n
+    components = []
+    for start in range(n):
+        if label[start] != -1:
+            continue
+        index = len(components)
+        stack = [start]
+        label[start] = index
+        bucket = [start]
+        while stack:
+            x = stack.pop()
+            for y in range(n):
+                if label[y] == -1 and (leq[x][y] or leq[y][x]):
+                    label[y] = index
+                    stack.append(y)
+                    bucket.append(y)
+        components.append(bucket)
+    return tuple(frozenset(b) for b in components), tuple(label)
+
+
+def ref_clopen_sets(leq):
+    parts = ref_pi0(leq)[0]
+    out = []
+    for mask in range(1 << len(parts)):
+        subset = frozenset()
+        for i, part in enumerate(parts):
+            if mask & (1 << i):
+                subset |= part
+        out.append(subset)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def ref_pro_clopen_check(leq, subset):
+    subset = frozenset(subset)
+    parts = ref_pi0(leq)[0]
+    union_of_components = all(part <= subset or not (part & subset) for part in parts)
+    verdict = ref_is_closed(leq, subset) and union_of_components
+    if verdict != ref_is_clopen(leq, subset):
+        raise AssertionError("pro-clopen and clopen disagree on a finite space; impossible")
+    return verdict
+
+
+def ref_lemma_b2_verify(leq):
+    parts, component_of = ref_pi0(leq)
+    quotient = tuple(tuple(i == j for j in range(len(parts))) for i in range(len(parts)))
+
+    def preimage(sub_q):
+        out = frozenset()
+        for i in sub_q:
+            out |= parts[i]
+        return out
+
+    def image(sub_x):
+        return frozenset(component_of[x] for x in sub_x)
+
+    pro_clopens = {s for s in ref_subsets(len(leq)) if ref_pro_clopen_check(leq, s)}
+    closed_q = {s for s in ref_subsets(len(parts)) if ref_is_closed(quotient, s)}
+    mapped = {preimage(s) for s in closed_q}
+    if mapped != pro_clopens or len(mapped) != len(closed_q):
+        return False
+    if any(image(preimage(s)) != s for s in closed_q):
+        return False
+    minimal = {s for s in pro_clopens if s and not any(t and t < s for t in pro_clopens)}
+    if {preimage(frozenset([i])) for i in range(len(parts))} != minimal:
+        return False
+    clopens_x = {s for s in ref_subsets(len(leq)) if ref_is_clopen(leq, s)}
+    clopens_q = {s for s in ref_subsets(len(parts)) if ref_is_clopen(quotient, s)}
+    if {preimage(s) for s in clopens_q} != clopens_x:
+        return False
+    return all(image(preimage(s)) == s for s in clopens_q)
+
+
+def as_mask(subset):
+    return sum(1 << x for x in subset)
+
+
+def random_relabelled_posets(rng, count):
+    """Random posets of size <= 10, density 0.2-0.6, with shuffled labels."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 10)
+        density = rng.uniform(0.2, 0.6)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        out.append((n, pairs))
+    return out
+
+
+def first_error(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestAgainstReference:
+    def check(self, poset):
+        leq = poset.leq
+        components, component_of = ref_pi0(leq)
+        data = pi0(poset)
+        assert data.components == components
+        assert data.component_of == component_of
+        assert data.masks == tuple(as_mask(c) for c in components)
+        assert clopen_sets(poset) == ref_clopen_sets(leq)
+        for subset in ref_subsets(poset.size):
+            mask = as_mask(subset)
+            assert pro_clopen_check(poset, mask) == ref_pro_clopen_check(leq, subset)
+            assert poset.is_closed(mask) == ref_is_closed(leq, subset)
+            assert poset.is_clopen(mask) == ref_is_clopen(leq, subset)
+        assert lemma_b2_verify(poset) == ref_lemma_b2_verify(leq)
+
+    def test_every_small_poset(self):
+        for size in range(0, 6):
+            for poset in all_posets(size):
+                self.check(poset)
+
+    def test_random_relabelled_posets(self, rng):
+        for n, pairs in random_relabelled_posets(rng, 200):
+            poset = FinitePoset.from_relations(n, pairs)
+            assert poset.leq == ref_closure(n, pairs)
+            self.check(poset)
+
+    def test_from_relations_matches_closure_or_error(self, rng):
+        # arbitrary relations, cycles included: the same matrix or the same error
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            leq = ref_closure(n, pairs)
+            expected = first_error(lambda: ref_validate(n, leq))
+            assert first_error(lambda: FinitePoset.from_relations(n, pairs)) == expected
+            if expected is None:
+                assert FinitePoset.from_relations(n, pairs).leq == leq
+
+    def test_invalid_matrices_give_the_first_error(self, rng):
+        messages = set()
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            density = rng.uniform(0.1, 0.7)
+            leq = [[i == j or rng.random() < density for j in range(n)] for i in range(n)]
+            if rng.random() < 0.1:
+                x = rng.randrange(n)
+                leq[x][x] = False
+            if rng.random() < 0.05:
+                leq[rng.randrange(n)].append(True)
+            expected = first_error(lambda: ref_validate(n, leq))
+            assert first_error(lambda: FinitePoset(n, leq)) == expected
+            messages.add(expected)
+        assert messages == {None, "specialization matrix must be n x n",
+                            "specialization must be reflexive",
+                            "mutually specializing distinct points",
+                            "specialization must be transitive"}
+
+    def test_pi0_is_memoized_per_poset(self):
+        first, second = FinitePoset.chain(3), FinitePoset.antichain(3)
+        assert pi0(first) is pi0(first)
+        assert pi0(second).count == 3 and pi0(first).count == 1
+
+
+class TestContinuity:
+    def test_flipped_chain_has_a_non_open_preimage(self):
+        chain = FinitePoset.chain(3)
+        # 0 -> 2, 2 -> 0 reverses specialization: {0} is open, its preimage {2} is not
+        assert non_open_preimage(chain, chain, (2, 1, 0)) == 0
+        with pytest.raises(ValueError, match="does not preserve specialization"):
+            MonotoneMap(chain, chain, (2, 1, 0))
+
+    def test_monotone_maps_have_open_preimages(self):
+        posets = [p for n in range(0, 4) for p in all_posets(n)]
+        for x in posets:
+            for y in posets:
+                for f in all_monotone_maps(x, y):
+                    assert non_open_preimage(x, y, f.mapping) is None
+
+    def test_non_monotone_maps_are_caught_on_principal_opens(self):
+        # for each non-monotone mapping some principal open pulls back to a
+        # non-open set, so the principal-open test is a real check
+        posets = [p for n in range(1, 4) for p in all_posets(n)]
+        caught = 0
+        for x in posets:
+            for y in posets:
+                for values in product(range(y.size), repeat=x.size):
+                    monotone = all(y.leq[values[a]][values[b]]
+                                   for a in range(x.size) for b in range(x.size)
+                                   if x.leq[a][b])
+                    found = non_open_preimage(x, y, values)
+                    assert (found is None) == monotone
+                    caught += found is not None
+        assert caught > 100
+
+
+class TestComponentSearchOnce:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        original = topospace._components
+
+        def counted(space):
+            calls.append(space)
+            return original(space)
+
+        monkeypatch.setattr(topospace, "_components", counted)
+        return calls
+
+    def corpus(self, name):
+        return os.path.join(os.path.dirname(__file__), "..", "corpus", name)
+
+    def test_lemma_b2_searches_once(self, searches, capsys):
+        assert main(["lemma-b2", self.corpus("poset_two_components.txt")]) == 0
+        assert "bijections hold = yes" in capsys.readouterr().out
+        assert len(searches) == 1
+
+    def test_prop_b3_searches_once_per_poset(self, searches, capsys):
+        assert main(["prop-b3", self.corpus("monotone_map_surjection.txt")]) == 0
+        assert "equivalence holds = yes" in capsys.readouterr().out
+        assert len(searches) == 2  # the source and the target
+        poset = FinitePoset.from_relations(4, [(0, 1), (2, 3)])
+        del searches[:]
+        assert tuple(prop_b3_check(MonotoneMap(poset, poset, (0, 1, 2, 3)))) == (
+            True, True, True)
+        assert searches == [poset]
+
+
+class TestEnumerationLimits:
+    def run(self, tmp_path, capsys, command, text):
+        path = tmp_path / "doc.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        code = main([command, str(path)])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        return code, out, err, elapsed
+
+    @pytest.mark.parametrize("command,message", [
+        ("lemma-b2", "lemma-b2 enumerates 2^31 subsets; the limit is 2^16"),
+        ("clopen", "clopen enumerates 2^31 unions of components; the limit is 2^16"),
+    ])
+    def test_oversized_antichain_exits_3(self, tmp_path, capsys, command, message):
+        code, out, err, elapsed = self.run(tmp_path, capsys, command,
+                                           "kind = poset\nn = 31\n")
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command", ["prop-b3", "homeo-check"])
+    def test_oversized_map_exits_3(self, tmp_path, capsys, command):
+        mapping = ", ".join(str(x) for x in range(31))
+        text = (f"kind = monotone_map\nsource_n = 31\ntarget_n = 31\nmap = {mapping}\n")
+        code, out, err, elapsed = self.run(tmp_path, capsys, command, text)
+        assert code == 3 and out == ""
+        assert "enumerates 2^31" in err and "Traceback" not in err
+        assert elapsed < 1.0
+
+    def test_sixteen_point_chain_is_within_the_limit(self, tmp_path, capsys):
+        assert ENUMERATION_LIMIT == 16
+        rels = "".join(f"rel = {i}<{i + 1}\n" for i in range(15))
+        code, out, _, _ = self.run(tmp_path, capsys, "lemma-b2",
+                                   "kind = poset\nn = 16\n" + rels)
+        assert code == 0 and "bijections hold = yes" in out
+        code, _, err, _ = self.run(tmp_path, capsys, "lemma-b2",
+                                   "kind = poset\nn = 17\n" + rels)
+        assert code == 3 and "2^17 subsets" in err
+
+    def test_homeomorphism_oracle_checks_the_limit(self):
+        big = FinitePoset.antichain(ENUMERATION_LIMIT + 1)
+        with pytest.raises(ValueError, match="open sets; the limit is 2"):
+            _is_homeomorphism(big, big, tuple(range(big.size)))
