@@ -89,7 +89,7 @@ def cmd_classify_p1(args) -> int:
         f"birkhoff B = {render_laurent_matrix(factorization.B)}",
         "factorization exact = yes",
     ]
-    h0 = {m: projline.h0_dimension(bundle, m) for m in range(-window, window + 1)}
+    h0 = projline.h0_table(bundle, window)
     lines += [f"h0 twist {m} = {dim}" for m, dim in h0.items()]
     if args.verify:
         agree = all(dim == sum(max(0, d + m + 1) for d in stype)
@@ -130,10 +130,9 @@ def cmd_cochar_to_bundle(args) -> int:
 def cmd_h0(args) -> int:
     doc = _load(args.file, ("laurent_matrix",))
     bundle = projline.BundleOnP1(doc.matrix)
-    window = args.twist_window
+    h0 = projline.h0_table(bundle, args.twist_window)
     lines = ["report = h0", f"rank = {bundle.rank}"]
-    for m in range(-window, window + 1):
-        lines.append(f"h0 twist {m} = {projline.h0_dimension(bundle, m)}")
+    lines += [f"h0 twist {m} = {dim}" for m, dim in h0.items()]
     _emit(lines)
     return EXIT_OK
 

@@ -338,12 +338,13 @@ def is_henselian_pair(algebra: FiniteDimAlgebra,
     For artinian commutative algebras this characterizes henselian pairs (a
     finite product of henselian local rings), and it matches the topological
     criterion on the finite spectrum.  A caller that already holds
-    `jacobson_radical(algebra)` passes it as `radical`.
+    `jacobson_radical(algebra)` passes it as `radical`.  The ideal lies in
+    the span of the radical iff adding it leaves the rank unchanged.
     """
     ideal = algebra.ideal if ideal is None else tuple(algebra.coerce(v) for v in ideal)
     if radical is None:
         radical = jacobson_radical(algebra)
-    return all(algebra.in_span(vec, radical) for vec in ideal)
+    return matrix_rank(algebra.field, [*radical, *ideal]) == matrix_rank(algebra.field, radical)
 
 
 @dataclass(frozen=True)

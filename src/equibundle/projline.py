@@ -15,6 +15,7 @@ which pins the sign of the splitting type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence, Union
 
 from equibundle.exact_core import (
@@ -221,19 +222,22 @@ def splitting_type(bundle: BundleOnP1) -> SplittingType:
 # ---------------------------------------------------------------------------
 
 
+def _native_entries(g: LaurentMatrix, p: Optional[int]) -> list[list[list[tuple]]]:
+    """The (exponent, coefficient) terms of each entry of g, as native scalars:
+    the int residue over F_p (p given), the Fraction over Q (p is None)."""
+    return [[[(exp, coeff.residue if p else coeff) for exp, coeff in g.entry(i, j).terms()]
+             for j in range(g.n)] for i in range(g.n)]
+
+
 def _constraint_rows(g: LaurentMatrix, twist: int, bound: int, p: Optional[int]) -> list[dict]:
     """Sparse rows whose common kernel is the section space at a degree bound.
 
     Variables are the coefficients f[j, d] for 0 <= d <= bound, numbered
     j * (bound + 1) + d; there is one row per output coordinate i and
-    exponent e >= 1 of t^(-twist) * g * f.  Coefficients are native scalars:
-    the int residue over F_p (p given), the Fraction over Q (p is None).
+    exponent e >= 1 of t^(-twist) * g * f.
     """
-    n = g.n
     rows: list[dict] = []
-    for i in range(n):
-        entries = [[(exp, coeff.residue if p else coeff) for exp, coeff in g.entry(i, j).terms()]
-                   for j in range(n)]
+    for entries in _native_entries(g, p):
         max_e = max((terms[-1][0] - twist + bound for terms in entries if terms), default=0)
         block: list[dict] = [{} for _ in range(max_e)]
         for j, terms in enumerate(entries):
@@ -282,11 +286,21 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
             elif not other:
                 active.discard(other_idx)
 
-    # Phase 2: general elimination on whatever is left.
-    while active:
-        idx = min(active, key=lambda i: (len(rows[i]), i))
-        active.discard(idx)
+    # Phase 2: general elimination on whatever is left, shortest row first
+    # (ties to the lowest index).  Every active row has a heap entry no larger
+    # than its length: a row that shrinks is pushed again, and a popped entry
+    # whose row has grown since goes back in with its current length.
+    heap = [(len(rows[idx]), idx) for idx in active]
+    heapify(heap)
+    while heap:
+        length, idx = heappop(heap)
+        if idx not in active:
+            continue
         row = rows[idx]
+        if len(row) != length:
+            heappush(heap, (len(row), idx))
+            continue
+        active.discard(idx)
         if not row:
             continue
         pivot = min(row, key=lambda v: (len(var_rows.get(v, ())), v))
@@ -304,6 +318,7 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
             factor = other.get(pivot)
             if factor is None:
                 continue
+            before = len(other)
             for v, c in row.items():
                 acc = other.get(v, 0) - factor * c
                 if p:
@@ -316,6 +331,8 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
                     del other[v]
                     if v != pivot:
                         var_rows[v].discard(other_idx)
+            if len(other) < before:
+                heappush(heap, (len(other), other_idx))
     return pivots
 
 
@@ -342,28 +359,70 @@ def _sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
     return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound, p), p))
 
 
-def _stable_sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
-    """``_sections_dimension`` at bound, checked to be unchanged at bound + 1.
+def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) -> dict[int, int]:
+    """``_sections_dimension`` at bound for each twist high, high - 1, ..., low,
+    each checked to be unchanged at bound + 1, from one elimination.
 
-    One elimination of the system at bound + 1 gives the dimension there.
-    The sections at bound are those at bound + 1 whose top coefficients
-    f[j, bound + 1] vanish (the rows the larger system adds involve only
-    those coefficients), so the dimension at bound is lower by the rank of
-    the unit rows f[j, bound + 1] = 0 modulo the rows already eliminated.
+    The system is eliminated at twist high and bound + 1; each step down to
+    twist m - 1 reduces the n rows "t^m coefficient of g * f = 0" against the
+    pivots and appends each nonzero remainder (it holds no pivot variable) as
+    a new pivot.  At every twist the sections at bound are those at bound + 1
+    whose top coefficients f[j, bound + 1] vanish (the rows a larger bound adds
+    involve only those), so the dimension at bound is lower by the rank of the
+    unit rows f[j, bound + 1] = 0 modulo the pivots, which they never join;
+    the two must agree, or ArithmeticError is raised.
     """
     p = getattr(g.field, "p", None)
-    top = bound + 1
-    pivots = _eliminate(_constraint_rows(g, twist, top, p), p)
-    recheck = g.n * (top + 1) - len(pivots)
+    n, top = g.n, bound + 1
     one = g.field.one.residue if p else g.field.one
-    units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(g.n)]
-    dim = recheck - len(_eliminate(units, p))
-    if recheck != dim:
-        raise ArithmeticError(
-            f"section space not stable at degree bound {bound} "
-            f"({dim} vs {recheck}); the bound is too small for this input"
-        )
-    return dim
+    entries = _native_entries(g, p)
+    pivots = _eliminate(_constraint_rows(g, high, top, p), p)
+    table: dict[int, int] = {}
+    for m in range(high, low - 1, -1):
+        recheck = n * (top + 1) - len(pivots)
+        units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(n)]
+        dim = recheck - len(_eliminate(units, p))
+        if recheck != dim:
+            raise ArithmeticError(
+                f"section space not stable at degree bound {bound} "
+                f"({dim} vs {recheck}); the bound is too small for this input"
+            )
+        table[m] = dim
+        if m == low:
+            break
+        for row_terms in entries:
+            row = {j * (top + 1) + m - exp: coeff for j, terms in enumerate(row_terms)
+                   for exp, coeff in terms if 0 <= m - exp <= top}
+            pivots += _eliminate([_reduce(row, pivots, p)], p)
+    return table
+
+
+def _stable_sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
+    """``_sections_dimension`` at bound, checked to be unchanged at bound + 1."""
+    return _stable_sections_table(g, twist, twist, bound)[twist]
+
+
+def _bound(g: LaurentMatrix, twist: int) -> int:
+    """Degree bound n*(e_max - e_min) + |twist| + 1, exponent window widened to 0."""
+    e_min, e_max = g.exponent_range()
+    return g.n * (max(e_max, 0) - min(e_min, 0)) + abs(twist) + 1
+
+
+def h0_table(bundle: BundleOnP1, window: int) -> dict[int, int]:
+    """``h0_dimension`` of every twist in -window..window, ascending.
+
+    One elimination serves the whole table.  It is taken at twist +window
+    with that twist's bound, which is at least every other twist's own
+    bound.  Walking down, the sections at twist m - 1 are those at twist m
+    whose g * f also has a vanishing t^m coefficient, so each step adds n
+    rows to the same echelon.  The stability check runs at every twist.
+    A negative window gives the empty table.
+    """
+    if window < 0:
+        return {}
+    g = bundle.matrix
+    table = _stable_sections_table(g, window, -window, _bound(g, window))
+    return dict(sorted(table.items()))
 
 
 def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
@@ -373,16 +432,15 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
     bound n*(e_max - e_min) + |twist| + 1, where the exponent window of the
     transition matrix is normalized to contain 0 (otherwise monomial
     diagonals t^-d would get a window of width zero and sections of degree d
-    would be truncated).  Stability is verified exactly within one sparse
-    elimination: the system is solved at bound + 1, and the dimension at the
-    bound follows by forcing the top coefficients to zero; the two must
-    agree, or ArithmeticError is raised.
+    would be truncated).  One sparse elimination at bound + 1 gives the
+    dimension at bound + 1 and, by forcing the t^(bound + 1) coefficients to
+    zero, at the bound; the two must agree, or ArithmeticError is raised.
+    This is the one-twist case of ``h0_table``'s walk: going down from twist
+    m to m - 1 only adds the rows "t^m coefficient of g * f = 0" to the same
+    system, so one elimination serves every twist below.
     """
     g = bundle.matrix
-    e_min, e_max = g.exponent_range()
-    e_min, e_max = min(e_min, 0), max(e_max, 0)
-    bound = g.n * (e_max - e_min) + abs(twist) + 1
-    return _stable_sections_dimension(g, twist, bound)
+    return _stable_sections_dimension(g, twist, _bound(g, twist))
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,35 @@ class TestHenselianPair:
         alg = from_univariate_quotient(QQ, [0, -1, 1])
         assert is_henselian_pair(alg, ideal=[])
 
+    def test_rank_test_agrees_with_per_vector_span(self, rng):
+        # one rank comparison against the radical must give the verdict of
+        # testing every ideal vector on its own, zero vectors included
+        verdicts = []
+        for field in (QQ, GF(7), GF(2**31 - 1)):
+            for _ in range(20):
+                alg = from_univariate_quotient(
+                    field, random_quotient(rng, field, rng.randint(1, 6)))
+                radical = jacobson_radical(alg)
+                ideal = [alg.zero] * rng.randint(0, 1)
+                for _ in range(rng.randint(0, 3)):
+                    if radical and rng.random() < 0.6:
+                        vec = alg.zero
+                        for r in radical:
+                            vec = alg.add(vec, alg.scale(field(rng.randint(-2, 2)), r))
+                    else:
+                        vec = tuple(field(rng.randint(-2, 2)) for _ in range(alg.dim))
+                    ideal.append(vec)
+                expected = all(alg.in_span(vec, radical) for vec in ideal)
+                assert is_henselian_pair(alg, ideal=ideal, radical=radical) == expected
+                verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    def test_empty_radical(self):
+        alg = from_univariate_quotient(QQ, [0, -1, 1])
+        assert jacobson_radical(alg) == []
+        assert is_henselian_pair(alg, ideal=[alg.zero], radical=[])
+        assert not is_henselian_pair(alg, ideal=[alg.zero, alg.one], radical=[])
+
 
 class TestLiftIdempotent:
     def test_one_lifts_to_one(self):

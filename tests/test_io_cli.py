@@ -221,15 +221,16 @@ class TestCli:
     def test_arithmetic_error_exit_1(self, capsys, monkeypatch):
         from equibundle import projline
 
-        def unstable(bundle, twist=0):
+        def unstable(bundle, window):
             raise ArithmeticError("section space not stable at degree bound 3")
 
-        monkeypatch.setattr(projline, "h0_dimension", unstable)
-        code = main(["classify-p1", corpus_path("laurent_matrix_o1.txt")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "internal check failed: section space not stable" in err
-        assert "Traceback" not in err
+        monkeypatch.setattr(projline, "h0_table", unstable)
+        for command in ("classify-p1", "h0"):
+            code = main([command, corpus_path("laurent_matrix_o1.txt")])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert "internal check failed: section space not stable" in err
+            assert "Traceback" not in err
 
     def test_nakayama_verify_zero_relation_column(self, tmp_path, capsys):
         doc = tmp_path / "zero_column.txt"

@@ -208,6 +208,79 @@ class TestSparseElimination:
             assert _sections_dimension(g, twist, bound) == expected
 
 
+class TestPivotOrder:
+    def test_heap_matches_linear_scan(self, rng):
+        # phase 2 picks rows from a lazy heap; the pivots, in order and row
+        # for row, must be those of the linear min scan it replaced
+        from equibundle.projline import _constraint_rows, _eliminate
+
+        for k in range(75):
+            field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
+            p = getattr(field, "p", None)
+            if k % 2:
+                g = random_bundle(rng, field, rng.randint(1, 4)).matrix
+                rows = _constraint_rows(g, rng.randint(-2, 2), rng.randint(1, 6), p)
+            else:
+                nvars = rng.randint(2, 30)
+                rows = [random_sparse_row(rng, p, nvars) for _ in range(rng.randint(1, 40))]
+            expected = _eliminate_linear_scan([dict(row) for row in rows], p)
+            assert _eliminate([dict(row) for row in rows], p) == expected, k
+
+
+class TestH0Table:
+    def test_matches_from_scratch_at_each_own_bound(self, rng):
+        # every twist of the table against a fresh elimination of that
+        # twist's own system, at its own bound n*span + |m| + 1
+        from equibundle.projline import _sections_dimension, h0_table
+
+        for field in (QQ, GF(5), GF(2**31 - 1)):
+            for n in range(1, 9):
+                window = (n + 3 * (field is QQ)) % 7
+                degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
+                b = planted_bundle(rng, field, degrees)
+                e_min, e_max = b.matrix.exponent_range()
+                span = max(e_max, 0) - min(e_min, 0)
+                table = h0_table(b, window)
+                assert list(table) == list(range(-window, window + 1))
+                for m, dim in table.items():
+                    own = _sections_dimension(b.matrix, m, n * span + abs(m) + 1)
+                    assert dim == own == h0_formula(degrees, m), (field, n, window, m)
+
+    def test_negative_window_is_empty(self):
+        from equibundle.projline import h0_table
+
+        assert h0_table(bundle(QQ, NILPOTENT_UPPER), -1) == {}
+
+    def test_fixed_bound_matches_from_scratch(self, rng):
+        # at a fixed, possibly too small bound the walk gives each twist's
+        # from-scratch dimension, or raises with the dimensions at bound and
+        # bound + 1 of the top twist.  Sections at twist m - 1 are sections
+        # at twist m, so a twist that is stable makes every lower one
+        # stable: only the top twist can fail the check on exact arithmetic.
+        from equibundle.projline import _sections_dimension, _stable_sections_table
+
+        raised = 0
+        for _ in range(30):
+            for field in (QQ, GF(5)):
+                g = random_bundle(rng, field, rng.randint(1, 3)).matrix
+                high = rng.randint(-2, 3)
+                low = high - rng.randint(0, 4)
+                bound = rng.randint(0, 6)
+                dims = {m: (_sections_dimension(g, m, bound), _sections_dimension(g, m, bound + 1))
+                        for m in range(high, low - 1, -1)}
+                unstable = [m for m, (dim, recheck) in dims.items() if dim != recheck]
+                assert unstable == list(range(high, high - len(unstable), -1))
+                if unstable:
+                    dim, recheck = dims[high]
+                    with pytest.raises(ArithmeticError, match=rf"\({dim} vs {recheck}\)"):
+                        _stable_sections_table(g, high, low, bound)
+                    raised += 1
+                else:
+                    expected = {m: dim for m, (dim, _) in dims.items()}
+                    assert _stable_sections_table(g, high, low, bound) == expected
+        assert raised > 0
+
+
 class TestStabilityCheck:
     def test_compares_dimensions_at_bound_and_next(self, rng):
         # the one-elimination check must compare exactly the from-scratch
@@ -293,3 +366,74 @@ def random_bundle(rng, field, n):
     a = random_unimodular(rng, field, n, negative=True)
     b = random_unimodular(rng, field, n, negative=False)
     return BundleOnP1((a @ d) @ b)
+
+
+def random_sparse_row(rng, p, nvars):
+    """A sparse row of native scalars: int residues mod p, or Fractions."""
+    row = {}
+    for var in rng.sample(range(nvars), rng.randint(0, min(nvars, 6))):
+        c = rng.randint(1, p - 1) if p else Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                    rng.randint(1, 3))
+        row[var] = c
+    return row
+
+
+def _eliminate_linear_scan(rows, p):
+    """Reference: the sparse elimination with a linear min scan in phase 2."""
+    var_rows = {}
+    for idx, row in enumerate(rows):
+        for var in row:
+            var_rows.setdefault(var, set()).add(idx)
+    active = set(range(len(rows)))
+    pivots = []
+    queue = [idx for idx in active if len(rows[idx]) == 1]
+    while queue:
+        idx = queue.pop()
+        if idx not in active:
+            continue
+        active.discard(idx)
+        var = next(iter(rows[idx]))
+        pivots.append((var, {var: 1}))
+        for other_idx in var_rows.pop(var, ()):
+            if other_idx not in active:
+                continue
+            other = rows[other_idx]
+            other.pop(var, None)
+            if len(other) == 1:
+                queue.append(other_idx)
+            elif not other:
+                active.discard(other_idx)
+    while active:
+        idx = min(active, key=lambda i: (len(rows[i]), i))
+        active.discard(idx)
+        row = rows[idx]
+        if not row:
+            continue
+        pivot = min(row, key=lambda v: (len(var_rows.get(v, ())), v))
+        if p:
+            inv = pow(row[pivot], -1, p)
+            row = {v: inv * c % p for v, c in row.items()}
+        else:
+            inv = 1 / row[pivot]
+            row = {v: inv * c for v, c in row.items()}
+        pivots.append((pivot, row))
+        for other_idx in var_rows.pop(pivot, ()):
+            if other_idx not in active:
+                continue
+            other = rows[other_idx]
+            factor = other.get(pivot)
+            if factor is None:
+                continue
+            for v, c in row.items():
+                acc = other.get(v, 0) - factor * c
+                if p:
+                    acc %= p
+                if acc:
+                    if v not in other:
+                        var_rows.setdefault(v, set()).add(other_idx)
+                    other[v] = acc
+                else:
+                    del other[v]
+                    if v != pivot:
+                        var_rows[v].discard(other_idx)
+    return pivots
