@@ -154,7 +154,7 @@ def cmd_split_filtration(args) -> int:
     if not report:
         raise CommandError(f"invalid filtered module: {report.reason}", EXIT_INVALID)
     splitting = filtered.split_filtration(module)
-    stype = filtered.iso_class_filtered(module)
+    stype = filtered.graded_to_splitting_type(splitting.graded_ranks)
     ring = module.ring
     basis_rows = [
         [splitting.basis[c][r] for c in range(len(splitting.basis))]

@@ -5,12 +5,19 @@ Scalars are either arbitrary-precision rationals (plain
 field residues (:class:`FpElement`, always reduced mod p).  Containers are
 immutable after construction, so values can be shared freely between threads.
 Nothing here ever rounds.
+
+Linear algebra over a field runs on one sparse elimination kernel over
+native scalars (int residues over F_p, Fractions over Q): rows are reduced
+against a pivot list, added to it one at a time, or eliminated in bulk.
+``row_reduce``, ``matrix_rank``, ``nullspace`` and ``invert_matrix`` convert
+field elements at the boundary and return the unique reduced echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -343,24 +350,6 @@ class LaurentPoly:
         """Multiply by t**exp."""
         return LaurentPoly(self.field, {e + exp: c for e, c in self._terms.items()})
 
-    def evaluate(self, point) -> Scalar:
-        """Evaluate at a nonzero field element (zero allowed if no negative exponents)."""
-        point = self.field(point)
-        if not point and not self.is_poly_in_t():
-            raise ZeroDivisionError("cannot evaluate a pole at t = 0")
-        acc = self.field.zero
-        for e, c in self._terms.items():
-            val = self.field.one
-            if e >= 0:
-                for _ in range(e):
-                    val = val * point
-            else:
-                inv = self.field.inv(point)
-                for _ in range(-e):
-                    val = val * inv
-            acc = acc + c * val
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -377,38 +366,181 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Dense linear algebra over a field (exact Gauss-Jordan)
+# Sparse elimination over native scalars
 # ---------------------------------------------------------------------------
+#
+# A row is a dict {column: nonzero native scalar}; ``p`` is the characteristic,
+# None over Q.  Pivots are a list of (column, row normalized at column) in
+# which no row holds the column of an earlier pivot, so a further row reduces
+# against them in order.  ``_add_row`` grows such a list one row at a time;
+# ``_eliminate`` builds one from a whole system, picking pivots for sparsity.
+
+
+def _normalized(row: dict, col: int, p: Optional[int]) -> dict:
+    """The row scaled so that its entry at col is 1."""
+    if p:
+        inv = pow(row[col], -1, p)
+        return {v: inv * c % p for v, c in row.items()}
+    inv = 1 / row[col]
+    return {v: inv * c for v, c in row.items()}
+
+
+def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict:
+    """What is left of the row after reducing it against the pivots in order."""
+    for var, pivot_row in pivots:
+        factor = row.get(var)
+        if factor is None:
+            continue
+        for v, c in pivot_row.items():
+            acc = row.get(v, 0) - factor * c
+            if p:
+                acc %= p
+            if acc:
+                row[v] = acc
+            else:
+                row.pop(v, None)
+    return row
+
+
+def _add_row(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> None:
+    """Reduce the row and append what is left, normalized at its leftmost
+    column, as a new pivot."""
+    row = _reduce(row, pivots, p)
+    if row:
+        col = min(row)
+        pivots.append((col, _normalized(row, col, p)))
+
+
+def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
+    """Sparse Gaussian elimination of a whole system; consumes the rows.
+
+    Returns the pivots in the order found.  Rows and pivot columns are chosen
+    for sparsity (shortest row first, then its least used column), which is
+    what keeps a large banded system such as the h0 oracle's cheap.
+    """
+    var_rows: dict[int, set[int]] = {}
+    for idx, row in enumerate(rows):
+        for var in row:
+            var_rows.setdefault(var, set()).add(idx)
+    active = set(range(len(rows)))
+    pivots: list[tuple[int, dict]] = []
+
+    # Phase 1: a singleton row forces its variable to zero, so eliminating it
+    # from other rows is pure deletion; this resolves diagonal-shaped systems
+    # in linear time and shrinks the rest.
+    queue = [idx for idx in active if len(rows[idx]) == 1]
+    while queue:
+        idx = queue.pop()
+        if idx not in active:
+            continue
+        active.discard(idx)
+        var = next(iter(rows[idx]))
+        pivots.append((var, {var: 1}))
+        for other_idx in var_rows.pop(var, ()):
+            if other_idx not in active:
+                continue
+            other = rows[other_idx]
+            other.pop(var, None)
+            if len(other) == 1:
+                queue.append(other_idx)
+            elif not other:
+                active.discard(other_idx)
+
+    # Phase 2: general elimination on whatever is left, shortest row first
+    # (ties to the lowest index).  Every active row has a heap entry no larger
+    # than its length: a row that shrinks is pushed again, and a popped entry
+    # whose row has grown since goes back in with its current length.
+    heap = [(len(rows[idx]), idx) for idx in active]
+    heapify(heap)
+    while heap:
+        length, idx = heappop(heap)
+        if idx not in active:
+            continue
+        row = rows[idx]
+        if len(row) != length:
+            heappush(heap, (len(row), idx))
+            continue
+        active.discard(idx)
+        if not row:
+            continue
+        pivot = min(row, key=lambda v: (len(var_rows.get(v, ())), v))
+        row = _normalized(row, pivot, p)
+        pivots.append((pivot, row))
+        for other_idx in var_rows.pop(pivot, ()):
+            if other_idx not in active:
+                continue
+            other = rows[other_idx]
+            factor = other.get(pivot)
+            if factor is None:
+                continue
+            before = len(other)
+            for v, c in row.items():
+                acc = other.get(v, 0) - factor * c
+                if p:
+                    acc %= p
+                if acc:
+                    if v not in other:
+                        var_rows.setdefault(v, set()).add(other_idx)
+                    other[v] = acc
+                else:
+                    del other[v]
+                    if v != pivot:
+                        var_rows[v].discard(other_idx)
+            if len(other) < before:
+                heappush(heap, (len(other), other_idx))
+    return pivots
+
+
+def _sparse(row: Sequence[Scalar], p: Optional[int]) -> dict:
+    """A row of field elements as a sparse row of native scalars."""
+    if p:
+        return {c: r for c, v in enumerate(row) if (r := v.residue)}
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def _echelon(field: Field, rows) -> tuple[Optional[int], list[tuple[int, dict]]]:
+    """(p, pivots) of rows of field elements, added one at a time."""
+    p = getattr(field, "p", None)
+    pivots: list[tuple[int, dict]] = []
+    for row in rows:
+        _add_row(_sparse(row, p), pivots, p)
+    return p, pivots
+
+
+def span_test(field: Field, spanning):
+    """Predicate: does a vector lie in the span of `spanning`?  The spanning
+    set is eliminated once; each vector is reduced against its pivots."""
+    p, pivots = _echelon(field, spanning)
+    return lambda vec: not _reduce(_sparse(vec, p), pivots, p)
 
 
 def row_reduce(field: Field, rows: Sequence[Sequence[Scalar]]):
-    """Reduced row echelon form.  Returns (rref rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return mat, []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [inv * v for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    """Reduced row echelon form.  Returns (rref rows, pivot column list).
+
+    The rows go through ``_add_row`` one at a time; back-substitution in
+    reverse pivot order then clears each pivot column above its pivot.  The
+    RREF is unique, so it does not depend on the order of the work.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    p, pivots = _echelon(field, rows)
+    for k in range(len(pivots) - 2, -1, -1):
+        _reduce(pivots[k][1], pivots[k + 1:], p)
+    pivots.sort(key=lambda pivot: pivot[0])
+    zero = field.zero
+    out = []
+    for _, row in pivots:
+        dense = [zero] * ncols
+        for c, v in row.items():
+            dense[c] = FpElement(p, v) if p else v
+        out.append(dense)
+    out += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
+    return out, [col for col, _ in pivots]
 
 
 def matrix_rank(field: Field, rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(row_reduce(field, rows)[1])
+    return len(_echelon(field, rows)[1])
 
 
 def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):

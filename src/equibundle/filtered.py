@@ -16,9 +16,9 @@ decreasing-filtration picture is this one read through i -> -i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from equibundle.exact_core import Field, Scalar, matrix_rank
+from equibundle.exact_core import Field, Scalar, matrix_rank, row_reduce
 from equibundle.projline import SplittingType
 
 
@@ -66,9 +66,6 @@ class EpsRing:
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple(-x for x in a)
-
     def mul(self, a, b):
         out = [self.field.zero] * self.order
         for i, x in enumerate(a):
@@ -107,10 +104,6 @@ class EpsRing:
 Matrix = list  # list of rows; rows are lists of ring elements
 
 
-def _mat(ring: EpsRing, rows: Sequence[Sequence]) -> Matrix:
-    return [[ring(v) for v in row] for row in rows]
-
-
 def mat_identity(ring: EpsRing, n: int) -> Matrix:
     return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
@@ -140,60 +133,36 @@ def mat_equal(ring: EpsRing, a: Matrix, b: Matrix) -> bool:
     )
 
 
-def _row_reduce_local(ring: EpsRing, mat: Matrix):
-    """Gauss-Jordan over the local ring using unit pivots only.
-
-    Returns (reduced matrix, pivot (row, col) list).  A column whose remaining
-    entries are all non-units is skipped; for split-injectivity checks a skip
-    means failure.
-    """
-    mat = [row[:] for row in mat]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, nrows) if ring.is_unit(mat[i][c])), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ring.inv(mat[r][c])
-        mat[r] = [ring.mul(inv, v) for v in mat[r]]
-        for i in range(nrows):
-            if i != r and not ring.is_zero(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [ring.sub(a, ring.mul(factor, b))
-                          for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
 def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
     """A retraction R with R*T = identity, or None if T is not split injective.
 
     Over the local base a map of free modules is split injective exactly when
-    its residue matrix has full column rank (Nakayama), which is what
-    unit-pivot elimination detects.  Callers that need only the verdict
+    its residue matrix has full column rank (Nakayama).  A left inverse of the
+    residue matrix then lifts to a retraction by the Newton step
+    R <- (2I - R*T) * R, which squares the error R*T - I in (eps), so
+    ceil(log2 order) steps make it exact.  Callers that need only the verdict
     (`validate_filtered`, `split_filtration`) take the residue rank instead;
     the retraction itself serves `solve_columns`.
     """
-    if not t:
+    if not t or not t[0]:
         return []
     nrows, ncols = len(t), len(t[0])
-    if ncols == 0:
-        return []
-    aug = [row[:] + [ring.one if i == j else ring.zero for j in range(nrows)]
+    field = ring.field
+    aug = [[ring.residue(v) for v in row] + [field.one if i == j else field.zero
+                                            for j in range(nrows)]
            for i, row in enumerate(t)]
-    reduced, pivots = _row_reduce_local(ring, aug)
-    pivot_cols = [c for _, c in pivots if c < ncols]
-    if pivot_cols != list(range(ncols)):
+    reduced, pivots = row_reduce(field, aug)
+    if pivots[:ncols] != list(range(ncols)):
         return None
-    # Rows 0..ncols-1 of the recorded transform now satisfy P*T = [I; 0].
-    return [row[ncols:] for row in reduced[:ncols]]
+    # Rows 0..ncols-1 of the recorded transform P satisfy P*T0 = [I; 0].
+    r = [[ring(v) for v in row[ncols:]] for row in reduced[:ncols]]
+    for _ in range((ring.order - 1).bit_length()):
+        error = mat_mul(ring, r, t)
+        for i in range(ncols):
+            error[i][i] = ring.sub(error[i][i], ring.one)
+        r = [[ring.sub(a, b) for a, b in zip(row, fix)]
+             for row, fix in zip(r, mat_mul(ring, error, r))]
+    return r
 
 
 def solve_columns(ring: EpsRing, t: Matrix, rhs: Matrix) -> Optional[Matrix]:
@@ -250,12 +219,6 @@ class FilteredModule:
         if index > self.hi:
             return self.ranks[-1]
         return self.ranks[index - self.lo]
-
-    def map_at(self, index: int) -> Matrix:
-        """Transition matrix out of E_index (identity above the window)."""
-        if index < self.lo or index >= self.hi:
-            raise IndexError("transition outside the stored window")
-        return [list(row) for row in self.maps[index - self.lo]]
 
 
 @dataclass(frozen=True)
@@ -361,10 +324,8 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
     injection, and exactness of the partial sums is verified at the end.
     """
     ring = f.ring
-    report = validate_filtered(f)
-    if not report:
-        raise ValueError(f"invalid filtered module: {report.reason}")
-    top_rank, steps = colimit_module(f)
+    colimit = colimit_module(f)
+    top_rank, steps = colimit
     chosen: list[list] = []   # columns of the splitting basis, in degree order
     degrees: list[int] = []
     for index, basis_matrix in steps:
@@ -381,29 +342,26 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
         if len(chosen) != target:
             raise AssertionError(
                 f"could not complete the splitting basis at index {index}")
-    basis_matrix = [[chosen[c][r] for c in range(top_rank)] for r in range(top_rank)]
     graded: dict[int, int] = {}
     for d in degrees:
         graded[d] = graded.get(d, 0) + 1
     splitting = FiltrationSplitting(
         graded_ranks=graded,
-        basis=tuple(tuple(col) for col in _columns(basis_matrix)),
+        basis=tuple(tuple(col) for col in chosen),
         degrees_by_column=tuple(degrees),
     )
-    verify_splitting(f, splitting)
+    verify_splitting(f, splitting, colimit)
     return splitting
 
 
-def _columns(matrix: Matrix):
-    if not matrix:
-        return []
-    return [[matrix[r][c] for r in range(len(matrix))] for c in range(len(matrix[0]))]
+def verify_splitting(f: FilteredModule, splitting: FiltrationSplitting,
+                     colimit=None) -> None:
+    """Exact check that partial sums of the grading equal the filtration.
 
-
-def verify_splitting(f: FilteredModule, splitting: FiltrationSplitting) -> None:
-    """Exact check that partial sums of the grading equal the filtration."""
+    `colimit` is ``colimit_module(f)`` if the caller already holds it.
+    """
     ring = f.ring
-    top_rank, steps = colimit_module(f)
+    top_rank, steps = colimit_module(f) if colimit is None else colimit
     columns = [list(col) for col in splitting.basis]
     for index, image in steps:
         sub = [columns[c] for c in range(len(columns))

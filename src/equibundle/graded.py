@@ -265,11 +265,6 @@ def irrelevant_ideal(algebra: GradedAlgebra) -> GradedIdeal:
     return GradedIdeal(algebra, tuple(algebra.var(i) for i in range(algebra.nvars)))
 
 
-def connected_check(algebra: GradedAlgebra) -> bool:
-    """True iff all variable degrees are positive (so B_0 = k and I_0 = 0)."""
-    return algebra.is_connected()
-
-
 # ---------------------------------------------------------------------------
 # Fixed points
 # ---------------------------------------------------------------------------

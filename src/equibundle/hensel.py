@@ -22,6 +22,7 @@ from equibundle.exact_core import (
     matrix_rank,
     nullspace,
     row_reduce,
+    span_test,
 )
 from equibundle.graded import GradedAlgebra
 
@@ -84,9 +85,10 @@ class FiniteDimAlgebra:
                             f"structure constants not associative at ({i},{j},{l})")
         ideal = tuple(tuple(self.field(v) for v in vec) for vec in self.ideal)
         object.__setattr__(self, "ideal", ideal)
+        in_ideal = span_test(self.field, ideal)
         for vec in ideal:
             for i in range(d):
-                if not self.in_span(self.mul(self.unit_vector(i), vec), ideal):
+                if not in_ideal(self.mul(self.unit_vector(i), vec)):
                     raise ValueError("ideal is not closed under multiplication")
 
     @classmethod
@@ -162,12 +164,7 @@ class FiniteDimAlgebra:
         return not any(self.power(a, self.dim))
 
     def in_span(self, vec: Vector, spanning: Sequence[Vector]) -> bool:
-        if not any(vec):
-            return True
-        if not spanning:
-            return False
-        rows = [list(v) for v in spanning]
-        return matrix_rank(self.field, rows) == matrix_rank(self.field, rows + [list(vec)])
+        return span_test(self.field, spanning)(vec)
 
     def ideal_power_is_zero(self, spanning: Sequence[Vector]) -> Optional[int]:
         """Smallest s with (span)^s = 0, or None if the ideal is not nilpotent."""
@@ -367,8 +364,9 @@ def lift_idempotent(algebra: FiniteDimAlgebra, candidate,
     nilpotency = algebra.ideal_power_is_zero(ideal)
     if nilpotency is None:
         raise ValueError("ideal is not nilpotent")
+    in_ideal = span_test(algebra.field, ideal)
     defect = algebra.sub(algebra.mul(candidate, candidate), candidate)
-    if not algebra.in_span(defect, ideal):
+    if not in_ideal(defect):
         raise ValueError("candidate is not idempotent modulo the ideal")
 
     e = candidate
@@ -383,7 +381,7 @@ def lift_idempotent(algebra: FiniteDimAlgebra, candidate,
         cube = algebra.mul(square, e)
         e = algebra.sub(algebra.scale(3, square), algebra.scale(2, cube))
         iterations += 1
-    if not algebra.in_span(algebra.sub(e, candidate), ideal):
+    if not in_ideal(algebra.sub(e, candidate)):
         raise AssertionError("lift drifted away from its residue class")
     return IdempotentLift(element=e, iterations=iterations)
 
@@ -391,10 +389,11 @@ def lift_idempotent(algebra: FiniteDimAlgebra, candidate,
 def idempotents_modulo(algebra: FiniteDimAlgebra, ideal: Sequence[Vector],
                        search_space: Sequence[Vector]) -> list[Vector]:
     """Representatives from `search_space` that are idempotent mod the ideal."""
+    in_ideal = span_test(algebra.field, ideal)
     out = []
     for vec in search_space:
         vec = algebra.coerce(vec)
         defect = algebra.sub(algebra.mul(vec, vec), vec)
-        if algebra.in_span(defect, ideal):
+        if in_ideal(defect):
             out.append(vec)
     return out

@@ -15,8 +15,7 @@ which pins the sign of the splitting type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from equibundle.exact_core import (
     Field,
@@ -24,11 +23,11 @@ from equibundle.exact_core import (
     LaurentPoly,
     QQ,
     Scalar,
+    _add_row,
+    _eliminate,
+    _reduce,
     nullspace,
 )
-
-#: Marker for the point at infinity on the projective line.
-INFINITY = object()
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,6 @@ def cocharacter_to_bundle(d: SplittingType, field: Field = QQ) -> BundleOnP1:
 
 def _top_data(column: Sequence[LaurentPoly]) -> tuple[int, list[Scalar]]:
     """Top degree of a nonzero column and its vector of t^top coefficients."""
-    field = column[0].field
     top = max(entry.max_exp() for entry in column if not entry.is_zero)
     return top, [entry.coeff(top) for entry in column]
 
@@ -251,122 +249,14 @@ def _constraint_rows(g: LaurentMatrix, twist: int, bound: int, p: Optional[int])
     return rows
 
 
-def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
-    """Sparse Gaussian elimination; consumes the rows.
-
-    Returns the pivots (var, row) in the order found, each row normalized at
-    its pivot.  No pivot row holds the variable of an earlier pivot, so a
-    further row reduces against them in order (see ``_reduce``).
-    """
-    var_rows: dict[int, set[int]] = {}
-    for idx, row in enumerate(rows):
-        for var in row:
-            var_rows.setdefault(var, set()).add(idx)
-    active = set(range(len(rows)))
-    pivots: list[tuple[int, dict]] = []
-
-    # Phase 1: a singleton row forces its variable to zero, so eliminating it
-    # from other rows is pure deletion; this resolves diagonal-shaped systems
-    # in linear time and shrinks the rest.
-    queue = [idx for idx in active if len(rows[idx]) == 1]
-    while queue:
-        idx = queue.pop()
-        if idx not in active:
-            continue
-        active.discard(idx)
-        var = next(iter(rows[idx]))
-        pivots.append((var, {var: 1}))
-        for other_idx in var_rows.pop(var, ()):
-            if other_idx not in active:
-                continue
-            other = rows[other_idx]
-            other.pop(var, None)
-            if len(other) == 1:
-                queue.append(other_idx)
-            elif not other:
-                active.discard(other_idx)
-
-    # Phase 2: general elimination on whatever is left, shortest row first
-    # (ties to the lowest index).  Every active row has a heap entry no larger
-    # than its length: a row that shrinks is pushed again, and a popped entry
-    # whose row has grown since goes back in with its current length.
-    heap = [(len(rows[idx]), idx) for idx in active]
-    heapify(heap)
-    while heap:
-        length, idx = heappop(heap)
-        if idx not in active:
-            continue
-        row = rows[idx]
-        if len(row) != length:
-            heappush(heap, (len(row), idx))
-            continue
-        active.discard(idx)
-        if not row:
-            continue
-        pivot = min(row, key=lambda v: (len(var_rows.get(v, ())), v))
-        if p:
-            inv = pow(row[pivot], -1, p)
-            row = {v: inv * c % p for v, c in row.items()}
-        else:
-            inv = 1 / row[pivot]
-            row = {v: inv * c for v, c in row.items()}
-        pivots.append((pivot, row))
-        for other_idx in var_rows.pop(pivot, ()):
-            if other_idx not in active:
-                continue
-            other = rows[other_idx]
-            factor = other.get(pivot)
-            if factor is None:
-                continue
-            before = len(other)
-            for v, c in row.items():
-                acc = other.get(v, 0) - factor * c
-                if p:
-                    acc %= p
-                if acc:
-                    if v not in other:
-                        var_rows.setdefault(v, set()).add(other_idx)
-                    other[v] = acc
-                else:
-                    del other[v]
-                    if v != pivot:
-                        var_rows[v].discard(other_idx)
-            if len(other) < before:
-                heappush(heap, (len(other), other_idx))
-    return pivots
-
-
-def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict:
-    """What is left of the row after reducing it against echelon pivots in order."""
-    for var, pivot_row in pivots:
-        factor = row.get(var)
-        if factor is None:
-            continue
-        for v, c in pivot_row.items():
-            acc = row.get(v, 0) - factor * c
-            if p:
-                acc %= p
-            if acc:
-                row[v] = acc
-            else:
-                row.pop(v, None)
-    return row
-
-
-def _sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
-    """dim of {f in k[t]^n, deg <= bound : t^(-twist) * g * f has no positive exponent}."""
-    p = getattr(g.field, "p", None)
-    return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound, p), p))
-
-
 def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) -> dict[int, int]:
-    """``_sections_dimension`` at bound for each twist high, high - 1, ..., low,
-    each checked to be unchanged at bound + 1, from one elimination.
+    """dim of {f in k[t]^n, deg <= bound : t^(-m) * g * f has no positive
+    exponent} for each twist m = high, high - 1, ..., low, each checked to be
+    unchanged at bound + 1, from one elimination.
 
     The system is eliminated at twist high and bound + 1; each step down to
-    twist m - 1 reduces the n rows "t^m coefficient of g * f = 0" against the
-    pivots and appends each nonzero remainder (it holds no pivot variable) as
-    a new pivot.  At every twist the sections at bound are those at bound + 1
+    twist m - 1 adds the n rows "t^m coefficient of g * f = 0" to the pivots
+    one at a time.  At every twist the sections at bound are those at bound + 1
     whose top coefficients f[j, bound + 1] vanish (the rows a larger bound adds
     involve only those), so the dimension at bound is lower by the rank of the
     unit rows f[j, bound + 1] = 0 modulo the pivots, which they never join;
@@ -393,12 +283,12 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
         for row_terms in entries:
             row = {j * (top + 1) + m - exp: coeff for j, terms in enumerate(row_terms)
                    for exp, coeff in terms if 0 <= m - exp <= top}
-            pivots += _eliminate([_reduce(row, pivots, p)], p)
+            _add_row(row, pivots, p)
     return table
 
 
 def _stable_sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
-    """``_sections_dimension`` at bound, checked to be unchanged at bound + 1."""
+    """``_stable_sections_table`` at one twist."""
     return _stable_sections_table(g, twist, twist, bound)[twist]
 
 
@@ -441,37 +331,3 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
     """
     g = bundle.matrix
     return _stable_sections_dimension(g, twist, _bound(g, twist))
-
-
-# ---------------------------------------------------------------------------
-# Fibers at rational points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    """Trivialized fiber at a rational point of the projective line.
-
-    For GL_n the fiber is always trivial of rank n; away from 0 and infinity
-    the report carries the evaluated transition matrix gluing the two chart
-    trivializations (invertible since det g = c * t^w).
-    """
-
-    rank: int
-    chart: str
-    is_trivial: bool
-    transition_value: Optional[tuple[tuple[Scalar, ...], ...]]
-
-
-def fiber_at_point(bundle: BundleOnP1, point: Union[Scalar, int, object]) -> FiberReport:
-    """Fiber of the bundle at a k-rational point (use INFINITY for s = 0)."""
-    g = bundle.matrix
-    if point is INFINITY:
-        return FiberReport(rank=g.n, chart="Uinf", is_trivial=True, transition_value=None)
-    value = g.field(point)
-    if not value:
-        return FiberReport(rank=g.n, chart="U0", is_trivial=True, transition_value=None)
-    evaluated = tuple(
-        tuple(g.entry(i, j).evaluate(value) for j in range(g.n)) for i in range(g.n)
-    )
-    return FiberReport(rank=g.n, chart="U0", is_trivial=True, transition_value=evaluated)

@@ -15,6 +15,8 @@ from equibundle.exact_core import (
     invert_matrix,
     matrix_rank,
     nullspace,
+    row_reduce,
+    span_test,
 )
 
 F5 = GF(5)
@@ -313,3 +315,117 @@ class TestLinearAlgebra:
     def test_invert_singular(self):
         rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
         assert invert_matrix(QQ, rows) is None
+
+
+def _row_reduce_dense(field, rows):
+    """Reference: the dense Gauss-Jordan that the sparse kernel replaced."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return mat, []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [inv * v for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def _nullspace_dense(field, rows, ncols):
+    rref, pivots = _row_reduce_dense(field, rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for r, p in enumerate(pivots):
+            vec[p] = -rref[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _invert_dense(field, rows):
+    n = len(rows)
+    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
+           for i, r in enumerate(rows)]
+    rref, pivots = _row_reduce_dense(field, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rref[:n]]
+
+
+def random_scalar_matrix(rng, field, nrows, ncols):
+    """Sparse-ish random matrix; about half are rank-deficient products, and
+    some rows are zero."""
+    def scalar():
+        if rng.random() < 0.3:
+            return field.zero
+        if field == QQ:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return field(rng.randint(-5, 5))
+
+    if nrows and ncols and rng.random() < 0.5:
+        k = rng.randint(0, min(nrows, ncols))
+        left = [[scalar() for _ in range(k)] for _ in range(nrows)]
+        right = [[scalar() for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum((left[i][l] * right[l][j] for l in range(k)), field.zero)
+                 for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+    for row in rows:
+        if rng.random() < 0.15:
+            row[:] = [field.zero] * ncols
+    return rows
+
+
+KERNEL_FIELDS = [QQ, F5, GF(2**31 - 1)]
+SHAPES = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 5), (3, 8), (6, 2), (9, 4), (5, 5), (8, 8)]
+
+
+class TestKernelAgainstDenseReference:
+    """The sparse kernel against the dense Gauss-Jordan it replaced: the
+    reduced echelon form is unique, so the two agree entry for entry."""
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["Q", "F5", "F2^31-1"])
+    def test_row_reduce_rank_and_nullspace(self, rng, field):
+        for nrows, ncols in SHAPES:
+            for _ in range(12):
+                rows = random_scalar_matrix(rng, field, nrows, ncols)
+                expected = _row_reduce_dense(field, rows)
+                assert row_reduce(field, rows) == expected, (nrows, ncols)
+                assert matrix_rank(field, rows) == len(expected[1])
+                assert nullspace(field, rows, ncols) == _nullspace_dense(field, rows, ncols)
+        assert row_reduce(field, []) == ([], [])
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["Q", "F5", "F2^31-1"])
+    def test_invert_matrix(self, rng, field):
+        seen = set()
+        for n in range(0, 7):
+            for _ in range(12):
+                rows = random_scalar_matrix(rng, field, n, n)
+                expected = _invert_dense(field, rows)
+                assert invert_matrix(field, rows) == expected
+                seen.add(expected is None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["Q", "F5", "F2^31-1"])
+    def test_span_test_matches_rank(self, rng, field):
+        for nrows, ncols in SHAPES:
+            spanning = random_scalar_matrix(rng, field, nrows, ncols)
+            member = span_test(field, spanning)
+            rank = len(_row_reduce_dense(field, spanning)[1])
+            for vec in random_scalar_matrix(rng, field, 6, ncols):
+                expected = len(_row_reduce_dense(field, spanning + [vec])[1]) == rank
+                assert member(vec) == expected
+

@@ -188,6 +188,30 @@ class TestResidueVerdicts:
                     assert s.degrees_by_column == degrees
 
 
+class TestRetractionAgainstUnitPivotReference:
+    """The residue left inverse with its Newton lift against the unit-pivot
+    elimination over k[eps]/(eps^m) that it replaced."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_verdict_and_exact_retraction(self, rng, order):
+        seen = set()
+        for field in FIELDS:
+            ring = EpsRing(field, order)
+            for _ in range(30):
+                a = rng.randint(1, 4)
+                b = rng.randint(max(1, a - 1), 6)
+                t = random_transition(rng, ring, a, b)
+                retraction = split_injection_retraction(ring, t)
+                expected = _retraction_unit_pivots(ring, t)
+                assert (retraction is None) == (expected is None)
+                if retraction is not None:
+                    assert mat_mul(ring, retraction, t) == mat_identity(ring, a)
+                seen.add(retraction is None)
+            assert split_injection_retraction(ring, []) == []
+            assert split_injection_retraction(ring, [[], []]) == []
+        assert seen == {True, False}
+
+
 class TestIsoClass:
     def test_constant_rank2(self):
         f = fm(RQ, 0, [2, 2], [mat_identity(RQ, 2)])
@@ -300,3 +324,43 @@ def retraction_selection(f):
                 chosen.append(candidate)
                 degrees.append(index)
     return tuple(tuple(col) for col in chosen), tuple(degrees)
+
+
+def _row_reduce_local(ring, mat):
+    """Reference: Gauss-Jordan over the local ring with unit pivots only, as
+    split_injection_retraction once did it."""
+    mat = [row[:] for row in mat]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next(
+            (i for i in range(r, nrows) if ring.is_unit(mat[i][c])), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = ring.inv(mat[r][c])
+        mat[r] = [ring.mul(inv, v) for v in mat[r]]
+        for i in range(nrows):
+            if i != r and not ring.is_zero(mat[i][c]):
+                factor = mat[i][c]
+                mat[i] = [ring.sub(a, ring.mul(factor, b))
+                          for a, b in zip(mat[i], mat[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def _retraction_unit_pivots(ring, t):
+    """Reference retraction from unit-pivot elimination of [T | I]."""
+    nrows, ncols = len(t), len(t[0])
+    aug = [row[:] + [ring.one if i == j else ring.zero for j in range(nrows)]
+           for i, row in enumerate(t)]
+    reduced, pivots = _row_reduce_local(ring, aug)
+    if [c for _, c in pivots if c < ncols] != list(range(ncols)):
+        return None
+    return [row[ncols:] for row in reduced[:ncols]]
+

@@ -9,7 +9,6 @@ from equibundle.graded import (
     GradedIdeal,
     GradedModulePresentation,
     Polynomial,
-    connected_check,
     fixed_point_ideal,
     graded_iso_test,
     irrelevant_ideal,
@@ -33,13 +32,13 @@ def const(alg, c):
 
 class TestConnected:
     def test_single_positive(self):
-        assert connected_check(algebra(QQ, (1,)))
+        assert algebra(QQ, (1,)).is_connected()
 
     def test_mixed(self):
-        assert not connected_check(algebra(QQ, (1, -1)))
+        assert not algebra(QQ, (1, -1)).is_connected()
 
     def test_gaps_allowed(self):
-        assert connected_check(algebra(QQ, (2, 3)))
+        assert algebra(QQ, (2, 3)).is_connected()
 
 
 class TestFixedPointIdeal:

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from equibundle.exact_core import GF, QQ, LaurentMatrix, LaurentPoly
+from equibundle.exact_core import GF, QQ, LaurentMatrix, LaurentPoly, _eliminate
 from equibundle.projline import (
-    INFINITY,
     BundleOnP1,
+    _constraint_rows,
     SplittingType,
     birkhoff_factorize,
     cocharacter_to_bundle,
-    fiber_at_point,
     h0_dimension,
     splitting_type,
 )
@@ -180,7 +179,6 @@ class TestSparseElimination:
     def test_matches_dense_rank_on_random_systems(self, rng):
         # same constraint systems pushed through the dense reducer
         from equibundle.exact_core import matrix_rank
-        from equibundle.projline import _sections_dimension
 
         for k in range(75):
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
@@ -212,7 +210,6 @@ class TestPivotOrder:
     def test_heap_matches_linear_scan(self, rng):
         # phase 2 picks rows from a lazy heap; the pivots, in order and row
         # for row, must be those of the linear min scan it replaced
-        from equibundle.projline import _constraint_rows, _eliminate
 
         for k in range(75):
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
@@ -231,7 +228,7 @@ class TestH0Table:
     def test_matches_from_scratch_at_each_own_bound(self, rng):
         # every twist of the table against a fresh elimination of that
         # twist's own system, at its own bound n*span + |m| + 1
-        from equibundle.projline import _sections_dimension, h0_table
+        from equibundle.projline import h0_table
 
         for field in (QQ, GF(5), GF(2**31 - 1)):
             for n in range(1, 9):
@@ -257,7 +254,7 @@ class TestH0Table:
         # bound + 1 of the top twist.  Sections at twist m - 1 are sections
         # at twist m, so a twist that is stable makes every lower one
         # stable: only the top twist can fail the check on exact arithmetic.
-        from equibundle.projline import _sections_dimension, _stable_sections_table
+        from equibundle.projline import _stable_sections_table
 
         raised = 0
         for _ in range(30):
@@ -285,7 +282,7 @@ class TestStabilityCheck:
     def test_compares_dimensions_at_bound_and_next(self, rng):
         # the one-elimination check must compare exactly the from-scratch
         # dimensions at bound and bound + 1, and raise iff they differ
-        from equibundle.projline import _sections_dimension, _stable_sections_dimension
+        from equibundle.projline import _stable_sections_dimension
 
         for _ in range(20):
             for field in (QQ, GF(5)):
@@ -307,27 +304,6 @@ class TestStabilityCheck:
         with pytest.raises(ArithmeticError, match="degree bound 1 "):
             _stable_sections_dimension(g, 0, 1)
         assert _stable_sections_dimension(g, 0, 5) == 6
-
-
-class TestFiber:
-    def test_chart_zero(self):
-        b = bundle(QQ, NILPOTENT_UPPER)
-        report = fiber_at_point(b, 0)
-        assert (report.rank, report.chart, report.is_trivial) == (2, "U0", True)
-        assert report.transition_value is None
-
-    def test_interior_point_carries_glue(self):
-        b = bundle(QQ, NILPOTENT_UPPER)
-        report = fiber_at_point(b, 1)
-        assert report.is_trivial and report.rank == 2
-        assert report.transition_value == (
-            (Fraction(1), Fraction(1)),
-            (Fraction(0), Fraction(1)),
-        )
-
-    def test_infinity(self):
-        report = fiber_at_point(bundle(QQ, NILPOTENT_UPPER), INFINITY)
-        assert (report.rank, report.chart, report.is_trivial) == (2, "Uinf", True)
 
 
 def random_unimodular(rng, field, n, negative, factors=None):
@@ -376,6 +352,12 @@ def random_sparse_row(rng, p, nvars):
                                                     rng.randint(1, 3))
         row[var] = c
     return row
+
+
+def _sections_dimension(g, twist, bound):
+    """Reference: the section space at one twist and bound, eliminated afresh."""
+    p = getattr(g.field, "p", None)
+    return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound, p), p))
 
 
 def _eliminate_linear_scan(rows, p):
