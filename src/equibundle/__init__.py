@@ -7,7 +7,7 @@ Modules:
 * :mod:`equibundle.projline` -- bundles on the projective line, Birkhoff
   factorization, splitting types, and the section-count oracle.
 * :mod:`equibundle.graded` -- graded modules over graded polynomial algebras,
-  graded Nakayama, lifting of graded maps, fixed-point ideals.
+  graded Nakayama, lifting of graded maps.
 * :mod:`equibundle.filtered` -- filtered modules, associated graded data,
   filtration splitting over fields and nilpotent extensions.
 * :mod:`equibundle.hensel` -- henselian-pair predicates for finite-dimensional

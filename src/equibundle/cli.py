@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success (a mathematical "no" is still a successful run),
 2 = document parse error, 3 = invalid object (failed validation), 1 = an
-internal cross-check failed (including the h0 stability check).
+internal cross-check failed (including the h0 stability check).  Commands
+let ParseError and ValueError from the library reach `main`, which maps them
+to 2 and 3; CommandError carries the codes the commands decide themselves.
 """
 
 from __future__ import annotations
@@ -118,10 +120,7 @@ def cmd_birkhoff(args) -> int:
 
 def cmd_cochar_to_bundle(args) -> int:
     doc = _load(args.file, ("splitting_type",))
-    try:
-        field = parse_field(args.field)
-    except ParseError as exc:
-        raise CommandError(str(exc), EXIT_PARSE) from exc
+    field = parse_field(args.field)
     bundle = projline.cocharacter_to_bundle(doc.degrees, field)
     _emit([LaurentMatrixDoc(field=field, matrix=bundle.matrix).render().rstrip("\n")])
     return EXIT_OK
@@ -150,9 +149,6 @@ def _graded_ranks_line(ranks: dict) -> str:
 def cmd_split_filtration(args) -> int:
     doc = _load(args.file, ("filtered_module",))
     module = doc.module
-    report = filtered.validate_filtered(module)
-    if not report:
-        raise CommandError(f"invalid filtered module: {report.reason}", EXIT_INVALID)
     splitting = filtered.split_filtration(module)
     stype = filtered.graded_to_splitting_type(splitting.graded_ranks)
     ring = module.ring
@@ -175,9 +171,6 @@ def cmd_split_filtration(args) -> int:
 
 def cmd_assoc_graded(args) -> int:
     doc = _load(args.file, ("filtered_module",))
-    report = filtered.validate_filtered(doc.module)
-    if not report:
-        raise CommandError(f"invalid filtered module: {report.reason}", EXIT_INVALID)
     ranks = filtered.associated_graded(doc.module)
     _emit([
         "report = assoc-graded",
@@ -195,10 +188,7 @@ def cmd_assoc_graded(args) -> int:
 def cmd_nakayama(args) -> int:
     doc = _load(args.file, ("graded_module",))
     module = doc.module
-    try:
-        result = graded.nakayama_zero_test(module)
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_INVALID) from exc
+    result = graded.nakayama_zero_test(module)
     lines = ["report = nakayama", f"module is zero = {_yesno(result.is_zero)}"]
     variables = module.algebra.variables
     if result.is_zero:
@@ -242,11 +232,8 @@ def cmd_lift_map(args) -> int:
                     EXIT_INVALID)
             scalar_row.append(entry.constant_term)
         scalars.append(scalar_row)
-    try:
-        lifted = graded.lift_graded_map(scalars, module, doc.target_degrees)
-        is_iso = graded.graded_iso_test(lifted, module, doc.target_degrees)
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_INVALID) from exc
+    lifted = graded.lift_graded_map(scalars, module, doc.target_degrees)
+    is_iso = graded.graded_iso_test(lifted, module, doc.target_degrees)
     _emit([
         "report = lift-map",
         "lifted matrix = " + render_matrix(
@@ -271,10 +258,7 @@ def cmd_hensel_check(args) -> int:
             f"trivially henselian = {_yesno(verdict)}",
         ])
         return EXIT_OK
-    try:
-        algebra = doc.build()
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_INVALID) from exc
+    algebra = doc.build()
     radical = hensel.jacobson_radical(algebra)
     verdict = hensel.is_henselian_pair(algebra, radical=radical)
     _emit([
@@ -288,17 +272,8 @@ def cmd_hensel_check(args) -> int:
 
 def cmd_lift_idempotent(args) -> int:
     doc = _load(args.file, ("findim_algebra",))
-    try:
-        algebra = doc.build()
-        candidate = doc.idempotent_vector(algebra)
-    except ParseError as exc:
-        raise CommandError(str(exc), EXIT_PARSE) from exc
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_INVALID) from exc
-    try:
-        lift = hensel.lift_idempotent(algebra, candidate)
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_INVALID) from exc
+    algebra = doc.build()
+    lift = hensel.lift_idempotent(algebra, doc.idempotent_vector(algebra))
     _emit([
         "report = lift-idempotent",
         f"iterations = {lift.iterations}",
@@ -362,10 +337,7 @@ def cmd_prop_b3(args) -> int:
 
 def cmd_homeo_check(args) -> int:
     doc = _load(args.file, ("monotone_map",))
-    try:
-        verdict = topospace.homeo_criterion(doc.map)
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_INVALID) from exc
+    verdict = topospace.homeo_criterion(doc.map)
     _emit([
         "report = homeo-check",
         f"homeomorphism = {_yesno(verdict)}",

@@ -78,22 +78,6 @@ class EpsRing:
                     out[i + j] = out[i + j] + x * y
         return tuple(out)
 
-    def is_unit(self, a) -> bool:
-        return bool(a[0])
-
-    def inv(self, a):
-        if not a[0]:
-            raise ZeroDivisionError("element with nilpotent constant term is not a unit")
-        c0_inv = self.field.inv(a[0])
-        out = [c0_inv] + [self.field.zero] * (self.order - 1)
-        # Newton correction degree by degree: out * a = 1 + O(eps^k).
-        for k in range(1, self.order):
-            acc = self.field.zero
-            for i in range(1, k + 1):
-                acc = acc + a[i] * out[k - i]
-            out[k] = -c0_inv * acc
-        return tuple(out)
-
     def is_zero(self, a) -> bool:
         return not any(a)
 

@@ -4,11 +4,12 @@ An algebra is presented by variables with nonzero integer degrees and an
 optional list of homogeneous relation polynomials; a module by generator
 degrees (a shifted free cover) and homogeneous relation columns.  "Connected"
 means all variable degrees are positive, so the degree-zero part is the base
-field and the irrelevant ideal has trivial degree-zero part; this is the
-instance class on which the zero test and the lifting operations are
-certified.  No Groebner machinery: dimensions of graded components are
-computed by exact linear algebra on monomial bases, which is all the desk
-scale needs.
+field and the irrelevant ideal I (generated by all variables) has trivial
+degree-zero part; this is the instance class on which the graded Nakayama
+zero test, the lifting of maps along B -> B/IB and the isomorphism test are
+certified, always with respect to I.  No Groebner machinery: dimensions of
+graded components are computed by exact linear algebra on monomial bases,
+which is all the desk scale needs.
 """
 
 from __future__ import annotations
@@ -129,13 +130,6 @@ class Polynomial:
     def is_homogeneous(self, degrees: Sequence[int]) -> bool:
         return self.is_zero or self.weighted_degree(degrees) is not None
 
-    def kill_variables(self, indices) -> "Polynomial":
-        """Image under setting the given variables to zero."""
-        indices = set(indices)
-        terms = {m: c for m, c in self._terms.items()
-                 if all(m[i] == 0 for i in indices)}
-        return Polynomial(self.field, self.nvars, terms)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -241,88 +235,6 @@ class GradedAlgebra:
                 if usable and any(row):
                     rows.append(row)
         return rows
-
-
-@dataclass(frozen=True)
-class GradedIdeal:
-    """Finitely many homogeneous generators of a graded algebra."""
-
-    algebra: GradedAlgebra
-    generators: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        for gen in self.generators:
-            if not gen.is_homogeneous(self.algebra.degrees):
-                raise ValueError(f"ideal generator {gen!r} is not homogeneous")
-
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(g.weighted_degree(self.algebra.degrees) for g in self.generators
-                     if not g.is_zero)
-
-
-def irrelevant_ideal(algebra: GradedAlgebra) -> GradedIdeal:
-    """The ideal generated by all variables (the irrelevant ideal when connected)."""
-    return GradedIdeal(algebra, tuple(algebra.var(i) for i in range(algebra.nvars)))
-
-
-# ---------------------------------------------------------------------------
-# Fixed points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedPointData:
-    """Generators of the fixed-point ideal and a presentation of B^0 = B_0/I^0_0.
-
-    The quotient presentation keeps the degree-zero variables, kills (up to
-    the recorded exponent cutoff) the minimal degree-zero monomials that
-    involve a variable of nonzero degree, and carries the surviving images of
-    the algebra relations.
-    """
-
-    ideal: GradedIdeal
-    zero_degree_variables: tuple[str, ...]
-    killed_monomials: tuple[Monomial, ...]
-    residual_relations: tuple[Polynomial, ...]
-    exponent_cutoff: int
-
-
-def fixed_point_ideal(algebra: GradedAlgebra, exponent_cutoff: int = 4) -> FixedPointData:
-    """Ideal cutting out the fixed locus: generated by everything of nonzero degree."""
-    nonzero = [i for i, d in enumerate(algebra.degrees) if d != 0]
-    gens = [algebra.var(i) for i in nonzero]
-    for rel in algebra.relations:
-        d = rel.weighted_degree(algebra.degrees)
-        if d is not None and d != 0 and not rel.is_zero:
-            gens.append(rel)
-    ideal = GradedIdeal(algebra, tuple(gens))
-
-    zero_vars = tuple(algebra.variables[i] for i, d in enumerate(algebra.degrees) if d == 0)
-    # Degree-zero monomials involving a nonzero-degree variable die in B^0.
-    # Enumerate minimal ones up to the cutoff (minimal: not divisible by a
-    # smaller killed monomial).
-    killed: list[Monomial] = []
-    if not algebra.is_connected() and not all(d < 0 for d in algebra.degrees):
-        candidates = [
-            m for m in algebra.monomials_of_degree(0, exponent_cutoff)
-            if any(m[i] > 0 for i in nonzero)
-        ]
-        candidates.sort(key=lambda m: (sum(m), m))
-        for mono in candidates:
-            if not any(all(a >= b for a, b in zip(mono, k)) for k in killed):
-                killed.append(mono)
-    residual = tuple(
-        rel.kill_variables(nonzero)
-        for rel in algebra.relations
-        if not rel.kill_variables(nonzero).is_zero
-    )
-    return FixedPointData(
-        ideal=ideal,
-        zero_degree_variables=zero_vars,
-        killed_monomials=tuple(killed),
-        residual_relations=residual,
-        exponent_cutoff=exponent_cutoff,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +362,13 @@ class NakayamaResult:
         return self.is_zero
 
 
-def nakayama_zero_test(
-    module: GradedModulePresentation,
-    ideal: Optional[GradedIdeal] = None,
-) -> NakayamaResult:
+def nakayama_zero_test(module: GradedModulePresentation) -> NakayamaResult:
     """Decide whether E/IE = 0; if so certify E = 0 with an explicit witness.
 
-    Certified instance class: connected algebra with I the irrelevant ideal
-    (then I has vanishing degree-zero part).  Anything else is rejected: for
-    a non-connected algebra, containment of I_0 in the Jacobson radical of
-    B_0 has no finite certificate here.
+    I is the irrelevant ideal.  Certified instance class: connected algebra
+    (then I has vanishing degree-zero part).  A non-connected algebra is
+    rejected: there, containment of I_0 in the Jacobson radical of B_0 has
+    no finite certificate here.
     """
     alg = module.algebra
     if not alg.is_connected():
@@ -467,10 +376,6 @@ def nakayama_zero_test(
             "zero test certified only over connected algebras "
             "(I_0 in rad(B_0) is not certifiable in this instance class)"
         )
-    if ideal is not None:
-        expected = {alg.var(i) for i in range(alg.nvars)}
-        if set(ideal.generators) != expected:
-            raise ValueError("ideal must be the irrelevant ideal (all variables)")
 
     p = len(module.generator_degrees)
     if p == 0:
@@ -557,7 +462,6 @@ def graded_iso_test(
     matrix: Sequence[Sequence[Polynomial]],
     source: GradedModulePresentation,
     target_degrees: Sequence[int],
-    check_relations: bool = True,
 ) -> bool:
     """True iff the reduction of the map mod the irrelevant ideal is bijective.
 
@@ -580,11 +484,10 @@ def graded_iso_test(
                 continue
             if entry.weighted_degree(alg.degrees) != mj - ni:
                 raise ValueError(f"entry ({i},{j}) is not homogeneous of degree {mj - ni}")
-    if check_relations:
-        for col in source.relations:
-            for i in range(q):
-                if not _dot(alg, matrix[i], list(col)).is_zero:
-                    raise ValueError("matrix does not kill the module relations")
+    for col in source.relations:
+        for i in range(q):
+            if not _dot(alg, matrix[i], list(col)).is_zero:
+                raise ValueError("matrix does not kill the module relations")
 
     reduced = [[matrix[i][j].constant_term for j in range(p)] for i in range(q)]
     reduced_relations = [[col[j].constant_term for j in range(p)] for col in source.relations]

@@ -53,7 +53,6 @@ class FiniteDimAlgebra:
     dim: int
     structure: tuple[tuple[Vector, ...], ...]
     ideal: tuple[Vector, ...] = ()
-    basis_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         d = self.dim
@@ -92,15 +91,14 @@ class FiniteDimAlgebra:
                     raise ValueError("ideal is not closed under multiplication")
 
     @classmethod
-    def _trusted(cls, field: Field, dim: int, structure, ideal,
-                 basis_names) -> "FiniteDimAlgebra":
+    def _trusted(cls, field: Field, dim: int, structure, ideal) -> "FiniteDimAlgebra":
         """An algebra whose construction proves every check of __init__.
 
         The table and the ideal must already hold field elements.
         """
         algebra = cls.__new__(cls)
         for name, value in (("field", field), ("dim", dim), ("structure", structure),
-                            ("ideal", ideal), ("basis_names", basis_names)):
+                            ("ideal", ideal)):
             object.__setattr__(algebra, name, value)
         return algebra
 
@@ -166,20 +164,6 @@ class FiniteDimAlgebra:
     def in_span(self, vec: Vector, spanning: Sequence[Vector]) -> bool:
         return span_test(self.field, spanning)(vec)
 
-    def ideal_power_is_zero(self, spanning: Sequence[Vector]) -> Optional[int]:
-        """Smallest s with (span)^s = 0, or None if the ideal is not nilpotent."""
-        current = [list(v) for v in spanning]
-        for s in range(1, self.dim + 2):
-            if not current or all(not any(row) for row in current):
-                return s
-            nxt = []
-            for v in current:
-                for w in spanning:
-                    nxt.append(list(self.mul(tuple(v), tuple(w))))
-            reduced, pivots = row_reduce(self.field, nxt)
-            current = [reduced[r] for r in range(len(pivots))]
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Constructions
@@ -229,44 +213,13 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
     if ideal_vectors:
         reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
         ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
-    names = tuple("1" if i == 0 else f"x^{i}" for i in range(d))
     # Every check of the public constructor holds by construction: e_i * e_j
     # is x^(i+j) mod f, so the table is commutative, e_0 = 1 is the unit, and
     # associativity is that of k[x] carried through the ring map mod f.  The
     # span of x^s * g mod f for s < d is the whole ideal g * k[x]/(f), since
     # x^s for s >= d reduces mod f to lower powers, so the ideal is closed.
     return FiniteDimAlgebra._trusted(field, d, tuple(structure),
-                                     tuple(ideal_vectors), names)
-
-
-def dual_numbers_extension(algebra: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """A[eps]/(eps^2): doubled basis (a, a*eps); the ideal extends by eps*A."""
-    d = algebra.dim
-    field = algebra.field
-    zero = field.zero
-
-    def embed(vec, shifted):
-        out = [zero] * (2 * d)
-        for i, v in enumerate(vec):
-            out[i + (d if shifted else 0)] = v
-        return tuple(out)
-
-    structure = []
-    for i in range(2 * d):
-        row = []
-        for j in range(2 * d):
-            ii, i_eps = i % d, i >= d
-            jj, j_eps = j % d, j >= d
-            base = algebra.structure[ii][jj]
-            if i_eps and j_eps:
-                row.append((zero,) * (2 * d))
-            else:
-                row.append(embed(base, i_eps or j_eps))
-        structure.append(tuple(row))
-    ideal = [embed(vec, False) for vec in algebra.ideal]
-    ideal += [embed(algebra.unit_vector(i), True) for i in range(d)]
-    return FiniteDimAlgebra(field=field, dim=2 * d, structure=tuple(structure),
-                            ideal=tuple(ideal))
+                                     tuple(ideal_vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +303,29 @@ class IdempotentLift:
     iterations: int
 
 
-def lift_idempotent(algebra: FiniteDimAlgebra, candidate,
-                    ideal: Optional[Sequence[Vector]] = None) -> IdempotentLift:
-    """Lift an idempotent of A/I along a nilpotent ideal I, exactly.
+def lift_idempotent(algebra: FiniteDimAlgebra, candidate) -> IdempotentLift:
+    """Lift an idempotent of A/I along the algebra's nilpotent ideal I, exactly.
 
-    `candidate` is any representative with candidate^2 - candidate in I.  The
-    iteration e <- 3e^2 - 2e^3 squares the defect ideal each round, so it
-    reaches an exact idempotent in at most ceil(log2(nilpotency index)) + 1
-    steps; both e^2 = e and e = candidate mod I are verified before returning.
+    `candidate` is any representative with candidate^2 - candidate in I.  In
+    a commutative ring an ideal generated by nilpotent elements is nilpotent,
+    so I is nilpotent iff each spanning vector is.  Its nilpotency index s is
+    at most dim A, since I > I^2 > ... > I^s = 0 strictly decreases from
+    dim I < dim A.  The iteration e <- 3e^2 - 2e^3 squares the defect ideal
+    each round, so it reaches an exact idempotent in at most
+    ceil(log2 s) <= bit_length(dim A) steps; both e^2 = e and
+    e = candidate mod I are verified before returning.
     """
-    ideal = algebra.ideal if ideal is None else tuple(algebra.coerce(v) for v in ideal)
     candidate = algebra.coerce(candidate)
-    nilpotency = algebra.ideal_power_is_zero(ideal)
-    if nilpotency is None:
+    if not all(algebra.is_nilpotent(v) for v in algebra.ideal):
         raise ValueError("ideal is not nilpotent")
-    in_ideal = span_test(algebra.field, ideal)
+    in_ideal = span_test(algebra.field, algebra.ideal)
     defect = algebra.sub(algebra.mul(candidate, candidate), candidate)
     if not in_ideal(defect):
         raise ValueError("candidate is not idempotent modulo the ideal")
 
     e = candidate
     iterations = 0
-    max_iterations = max(1, nilpotency).bit_length() + 1
+    max_iterations = algebra.dim.bit_length() + 1
     while True:
         square = algebra.mul(e, e)
         if square == e:
@@ -385,15 +339,3 @@ def lift_idempotent(algebra: FiniteDimAlgebra, candidate,
         raise AssertionError("lift drifted away from its residue class")
     return IdempotentLift(element=e, iterations=iterations)
 
-
-def idempotents_modulo(algebra: FiniteDimAlgebra, ideal: Sequence[Vector],
-                       search_space: Sequence[Vector]) -> list[Vector]:
-    """Representatives from `search_space` that are idempotent mod the ideal."""
-    in_ideal = span_test(algebra.field, ideal)
-    out = []
-    for vec in search_space:
-        vec = algebra.coerce(vec)
-        defect = algebra.sub(algebra.mul(vec, vec), vec)
-        if in_ideal(defect):
-            out.append(vec)
-    return out

@@ -44,18 +44,6 @@ class ParseError(ValueError):
     """Malformed document text (reserved exit code 2 in the CLI)."""
 
 
-KINDS = (
-    "laurent_matrix",
-    "splitting_type",
-    "graded_algebra",
-    "graded_module",
-    "filtered_module",
-    "findim_algebra",
-    "poset",
-    "monotone_map",
-)
-
-
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------

@@ -251,33 +251,38 @@ def _constraint_rows(g: LaurentMatrix, twist: int, bound: int, p: Optional[int])
 
 def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) -> dict[int, int]:
     """dim of {f in k[t]^n, deg <= bound : t^(-m) * g * f has no positive
-    exponent} for each twist m = high, high - 1, ..., low, each checked to be
+    exponent} for each twist m = high, high - 1, ..., low, checked to be
     unchanged at bound + 1, from one elimination.
 
     The system is eliminated at twist high and bound + 1; each step down to
     twist m - 1 adds the n rows "t^m coefficient of g * f = 0" to the pivots
-    one at a time.  At every twist the sections at bound are those at bound + 1
-    whose top coefficients f[j, bound + 1] vanish (the rows a larger bound adds
-    involve only those), so the dimension at bound is lower by the rank of the
-    unit rows f[j, bound + 1] = 0 modulo the pivots, which they never join;
-    the two must agree, or ArithmeticError is raised.
+    one at a time.  The sections at bound are those at bound + 1 whose top
+    coefficients f[j, bound + 1] vanish (the rows a larger bound adds involve
+    only those), so the dimension at bound is lower by the rank of the unit
+    rows f[j, bound + 1] = 0 modulo the pivots, which they never join.  The
+    two must agree at twist high, or ArithmeticError is raised.  That one
+    check covers every lower twist: the sections at twist m - 1 and bound + 1
+    are among those at twist m, so if every section at twist high has
+    vanishing top coefficients, so has every section below it, and each
+    dimension at bound is the one at bound + 1.
     """
     p = getattr(g.field, "p", None)
     n, top = g.n, bound + 1
     one = g.field.one.residue if p else g.field.one
     entries = _native_entries(g, p)
     pivots = _eliminate(_constraint_rows(g, high, top, p), p)
+    size = n * (top + 1)
+    recheck = size - len(pivots)
+    units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(n)]
+    dim = recheck - len(_eliminate(units, p))
+    if recheck != dim:
+        raise ArithmeticError(
+            f"section space not stable at degree bound {bound} "
+            f"({dim} vs {recheck}); the bound is too small for this input"
+        )
     table: dict[int, int] = {}
     for m in range(high, low - 1, -1):
-        recheck = n * (top + 1) - len(pivots)
-        units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(n)]
-        dim = recheck - len(_eliminate(units, p))
-        if recheck != dim:
-            raise ArithmeticError(
-                f"section space not stable at degree bound {bound} "
-                f"({dim} vs {recheck}); the bound is too small for this input"
-            )
-        table[m] = dim
+        table[m] = size - len(pivots)
         if m == low:
             break
         for row_terms in entries:
@@ -285,11 +290,6 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
                    for exp, coeff in terms if 0 <= m - exp <= top}
             _add_row(row, pivots, p)
     return table
-
-
-def _stable_sections_dimension(g: LaurentMatrix, twist: int, bound: int) -> int:
-    """``_stable_sections_table`` at one twist."""
-    return _stable_sections_table(g, twist, twist, bound)[twist]
 
 
 def _bound(g: LaurentMatrix, twist: int) -> int:
@@ -305,8 +305,9 @@ def h0_table(bundle: BundleOnP1, window: int) -> dict[int, int]:
     with that twist's bound, which is at least every other twist's own
     bound.  Walking down, the sections at twist m - 1 are those at twist m
     whose g * f also has a vanishing t^m coefficient, so each step adds n
-    rows to the same echelon.  The stability check runs at every twist.
-    A negative window gives the empty table.
+    rows to the same echelon.  The stability check runs once, at the top
+    twist, which makes every lower twist stable too.  A negative window
+    gives the empty table.
     """
     if window < 0:
         return {}
@@ -330,4 +331,4 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
     system, so one elimination serves every twist below.
     """
     g = bundle.matrix
-    return _stable_sections_dimension(g, twist, _bound(g, twist))
+    return _stable_sections_table(g, twist, twist, _bound(g, twist))[twist]

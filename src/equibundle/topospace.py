@@ -187,12 +187,9 @@ def clopen_sets(space: FinitePoset) -> list[frozenset[int]]:
     return [points for _, points in ordered]
 
 
-def pro_clopen_check(space: FinitePoset, subset: int) -> bool:
-    """Closed and a union of components; verified to coincide with clopen."""
-    return _pro_clopen(space, pi0(space).masks, subset)
-
-
 def _pro_clopen(space: FinitePoset, parts: tuple[int, ...], subset: int) -> bool:
+    """Closed and a union of the components `parts`; verified to coincide
+    with clopen."""
     closed = space.is_closed(subset)
     verdict = closed and all(part & subset in (0, part) for part in parts)
     if verdict != (closed and space.is_open(subset)):

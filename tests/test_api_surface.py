@@ -1,0 +1,71 @@
+"""Public-API guard: no public name in ``src/`` that nothing needs.
+
+Every public top-level name of a module ``src/equibundle/<name>.py`` (the
+package ``__init__`` aside) must be referenced somewhere that the product
+uses: elsewhere in its own module, in another module of the package, or in
+the acceptance criteria (``tests/test_acceptance.py``).  A name only unit
+tests reach is test-only API: move it into the tests or delete it.
+Checked on the syntax tree, so comments and strings do not count.
+"""
+
+import ast
+import os
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PACKAGE = os.path.join(HERE, "..", "src", "equibundle")
+ACCEPTANCE = os.path.join(HERE, "test_acceptance.py")
+
+
+def _tree(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported, anywhere in the tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def unreferenced_public_names() -> list[str]:
+    trees = {name[:-3]: _tree(os.path.join(PACKAGE, name))
+             for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
+    acceptance = _references(_tree(ACCEPTANCE))
+    references = {module: _references(tree) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for name in sorted(_public_definitions(tree)):
+            if name in acceptance or any(name in refs for refs in references.values()):
+                continue
+            unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_public_name_is_needed():
+    assert unreferenced_public_names() == []
+
+
+def test_guard_sees_definitions_and_references():
+    tree = ast.parse("X = 1\nY: int = 2\ndef f():\n    return X\nclass _C: pass\n")
+    assert _public_definitions(tree) == {"X", "Y", "f"}
+    assert "X" in _references(tree) and "Y" not in _references(tree)

@@ -1,9 +1,14 @@
-"""Golden-report guard: every command on every corpus document, plain and
-with ``--verify``, must give the recorded exit code and stdout digest.
+"""Golden-report guards, run in-process through ``cli.main``.
 
-The digests live in ``golden_reports.json`` next to this file.  To record
-them afresh (only when a report is meant to change), run
-``PYTHONPATH=src python tests/test_golden.py``.
+* Every command on every corpus document, plain and with ``--verify``, must
+  give the recorded exit code and stdout digest (``golden_reports.json``).
+* Every command on every invalid document below, plain and with
+  ``--verify``, must give the recorded exit code, stdout digest and stderr
+  digest (``golden_errors.json``).  The documents live here, not in
+  ``corpus/``, because every corpus file must round-trip through the parser.
+
+To record both files afresh (only when a report or an error message is
+meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -11,12 +16,59 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 
 from equibundle.cli import COMMANDS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS_DIR = os.path.join(HERE, "..", "corpus")
 GOLDEN = os.path.join(HERE, "golden_reports.json")
+GOLDEN_ERRORS = os.path.join(HERE, "golden_errors.json")
+
+ERROR_DOCUMENTS = {
+    "filtered_not_split_q.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1\nranks = 2, 2\n"
+        "map 0 = [[1, 0], [0, 0]]\n"),
+    "filtered_rank_drop_q.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1\nranks = 2, 1\n"
+        "map 0 = [[1, 1]]\n"),
+    "filtered_not_split_f5_eps.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 1, 2\nmap 0 = [[1*e^1], [0]]\n"),
+    "filtered_rank_drop_f5_eps.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 2, 1\nmap 0 = [[1, 1*e^1]]\n"),
+    "graded_mixed_sign.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x, y\ndegrees = 1, -1\n"
+        "generators = 0\n"),
+    "liftmap_inhomogeneous.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+        "generators = 0, 1\ntarget_generators = 0, 1\nmatrix = [[1, 1], [0, 1]]\n"),
+    "liftmap_nonscalar.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+        "generators = 0, 1\ntarget_generators = 0, 1\n"
+        "matrix = [[1, 0], [1*x^1, 1]]\n"),
+    "liftmap_no_matrix.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+        "generators = 0\n"),
+    "findim_not_monic.txt": (
+        "kind = findim_algebra\nfield = Q\nquotient = 2*x^2\nideal = [1*x^1]\n"
+        "idempotent = 1\n"),
+    "findim_not_idempotent.txt": (
+        "kind = findim_algebra\nfield = Q\nquotient = 1*x^2\nideal = [1*x^1]\n"
+        "idempotent = 2\n"),
+    "findim_ideal_not_nilpotent.txt": (
+        "kind = findim_algebra\nfield = F5\nquotient = 1*x^2 - 1*x^1\n"
+        "ideal = [1*x^1]\nidempotent = 1*x^1\n"),
+    "findim_no_idempotent.txt": (
+        "kind = findim_algebra\nfield = Q\nquotient = 1*x^2\nideal = [1*x^1]\n"),
+    "findim_idempotent_over_degree.txt": (
+        "kind = findim_algebra\nfield = Q\nquotient = 1*x^2\nideal = [1*x^1]\n"
+        "idempotent = 1*x^3\n"),
+    "monotone_map_not_discrete.txt": (
+        "kind = monotone_map\nsource_n = 2\nsource_rel = 0<1\ntarget_n = 1\n"
+        "map = 0, 0\n"),
+}
 
 
 def _runs():
@@ -28,27 +80,74 @@ def _runs():
                         [command, os.path.join(CORPUS_DIR, name), *extra]
 
 
-def _digest(argv) -> dict:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(argv) -> dict:
+    code, out, _ = _run(argv)
+    return {"exit": code, "stdout_sha256": _sha256(out)}
 
 
 def _record() -> dict:
     return {key: _digest(argv) for key, argv in _runs()}
 
 
-def test_every_report_matches_golden():
-    with open(GOLDEN, encoding="utf-8") as handle:
+@contextlib.contextmanager
+def _inside(directory: str):
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def _record_errors() -> dict:
+    """Run every command on every invalid document, by relative path so that
+    the messages naming the file do not depend on where it was written."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        for name, text in ERROR_DOCUMENTS.items():
+            with open(name, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for name in sorted(ERROR_DOCUMENTS):
+            for command in COMMANDS:
+                for extra in ((), ("--verify",)):
+                    code, stdout, stderr = _run([command, name, *extra])
+                    out[" ".join([command, name, *extra])] = {
+                        "exit": code,
+                        "stdout_sha256": _sha256(stdout),
+                        "stderr_sha256": _sha256(stderr),
+                    }
+    return out
+
+
+def _compare(path: str, actual: dict):
+    with open(path, encoding="utf-8") as handle:
         golden = json.load(handle)
-    actual = _record()
     assert sorted(actual) == sorted(golden)
     changed = [key for key in golden if actual[key] != golden[key]]
-    assert not changed, f"{len(changed)} reports changed, e.g. {changed[:5]}"
+    assert not changed, f"{len(changed)} runs changed, e.g. {changed[:5]}"
+
+
+def test_every_report_matches_golden():
+    _compare(GOLDEN, _record())
+
+
+def test_every_error_run_matches_golden():
+    _compare(GOLDEN_ERRORS, _record_errors())
 
 
 if __name__ == "__main__":
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(_record(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    for path, record in ((GOLDEN, _record), (GOLDEN_ERRORS, _record_errors)):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record(), handle, indent=1, sort_keys=True)
+            handle.write("\n")

@@ -6,12 +6,9 @@ import pytest
 from equibundle.exact_core import GF, QQ, matrix_rank
 from equibundle.graded import (
     GradedAlgebra,
-    GradedIdeal,
     GradedModulePresentation,
     Polynomial,
-    fixed_point_ideal,
     graded_iso_test,
-    irrelevant_ideal,
     iso_class_graded_free,
     lift_graded_map,
     nakayama_zero_test,
@@ -39,35 +36,6 @@ class TestConnected:
 
     def test_gaps_allowed(self):
         assert algebra(QQ, (2, 3)).is_connected()
-
-
-class TestFixedPointIdeal:
-    def test_single_variable(self):
-        alg = algebra(QQ, (1,), ("x",))
-        data = fixed_point_ideal(alg)
-        assert [g for g in data.ideal.generators] == [alg.var(0)]
-        assert data.zero_degree_variables == ()
-        assert data.killed_monomials == ()  # B^0 = k
-
-    def test_no_variables(self):
-        alg = GradedAlgebra(QQ, (), ())
-        data = fixed_point_ideal(alg)
-        assert data.ideal.generators == ()
-        assert data.zero_degree_variables == ()
-
-    def test_hyperbola_algebra(self):
-        # k[x, y], deg (1, -1): degree-0 monomials of total exponent <= 4 all
-        # reduce to powers of xy; the single minimal killed generator is xy.
-        alg = algebra(QQ, (1, -1), ("x", "y"))
-        data = fixed_point_ideal(alg, exponent_cutoff=4)
-        assert set(data.ideal.generators) == {alg.var(0), alg.var(1)}
-        assert data.killed_monomials == ((1, 1),)
-        degree_zero = alg.monomials_of_degree(0, 4)
-        assert set(degree_zero) == {(0, 0), (1, 1), (2, 2)}
-        # everything except 1 is divisible by the killed generator
-        for mono in degree_zero:
-            if mono != (0, 0):
-                assert mono[0] >= 1 and mono[1] >= 1
 
 
 def module(alg, gen_degrees, relations=()):
@@ -120,15 +88,6 @@ class TestNakayama:
         with pytest.raises(ValueError):
             nakayama_zero_test(module(alg, (0,)))
 
-    def test_rejects_wrong_ideal(self):
-        alg = algebra(QQ, (1, 1))
-        bad = GradedIdeal(alg, (alg.var(0),))
-        with pytest.raises(ValueError):
-            nakayama_zero_test(module(alg, (0,)), bad)
-
-    def test_accepts_irrelevant_ideal(self):
-        alg = algebra(QQ, (1, 1))
-        assert nakayama_zero_test(module(alg, ()), irrelevant_ideal(alg)).is_zero
 
 
 def random_module(rng, alg):

@@ -7,9 +7,7 @@ from equibundle.exact_core import GF, QQ, nullspace
 from equibundle.graded import GradedAlgebra
 from equibundle.hensel import (
     FiniteDimAlgebra,
-    dual_numbers_extension,
     from_univariate_quotient,
-    idempotents_modulo,
     is_henselian_pair,
     jacobson_radical,
     lift_idempotent,
@@ -33,15 +31,6 @@ class TestTriviallyHenselian:
 
     def test_mixed_degrees(self):
         assert not trivially_henselian(graded(QQ, (1, -1)))
-
-    def test_agrees_with_fixed_point_ideal(self):
-        # trivially henselian iff no degree-zero monomial mixes the variables
-        from equibundle.graded import fixed_point_ideal
-
-        for degrees in [(1, 2), (-1, -2), (1, -1), (2, -3)]:
-            alg = graded(QQ, degrees)
-            data = fixed_point_ideal(alg, exponent_cutoff=6)
-            assert trivially_henselian(alg) == (data.killed_monomials == ())
 
 
 class TestJacobsonRadical:
@@ -120,8 +109,7 @@ class TestTrustedQuotient:
                         for _ in range(rng.randint(0, 2))]
                 alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
                 rebuilt = FiniteDimAlgebra(field=field, dim=alg.dim,
-                                           structure=alg.structure, ideal=alg.ideal,
-                                           basis_names=alg.basis_names)
+                                           structure=alg.structure, ideal=alg.ideal)
                 assert rebuilt == alg
 
 
@@ -181,11 +169,14 @@ class TestLiftIdempotent:
         assert lift.element == alg.zero
 
     def test_perturbed_idempotent_in_dual_extension(self):
-        # A = Q[x]/(x^2 - x); A' = A[eps]/(eps^2); candidate x + x*eps is
-        # idempotent mod (eps) and the iteration returns an exact idempotent.
-        base = from_univariate_quotient(QQ, [0, -1, 1])
-        alg = dual_numbers_extension(base)
-        candidate = [0, 1, 0, 1]  # x + x*eps
+        # A = Q[x]/(x^2 (x - 1)^2) with the square-zero ideal (x^2 - x), a
+        # first-order thickening of Q[x]/(x^2 - x) = Q x Q; candidate x is
+        # idempotent mod the ideal but not in A, and the iteration returns an
+        # exact idempotent.
+        alg = from_univariate_quotient(QQ, [0, 0, 1, -2, 1],
+                                       ideal_generators=[[0, -1, 1]])
+        candidate = [0, 1, 0, 0]  # x
+        assert alg.mul(alg.coerce(candidate), alg.coerce(candidate)) != alg.coerce(candidate)
         lift = lift_idempotent(alg, candidate)
         e = lift.element
         assert alg.mul(e, e) == e
@@ -195,6 +186,12 @@ class TestLiftIdempotent:
     def test_non_nilpotent_ideal_rejected(self):
         alg = from_univariate_quotient(QQ, [0, -1, 1], ideal_generators=[[0, 1]])
         with pytest.raises(ValueError):
+            lift_idempotent(alg, alg.one)
+        # (x - 1) in Q[x]/(x^2 (x - 1)) is spanned by 1 - x^2, not nilpotent,
+        # and x - x^2, nilpotent: one nilpotent spanning vector is not enough
+        alg = from_univariate_quotient(QQ, [0, 0, -1, 1], ideal_generators=[[-1, 1]])
+        assert [alg.is_nilpotent(v) for v in alg.ideal] == [False, True]
+        with pytest.raises(ValueError, match="not nilpotent"):
             lift_idempotent(alg, alg.one)
 
     def test_non_idempotent_candidate_rejected(self):
@@ -217,7 +214,7 @@ class TestIdempotentSearch:
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])
         assert is_henselian_pair(alg)
         space = [alg.zero, alg.one, (Fraction(1), Fraction(2))]
-        for vec in idempotents_modulo(alg, alg.ideal, space):
+        for vec in [v for v in space if is_idempotent_mod_ideal(alg, v)]:
             lift = lift_idempotent(alg, vec)
             assert alg.mul(lift.element, lift.element) == lift.element
 
@@ -230,12 +227,17 @@ class TestIdempotentSearch:
         assert is_henselian_pair(alg)
         space = [tuple(F5(c) for c in coords)
                  for coords in product(range(5), repeat=alg.dim)]
-        candidates = idempotents_modulo(alg, alg.ideal, space)
+        candidates = [v for v in space if is_idempotent_mod_ideal(alg, v)]
         assert len(candidates) > 2  # not just 0 and 1: the ideal is nontrivial
         for vec in candidates:
             lift = lift_idempotent(alg, vec)
             assert alg.mul(lift.element, lift.element) == lift.element
             assert alg.in_span(alg.sub(lift.element, vec), alg.ideal)
+
+
+def is_idempotent_mod_ideal(alg, vec):
+    vec = alg.coerce(vec)
+    return alg.in_span(alg.sub(alg.mul(vec, vec), vec), alg.ideal)
 
 
 def random_nilpotent_instance(rng, field):

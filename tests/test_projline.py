@@ -282,7 +282,7 @@ class TestStabilityCheck:
     def test_compares_dimensions_at_bound_and_next(self, rng):
         # the one-elimination check must compare exactly the from-scratch
         # dimensions at bound and bound + 1, and raise iff they differ
-        from equibundle.projline import _stable_sections_dimension
+        from equibundle.projline import _stable_sections_table
 
         for _ in range(20):
             for field in (QQ, GF(5)):
@@ -292,18 +292,18 @@ class TestStabilityCheck:
                 dim = _sections_dimension(g, twist, bound)
                 recheck = _sections_dimension(g, twist, bound + 1)
                 if dim == recheck:
-                    assert _stable_sections_dimension(g, twist, bound) == dim
+                    assert _stable_sections_table(g, twist, twist, bound)[twist] == dim
                 else:
                     with pytest.raises(ArithmeticError, match=rf"\({dim} vs {recheck}\)"):
-                        _stable_sections_dimension(g, twist, bound)
+                        _stable_sections_table(g, twist, twist, bound)[twist]
 
     def test_too_small_bound_raises(self):
-        from equibundle.projline import _stable_sections_dimension
+        from equibundle.projline import _stable_sections_table
 
         g = bundle(QQ, [[((1, -5),)]]).matrix  # O(5): six sections, degrees 0..5
         with pytest.raises(ArithmeticError, match="degree bound 1 "):
-            _stable_sections_dimension(g, 0, 1)
-        assert _stable_sections_dimension(g, 0, 5) == 6
+            _stable_sections_table(g, 0, 0, 1)[0]
+        assert _stable_sections_table(g, 0, 0, 5)[0] == 6
 
 
 def random_unimodular(rng, field, n, negative, factors=None):

@@ -18,10 +18,14 @@ from equibundle.topospace import (
     non_open_preimage,
     pi0,
     pi0_map,
-    pro_clopen_check,
     prop_b3_check,
 )
-from equibundle.topospace import _is_homeomorphism
+from equibundle.topospace import _is_homeomorphism, _pro_clopen
+
+
+def pro_clopen_check(space, subset):
+    """The pro-clopen test as lemma_b2_verify runs it, on the space's pi0."""
+    return _pro_clopen(space, pi0(space).masks, subset)
 
 
 class TestPoset:
