@@ -206,6 +206,13 @@ def cmd_nakayama(args) -> int:
         if bound is None:
             bound = module.default_degree_bound()
         lo = min(module.generator_degrees, default=0)
+        # The enumeration sees a "no" only once it reaches the surviving
+        # degree, and a "yes" is vacuous below the lowest generator.
+        need = lo if result.is_zero else result.surviving_degree
+        if module.generator_degrees and bound < need:
+            raise CommandError(
+                f"--degree-bound {bound} is below degree {need}, which the "
+                "component enumeration must reach", EXIT_INVALID)
         brute = all(module.component_dimension(d) == 0 for d in range(lo, bound + 1))
         if brute != result.is_zero:
             raise CommandError("verdict disagrees with component enumeration",

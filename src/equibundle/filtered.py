@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from equibundle.exact_core import Field, Scalar, matrix_rank, row_reduce
+from equibundle.exact_core import (
+    Field,
+    Scalar,
+    _add_row,
+    _sparse,
+    matrix_rank,
+    row_reduce,
+)
 from equibundle.projline import SplittingType
 
 
@@ -110,13 +117,6 @@ def mat_mul(ring: EpsRing, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_equal(ring: EpsRing, a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
     """A retraction R with R*T = identity, or None if T is not split injective.
 
@@ -125,8 +125,9 @@ def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
     residue matrix then lifts to a retraction by the Newton step
     R <- (2I - R*T) * R, which squares the error R*T - I in (eps), so
     ceil(log2 order) steps make it exact.  Callers that need only the verdict
-    (`validate_filtered`, `split_filtration`) take the residue rank instead;
-    the retraction itself serves `solve_columns`.
+    (`validate_filtered`, `split_filtration`) decide it on the residues;
+    the retraction itself serves `verify_splitting`, where T is the square
+    splitting basis and the retraction is its inverse.
     """
     if not t or not t[0]:
         return []
@@ -147,21 +148,6 @@ def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
         r = [[ring.sub(a, b) for a, b in zip(row, fix)]
              for row, fix in zip(r, mat_mul(ring, error, r))]
     return r
-
-
-def solve_columns(ring: EpsRing, t: Matrix, rhs: Matrix) -> Optional[Matrix]:
-    """Solve T*X = RHS for a split-injective T.
-
-    Returns None if some column of RHS lies outside the column span of T, and
-    raises ValueError if T is not split injective.
-    """
-    retraction = split_injection_retraction(ring, t)
-    if retraction is None:
-        raise ValueError("coefficient matrix is not split injective")
-    candidate = mat_mul(ring, retraction, rhs)
-    if mat_equal(ring, mat_mul(ring, t, candidate), rhs):
-        return candidate
-    return None
 
 
 @dataclass(frozen=True)
@@ -214,23 +200,20 @@ class ValidationReport:
         return self.ok
 
 
-def _residue_rank(ring: EpsRing, rows) -> int:
-    """Rank over the residue field of a matrix over the local base ring."""
-    return matrix_rank(ring.field, [[ring.residue(v) for v in row] for row in rows])
-
-
 def validate_filtered(f: FilteredModule) -> ValidationReport:
     """Check the bundle conditions; failures are reported, not raised.
 
     A transition is a split injection exactly when its residue matrix has
     full column rank, so the verdict is one rank over the residue field.
     """
+    ring = f.ring
     for step in range(len(f.maps)):
         if f.ranks[step] > f.ranks[step + 1]:
             return ValidationReport(False, f"rank drops at step {f.lo + step}")
         if f.ranks[step] == 0:
             continue
-        if _residue_rank(f.ring, f.maps[step]) < f.ranks[step]:
+        residues = [[ring.residue(v) for v in row] for row in f.maps[step]]
+        if matrix_rank(ring.field, residues) < f.ranks[step]:
             return ValidationReport(
                 False,
                 f"transition at index {f.lo + step} is not a split injection",
@@ -303,24 +286,25 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
 
     Over the residue field one completes bases step by step; over a truncated
     polynomial ring no nilpotent correction is needed: a candidate column is
-    accepted exactly when its residue raises the residue rank of the columns
-    chosen so far, which by Nakayama makes the chosen columns a split
-    injection, and exactness of the partial sums is verified at the end.
+    accepted exactly when its residue grows the echelon of the residues of
+    the columns chosen so far, which by Nakayama makes the chosen columns a
+    split injection, and exactness of the partial sums is verified at the end.
     """
     ring = f.ring
+    p = getattr(ring.field, "p", None)
     colimit = colimit_module(f)
     top_rank, steps = colimit
     chosen: list[list] = []   # columns of the splitting basis, in degree order
     degrees: list[int] = []
+    echelon: list[tuple[int, dict]] = []  # pivots of the chosen residues
     for index, basis_matrix in steps:
         target = f.rank(index)
-        if target == len(chosen):
-            continue
         for col_idx in range(len(basis_matrix[0]) if basis_matrix else 0):
             if len(chosen) == target:
                 break
             candidate = [basis_matrix[r][col_idx] for r in range(top_rank)]
-            if _residue_rank(ring, chosen + [candidate]) > len(chosen):
+            _add_row(_sparse([ring.residue(v) for v in candidate], p), echelon, p)
+            if len(echelon) > len(chosen):
                 chosen.append(candidate)
                 degrees.append(index)
         if len(chosen) != target:
@@ -342,25 +326,34 @@ def verify_splitting(f: FilteredModule, splitting: FiltrationSplitting,
                      colimit=None) -> None:
     """Exact check that partial sums of the grading equal the filtration.
 
-    `colimit` is ``colimit_module(f)`` if the caller already holds it.
+    The square basis B is inverted once; a filtration step lies in the
+    partial sum of degrees <= its index exactly when its coordinates in B
+    vanish in every higher-degree row.  Containment gives equality: the step
+    is a direct summand of rank r (a composite of validated split
+    injections), the partial sum is free of rank r (its columns are part of
+    the basis B), and a direct summand of a free module that sits inside a
+    free module of the same rank is all of it.  `colimit` is
+    ``colimit_module(f)`` if the caller already holds it.
     """
     ring = f.ring
     top_rank, steps = colimit_module(f) if colimit is None else colimit
-    columns = [list(col) for col in splitting.basis]
+    basis = splitting.basis
+    degrees = splitting.degrees_by_column
+    inverse = None
+    if len(basis) == len(degrees) == top_rank and all(
+            len(col) == top_rank for col in basis):
+        inverse = split_injection_retraction(
+            ring, [[col[r] for col in basis] for r in range(top_rank)])
+    if inverse is None:
+        raise AssertionError("splitting basis is not invertible")
     for index, image in steps:
-        sub = [columns[c] for c in range(len(columns))
-               if splitting.degrees_by_column[c] <= index]
-        expected_rank = f.rank(index)
-        if len(sub) != expected_rank:
+        if sum(1 for d in degrees if d <= index) != f.rank(index):
             raise AssertionError("partial sum has the wrong rank")
-        if expected_rank == 0:
-            continue
-        sub_matrix = [[sub[c][r] for c in range(len(sub))] for r in range(top_rank)]
-        # mutual containment of column spans, solved exactly
-        if solve_columns(ring, sub_matrix, image) is None:
+        # coordinates of the step in the basis columns of higher degree
+        higher = mat_mul(ring, [row for row, d in zip(inverse, degrees) if d > index],
+                         image)
+        if not all(ring.is_zero(v) for row in higher for v in row):
             raise AssertionError("filtration step escapes the partial sum")
-        if solve_columns(ring, image, sub_matrix) is None:
-            raise AssertionError("partial sum escapes the filtration step")
 
 
 def iso_class_filtered(f: FilteredModule) -> SplittingType:

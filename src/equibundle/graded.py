@@ -21,7 +21,6 @@ from equibundle.exact_core import (
     Field,
     FieldMismatchError,
     Scalar,
-    invert_matrix,
     matrix_rank,
     row_reduce,
 )
@@ -281,32 +280,28 @@ class GradedModulePresentation:
             return 0
         index = [{m: offsets[j] + i for i, m in enumerate(block)}
                  for j, block in enumerate(blocks)]
+        # An algebra relation rel acts on coordinate j as the one-entry
+        # relation column (j, rel) of degree deg(rel) + m_j; every column is
+        # multiplied by all monomials of the right degree.
+        columns = [([(j, e) for j, e in enumerate(col) if not e.is_zero], delta)
+                   for col, delta in zip(self.relations, self.column_degrees)]
+        for rel in alg.relations:
+            d = rel.weighted_degree(alg.degrees)
+            if d is not None:
+                columns += [([(j, rel)], d + m)
+                            for j, m in enumerate(self.generator_degrees)]
         rows = []
-        # module relations, multiplied by all monomials of the right degree
-        for col, delta in zip(self.relations, self.column_degrees):
+        for entries, delta in columns:
             if delta is None:  # an all-zero column relates nothing
                 continue
             for mono in alg.monomials_of_degree(degree - delta):
                 shift = Polynomial.monomial(alg.field, alg.nvars, mono, alg.field.one)
                 row = [alg.field.zero] * total
-                for j, entry in enumerate(col):
-                    if entry.is_zero:
-                        continue
+                for j, entry in entries:
                     for m, c in (shift * entry).terms():
                         row[index[j][m]] = c
                 if any(row):
                     rows.append(row)
-        # algebra relations act coordinatewise
-        for rel in alg.relations:
-            d = rel.weighted_degree(alg.degrees)
-            for j, mj in enumerate(self.generator_degrees):
-                for mono in alg.monomials_of_degree(degree - d - mj):
-                    shift = Polynomial.monomial(alg.field, alg.nvars, mono, alg.field.one)
-                    row = [alg.field.zero] * total
-                    for m, c in (shift * rel).terms():
-                        row[index[j][m]] = c
-                    if any(row):
-                        rows.append(row)
         if not rows:
             return total
         return total - matrix_rank(alg.field, rows)
@@ -391,19 +386,20 @@ def nakayama_zero_test(module: GradedModulePresentation) -> NakayamaResult:
         gens_d = [j for j, m in enumerate(gen_degrees) if m == degree]
         cols_d = [l for l, delta in zip(range(len(module.relations)), module.column_degrees)
                   if delta == degree]
-        block = [[module.relations[l][j].constant_term for j in gens_d] for l in cols_d]
-        rank = matrix_rank(field, block) if block else 0
-        if rank < len(gens_d):
+        # Row-reduce [M | I] with M the reduced block, generators x relations:
+        # M has full row rank iff every pivot falls inside M, the pivots then
+        # name relations forming an invertible square block, and the
+        # recorded transform is its inverse, the scalar combination.
+        g, n = len(gens_d), len(cols_d)
+        aug = [[module.relations[l][j].constant_term for l in cols_d]
+               + [field.one if i == row_i else field.zero for i in range(g)]
+               for row_i, j in enumerate(gens_d)]
+        reduced, pivots = row_reduce(field, aug)
+        if pivots[g - 1] >= n:
             return NakayamaResult(False, surviving_degree=degree)
-        # Pick relations forming an invertible square block M (relations x
-        # generators); the scalar combination is its inverse.
-        _, pivot_cols = row_reduce(field, [list(r) for r in zip(*block)])
-        chosen = [cols_d[c] for c in pivot_cols]
-        square = [[module.relations[l][j].constant_term for j in gens_d] for l in chosen]
-        inverse = invert_matrix(field, square)
-        for row_i, j in enumerate(gens_d):
-            for col_i, l in enumerate(chosen):
-                combination[j][l] = inverse[row_i][col_i]
+        for col_i, c in enumerate(pivots):
+            for row_i, j in enumerate(gens_d):
+                combination[j][cols_d[c]] = reduced[col_i][n + row_i]
 
     # A = I - S.R over the polynomial ring; constant parts cancel exactly.
     coefficient = []

@@ -19,7 +19,6 @@ from equibundle.exact_core import (
     PrimeField,
     RationalField,
     Scalar,
-    matrix_rank,
     nullspace,
     row_reduce,
     span_test,
@@ -281,20 +280,19 @@ def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
 
 
 def is_henselian_pair(algebra: FiniteDimAlgebra,
-                      ideal: Optional[Sequence[Vector]] = None,
                       radical: Optional[Sequence[Vector]] = None) -> bool:
     """True iff the ideal lies in the Jacobson radical.
 
     For artinian commutative algebras this characterizes henselian pairs (a
     finite product of henselian local rings), and it matches the topological
     criterion on the finite spectrum.  A caller that already holds
-    `jacobson_radical(algebra)` passes it as `radical`.  The ideal lies in
-    the span of the radical iff adding it leaves the rank unchanged.
+    `jacobson_radical(algebra)` passes it as `radical`, which is eliminated
+    once; each spanning vector of the ideal is then reduced against it.
     """
-    ideal = algebra.ideal if ideal is None else tuple(algebra.coerce(v) for v in ideal)
     if radical is None:
         radical = jacobson_radical(algebra)
-    return matrix_rank(algebra.field, [*radical, *ideal]) == matrix_rank(algebra.field, radical)
+    in_radical = span_test(algebra.field, radical)
+    return all(in_radical(vec) for vec in algebra.ideal)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from equibundle.exact_core import GF, QQ
 from equibundle.filtered import (
     EpsRing,
     FilteredModule,
+    FiltrationSplitting,
     associated_graded,
     colimit_module,
     iso_class_filtered,
@@ -14,6 +15,7 @@ from equibundle.filtered import (
     split_filtration,
     split_injection_retraction,
     validate_filtered,
+    verify_splitting,
 )
 from equibundle.projline import SplittingType
 
@@ -213,6 +215,94 @@ class TestRetractionAgainstUnitPivotReference:
         assert seen == {True, False}
 
 
+class TestVerifySplitting:
+    """verify_splitting against the two-way containment check it replaced,
+    on valid splittings and on seeded wrong ones."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_rejects_wrong_splittings(self, rng, field, order):
+        ring = EpsRing(field, order)
+        unit = ring(tuple(rng.randint(1, 4) for _ in range(order)))
+        kinds = set()
+        for _ in range(12):
+            f = random_filtered(rng, ring, sorted(rng.randint(0, 4) for _ in range(4)))
+            s = split_filtration(f)
+            assert containment_verdict(f, s)
+            degrees = s.degrees_by_column
+            pairs = [(lo, hi) for lo in range(len(degrees)) for hi in range(len(degrees))
+                     if degrees[lo] < degrees[hi]]
+            # adding a lower-degree column into a higher one keeps it valid
+            for lo, hi in pairs:
+                valid = with_basis(s, add_column(ring, s.basis, hi, lo, unit))
+                verify_splitting(f, valid)
+                assert containment_verdict(f, valid)
+            mutants = []
+            for lo, hi in pairs:
+                mutants.append(("higher into lower", add_column(ring, s.basis, lo, hi, unit)))
+                if order > 1:
+                    mutants.append(("eps-multiple into lower", add_column(
+                        ring, s.basis, lo, hi, ring.mul(ring.eps, unit))))
+            for c in range(len(s.basis)):
+                scale = ring.eps if order > 1 else ring.zero
+                column = [ring.mul(scale, v) for v in s.basis[c]]
+                mutants.append(("scaled by eps or zeroed",
+                                s.basis[:c] + (tuple(column),) + s.basis[c + 1:]))
+            for kind, basis in mutants:
+                wrong = with_basis(s, basis)
+                with pytest.raises(AssertionError):
+                    verify_splitting(f, wrong)
+                assert not containment_verdict(f, wrong), kind
+                kinds.add(kind)
+        assert kinds == {"higher into lower", "scaled by eps or zeroed"} | (
+            {"eps-multiple into lower"} if order > 1 else set())
+
+
+def with_basis(splitting, basis):
+    return FiltrationSplitting(graded_ranks=splitting.graded_ranks,
+                               basis=tuple(tuple(col) for col in basis),
+                               degrees_by_column=splitting.degrees_by_column)
+
+
+def add_column(ring, basis, dst, src, scale):
+    """The basis with scale * column src added into column dst."""
+    out = [list(col) for col in basis]
+    out[dst] = [ring.add(a, ring.mul(scale, b)) for a, b in zip(out[dst], basis[src])]
+    return out
+
+
+def solve_columns(ring, t, rhs):
+    """Reference: solve T*X = RHS for a split-injective T; None if some column
+    of RHS lies outside the column span of T."""
+    retraction = split_injection_retraction(ring, t)
+    if retraction is None:
+        raise ValueError("coefficient matrix is not split injective")
+    candidate = mat_mul(ring, retraction, rhs)
+    return candidate if mat_mul(ring, t, candidate) == rhs else None
+
+
+def containment_verdict(f, splitting):
+    """Reference: every partial sum and its filtration step contain each
+    other, by two exact solves per step, as verify_splitting once did it."""
+    ring = f.ring
+    top_rank, steps = colimit_module(f)
+    for index, image in steps:
+        sub = [col for col, d in zip(splitting.basis, splitting.degrees_by_column)
+               if d <= index]
+        if len(sub) != f.rank(index):
+            return False
+        if not sub:
+            continue
+        sub_matrix = [[col[r] for col in sub] for r in range(top_rank)]
+        try:
+            if (solve_columns(ring, sub_matrix, image) is None
+                    or solve_columns(ring, image, sub_matrix) is None):
+                return False
+        except ValueError:  # the partial sum is not a split injection
+            return False
+    return True
+
+
 class TestIsoClass:
     def test_constant_rank2(self):
         f = fm(RQ, 0, [2, 2], [mat_identity(RQ, 2)])
@@ -269,13 +359,8 @@ def conjugate_by_unipotent(rng, f):
 
 
 def invert(ring, mat):
-    n = len(mat)
-    if n == 0:
-        return []
-    rhs = mat_identity(ring, n)
-    from equibundle.filtered import solve_columns
-
-    out = solve_columns(ring, [row[:] for row in mat], rhs)
+    """Inverse of a square invertible matrix: its retraction."""
+    out = split_injection_retraction(ring, mat)
     assert out is not None
     return out
 

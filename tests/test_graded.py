@@ -241,6 +241,45 @@ class TestMinimalPresentations:
             assert dims_quotient != dims_free
 
 
+class TestComponentDimension:
+    """Algebra relations enter the module count as one-entry relation columns."""
+
+    def test_free_module_matches_algebra_components(self, rng):
+        # a free module is a sum of shifted copies of B, whose components the
+        # algebra counts on its own
+        for field in (QQ, F5):
+            for y_degree in (1, 2):
+                base = algebra(field, (1, y_degree), ("x", "y"))
+                x, y = base.var(0), base.var(1)
+                for _ in range(4):
+                    c = const(base, rng.randint(1, 4))
+                    first = x * x * y - c * x * y * y if y_degree == 1 else x * x - c * y
+                    alg = GradedAlgebra(field, base.variables, base.degrees,
+                                        (first, y * y * y))
+                    gens = tuple(rng.randint(-1, 2) for _ in range(rng.randint(1, 3)))
+                    mod = module(alg, gens)
+                    for d in range(-1, 7):
+                        expected = sum(alg.component_dimension(d - m) for m in gens)
+                        assert mod.component_dimension(d) == expected, (gens, d)
+
+    def test_module_and_algebra_relations_together(self):
+        # (k[x, y]/(x^2 - 2xy)) / (y) = k[x]/(x^2)
+        base = algebra(F5, (1, 1), ("x", "y"))
+        x, y = base.var(0), base.var(1)
+        alg = GradedAlgebra(F5, base.variables, base.degrees,
+                            (x * x - const(base, 2) * x * y,))
+        mod = module(alg, (0,), [(y,)])
+        assert [mod.component_dimension(d) for d in range(-1, 5)] == [0, 1, 1, 0, 0, 0]
+
+    def test_zero_algebra_relation_relates_nothing(self):
+        base = algebra(QQ, (1,), ("x",))
+        alg = GradedAlgebra(QQ, base.variables, base.degrees, (base.zero(),))
+        mod = module(alg, (0, 2), [(base.var(0), const(base, 0))])
+        plain = module(base, (0, 2), [(base.var(0), const(base, 0))])
+        assert [mod.component_dimension(d) for d in range(5)] == [
+            plain.component_dimension(d) for d in range(5)] == [1, 0, 1, 1, 1]
+
+
 class TestIsoClass:
     def test_sorting(self):
         assert iso_class_graded_free((1, 0, 1)) == (0, 1, 1)

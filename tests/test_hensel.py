@@ -125,36 +125,47 @@ class TestHenselianPair:
 
     def test_zero_ideal(self):
         alg = from_univariate_quotient(QQ, [0, -1, 1])
-        assert is_henselian_pair(alg, ideal=[])
+        assert alg.ideal == ()
+        assert is_henselian_pair(alg)
 
-    def test_rank_test_agrees_with_per_vector_span(self, rng):
-        # one rank comparison against the radical must give the verdict of
-        # testing every ideal vector on its own, zero vectors included
+    def test_span_test_agrees_with_per_vector_span(self, rng):
+        # eliminating the radical once must give the verdict of testing every
+        # spanning vector of the ideal on its own, zero vectors included
         verdicts = []
         for field in (QQ, GF(7), GF(2**31 - 1)):
             for _ in range(20):
-                alg = from_univariate_quotient(
-                    field, random_quotient(rng, field, rng.randint(1, 6)))
-                radical = jacobson_radical(alg)
-                ideal = [alg.zero] * rng.randint(0, 1)
+                quotient = random_quotient(rng, field, rng.randint(1, 6))
+                base = from_univariate_quotient(field, quotient)
+                radical = jacobson_radical(base)
+                gens = []
                 for _ in range(rng.randint(0, 3)):
                     if radical and rng.random() < 0.6:
-                        vec = alg.zero
+                        vec = base.zero
                         for r in radical:
-                            vec = alg.add(vec, alg.scale(field(rng.randint(-2, 2)), r))
+                            vec = base.add(vec, base.scale(field(rng.randint(-2, 2)), r))
                     else:
-                        vec = tuple(field(rng.randint(-2, 2)) for _ in range(alg.dim))
-                    ideal.append(vec)
-                expected = all(alg.in_span(vec, radical) for vec in ideal)
-                assert is_henselian_pair(alg, ideal=ideal, radical=radical) == expected
+                        vec = tuple(field(rng.randint(-2, 2)) for _ in range(base.dim))
+                    gens.append(vec)
+                # coordinates are coefficients in x, so each vector generates
+                # an ideal, inside the radical when the vector is
+                ideal = from_univariate_quotient(field, quotient, ideal_generators=gens).ideal
+                alg = FiniteDimAlgebra(field=field, dim=base.dim, structure=base.structure,
+                                       ideal=[base.zero] * rng.randint(0, 1) + list(ideal))
+                expected = all(alg.in_span(vec, radical) for vec in alg.ideal)
+                assert is_henselian_pair(alg, radical=radical) == expected
+                assert is_henselian_pair(alg) == expected
                 verdicts.append(expected)
         assert True in verdicts and False in verdicts
 
     def test_empty_radical(self):
-        alg = from_univariate_quotient(QQ, [0, -1, 1])
-        assert jacobson_radical(alg) == []
-        assert is_henselian_pair(alg, ideal=[alg.zero], radical=[])
-        assert not is_henselian_pair(alg, ideal=[alg.zero, alg.one], radical=[])
+        split = from_univariate_quotient(QQ, [0, -1, 1])
+        assert jacobson_radical(split) == []
+        zero = FiniteDimAlgebra(field=QQ, dim=2, structure=split.structure,
+                                ideal=[split.zero])
+        whole = FiniteDimAlgebra(field=QQ, dim=2, structure=split.structure,
+                                 ideal=[split.zero, split.one, split.unit_vector(1)])
+        assert is_henselian_pair(zero, radical=[])
+        assert not is_henselian_pair(whole, radical=[])
 
 
 class TestLiftIdempotent:

@@ -242,6 +242,32 @@ class TestCli:
         assert "module is zero = no" in out
         assert "component enumeration up to degree 5 = agrees" in out
 
+    def test_nakayama_degree_bound_below_surviving_degree(self, tmp_path, capsys):
+        # the "no" verdict survives in degree 3; a bound of 2 never sees it
+        doc = tmp_path / "g1.txt"
+        doc.write_text(
+            "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+            "generators = 0, 3\nmodule_relation = [1, 0]\n")
+        code = main(["nakayama", str(doc), "--verify", "--degree-bound", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "--degree-bound 2 is below degree 3" in captured.err
+        code, out = run_cli(capsys, "nakayama", str(doc), "--verify", "--degree-bound", "3")
+        assert code == 0
+        assert "surviving degree = 3" in out
+        assert "component enumeration up to degree 3 = agrees" in out
+
+    def test_nakayama_degree_bound_below_lowest_generator(self, capsys):
+        # a "yes" verdict checked over an empty range would agree vacuously
+        path = corpus_path("graded_module_zero.txt")
+        code = main(["nakayama", path, "--verify", "--degree-bound", "-5"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "--degree-bound -5 is below degree 0" in captured.err
+        code, out = run_cli(capsys, "nakayama", path, "--verify", "--degree-bound", "0")
+        assert code == 0
+        assert "component enumeration up to degree 0 = agrees" in out
+
     def test_negative_verdict_exits_zero(self, capsys):
         code, out = run_cli(capsys, "prop-b3", corpus_path("monotone_map_constant.txt"))
         assert code == 0
