@@ -1,10 +1,12 @@
 """Command-line interface: one input document per run, deterministic reports.
 
-Exit codes: 0 = success (a mathematical "no" is still a successful run),
-2 = document parse error, 3 = invalid object (failed validation), 1 = an
-internal cross-check failed (including the h0 stability check).  Commands
-let ParseError and ValueError from the library reach `main`, which maps them
-to 2 and 3; CommandError carries the codes the commands decide themselves.
+`main` loads the document, checks its kind against the command's entry in
+COMMANDS, and prints the report lines the command returns.  Exit codes:
+0 = success (a mathematical "no" is still a successful run), 2 = document
+parse error, 3 = invalid object (failed validation), 1 = an internal
+cross-check failed (including the h0 stability check).  Commands let
+ParseError and ValueError from the library reach `main`, which maps them to
+2 and 3; CommandError carries the codes the commands decide themselves.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def _load(path: str, expected_kinds) -> Document:
     return doc
 
 
-def _emit(lines):
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -72,8 +70,7 @@ def _yesno(flag: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify_p1(args) -> int:
-    doc = _load(args.file, ("laurent_matrix",))
+def cmd_classify_p1(doc, args) -> list[str]:
     bundle = projline.BundleOnP1(doc.matrix)
     factorization = projline.birkhoff_factorize(bundle)
     stype = factorization.splitting_type
@@ -100,40 +97,32 @@ def cmd_classify_p1(args) -> int:
             raise CommandError("h0 oracle disagrees with the splitting type",
                                EXIT_INTERNAL)
         lines.append("h0 oracle agreement = yes")
-    _emit(lines)
-    return EXIT_OK
+    return lines
 
 
-def cmd_birkhoff(args) -> int:
-    doc = _load(args.file, ("laurent_matrix",))
+def cmd_birkhoff(doc, args) -> list[str]:
     factorization = projline.birkhoff_factorize(projline.BundleOnP1(doc.matrix))
-    _emit([
+    return [
         "report = birkhoff",
         f"A = {render_laurent_matrix(factorization.A)}",
         f"D = {render_laurent_matrix(factorization.D)}",
         f"B = {render_laurent_matrix(factorization.B)}",
         f"exponents = {', '.join(str(k) for k in factorization.exponents)}",
         "exact = yes",
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_cochar_to_bundle(args) -> int:
-    doc = _load(args.file, ("splitting_type",))
+def cmd_cochar_to_bundle(doc, args) -> list[str]:
     field = parse_field(args.field)
     bundle = projline.cocharacter_to_bundle(doc.degrees, field)
-    _emit([LaurentMatrixDoc(field=field, matrix=bundle.matrix).render().rstrip("\n")])
-    return EXIT_OK
+    return [LaurentMatrixDoc(field=field, matrix=bundle.matrix).render().rstrip("\n")]
 
 
-def cmd_h0(args) -> int:
-    doc = _load(args.file, ("laurent_matrix",))
+def cmd_h0(doc, args) -> list[str]:
     bundle = projline.BundleOnP1(doc.matrix)
     h0 = projline.h0_table(bundle, args.twist_window)
-    lines = ["report = h0", f"rank = {bundle.rank}"]
-    lines += [f"h0 twist {m} = {dim}" for m, dim in h0.items()]
-    _emit(lines)
-    return EXIT_OK
+    return ["report = h0", f"rank = {bundle.rank}"] + [
+        f"h0 twist {m} = {dim}" for m, dim in h0.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +135,7 @@ def _graded_ranks_line(ranks: dict) -> str:
     return "{" + inner + "}"
 
 
-def cmd_split_filtration(args) -> int:
-    doc = _load(args.file, ("filtered_module",))
+def cmd_split_filtration(doc, args) -> list[str]:
     module = doc.module
     splitting = filtered.split_filtration(module)
     stype = filtered.graded_to_splitting_type(splitting.graded_ranks)
@@ -156,7 +144,7 @@ def cmd_split_filtration(args) -> int:
         [splitting.basis[c][r] for c in range(len(splitting.basis))]
         for r in range(len(splitting.basis))
     ]
-    lines = [
+    return [
         "report = split-filtration",
         f"graded ranks = {_graded_ranks_line(splitting.graded_ranks)}",
         f"degrees by column = {', '.join(str(d) for d in splitting.degrees_by_column)}",
@@ -165,19 +153,15 @@ def cmd_split_filtration(args) -> int:
         # split_filtration has verified the splitting exactly; --verify adds nothing
         "exact = yes",
     ]
-    _emit(lines)
-    return EXIT_OK
 
 
-def cmd_assoc_graded(args) -> int:
-    doc = _load(args.file, ("filtered_module",))
+def cmd_assoc_graded(doc, args) -> list[str]:
     ranks = filtered.associated_graded(doc.module)
-    _emit([
+    return [
         "report = assoc-graded",
         f"graded ranks = {_graded_ranks_line(ranks)}",
         f"total rank = {sum(ranks.values())}",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +169,7 @@ def cmd_assoc_graded(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_nakayama(args) -> int:
-    doc = _load(args.file, ("graded_module",))
+def cmd_nakayama(doc, args) -> list[str]:
     module = doc.module
     result = graded.nakayama_zero_test(module)
     lines = ["report = nakayama", f"module is zero = {_yesno(result.is_zero)}"]
@@ -218,12 +201,10 @@ def cmd_nakayama(args) -> int:
             raise CommandError("verdict disagrees with component enumeration",
                                EXIT_INTERNAL)
         lines.append(f"component enumeration up to degree {bound} = agrees")
-    _emit(lines)
-    return EXIT_OK
+    return lines
 
 
-def cmd_lift_map(args) -> int:
-    doc = _load(args.file, ("graded_module",))
+def cmd_lift_map(doc, args) -> list[str]:
     if doc.target_degrees is None or doc.matrix is None:
         raise CommandError(
             "document must carry target_generators and matrix", EXIT_PARSE)
@@ -241,14 +222,13 @@ def cmd_lift_map(args) -> int:
         scalars.append(scalar_row)
     lifted = graded.lift_graded_map(scalars, module, doc.target_degrees)
     is_iso = graded.graded_iso_test(lifted, module, doc.target_degrees)
-    _emit([
+    return [
         "report = lift-map",
         "lifted matrix = " + render_matrix(
             lifted, lambda p: render_polynomial(p, variables)),
         f"reduction is bijective = {_yesno(is_iso)}",
         f"lift is isomorphism = {_yesno(is_iso)}",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +236,33 @@ def cmd_lift_map(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_hensel_check(args) -> int:
-    doc = _load(args.file, ("graded_algebra", "findim_algebra"))
+def cmd_hensel_check(doc, args) -> list[str]:
     if isinstance(doc, GradedAlgebraDoc):
         verdict = hensel.trivially_henselian(doc.algebra)
-        _emit([
+        return [
             "report = hensel-check",
             f"trivially henselian = {_yesno(verdict)}",
-        ])
-        return EXIT_OK
+        ]
     algebra = doc.build()
     radical = hensel.jacobson_radical(algebra)
     verdict = hensel.is_henselian_pair(algebra, radical=radical)
-    _emit([
+    return [
         "report = hensel-check",
         f"dimension = {algebra.dim}",
         f"radical dimension = {len(radical)}",
         f"henselian pair = {_yesno(verdict)}",
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_lift_idempotent(args) -> int:
-    doc = _load(args.file, ("findim_algebra",))
+def cmd_lift_idempotent(doc, args) -> list[str]:
     algebra = doc.build()
     lift = hensel.lift_idempotent(algebra, doc.idempotent_vector(algebra))
-    _emit([
+    return [
         "report = lift-idempotent",
         f"iterations = {lift.iterations}",
         "idempotent = [" + ", ".join(render_scalar(v) for v in lift.element) + "]",
         "exact = yes",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -299,78 +274,69 @@ def _render_subset(subset) -> str:
     return "{" + ", ".join(str(x) for x in sorted(subset)) + "}"
 
 
-def cmd_pi0(args) -> int:
-    doc = _load(args.file, ("poset",))
+def cmd_pi0(doc, args) -> list[str]:
     data = topospace.pi0(doc.poset)
     lines = ["report = pi0", f"components = {data.count}"]
     for i, part in enumerate(data.components):
         lines.append(f"component {i} = {_render_subset(part)}")
-    _emit(lines)
-    return EXIT_OK
+    return lines
 
 
-def cmd_clopen(args) -> int:
-    doc = _load(args.file, ("poset",))
+def cmd_clopen(doc, args) -> list[str]:
     sets = topospace.clopen_sets(doc.poset)
     lines = ["report = clopen", f"count = {len(sets)}"]
     for i, subset in enumerate(sets):
         lines.append(f"clopen {i} = {_render_subset(subset)}")
-    _emit(lines)
-    return EXIT_OK
+    return lines
 
 
-def cmd_lemma_b2(args) -> int:
-    doc = _load(args.file, ("poset",))
+def cmd_lemma_b2(doc, args) -> list[str]:
     verdict = topospace.lemma_b2_verify(doc.poset)
-    _emit([
+    return [
         "report = lemma-b2",
         f"bijections hold = {_yesno(verdict)}",
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_prop_b3(args) -> int:
-    doc = _load(args.file, ("monotone_map",))
+def cmd_prop_b3(doc, args) -> list[str]:
     report = topospace.prop_b3_check(doc.map)
-    _emit([
+    return [
         "report = prop-b3",
         f"clopen bijection = {_yesno(report.clopen_bijection)}",
         f"pi0 bijective = {_yesno(report.pi0_bijective)}",
         f"pi0 homeomorphism = {_yesno(report.pi0_homeomorphism)}",
         f"equivalence holds = {_yesno(report.all_equivalent)}",
-    ])
-    return EXIT_OK
+    ]
 
 
-def cmd_homeo_check(args) -> int:
-    doc = _load(args.file, ("monotone_map",))
+def cmd_homeo_check(doc, args) -> list[str]:
     verdict = topospace.homeo_criterion(doc.map)
-    _emit([
+    return [
         "report = homeo-check",
         f"homeomorphism = {_yesno(verdict)}",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------------
 
 
+# command -> (handler(doc, args) -> report lines, the document kinds it reads)
 COMMANDS = {
-    "classify-p1": cmd_classify_p1,
-    "birkhoff": cmd_birkhoff,
-    "cochar-to-bundle": cmd_cochar_to_bundle,
-    "h0": cmd_h0,
-    "split-filtration": cmd_split_filtration,
-    "assoc-graded": cmd_assoc_graded,
-    "nakayama": cmd_nakayama,
-    "lift-map": cmd_lift_map,
-    "hensel-check": cmd_hensel_check,
-    "lift-idempotent": cmd_lift_idempotent,
-    "pi0": cmd_pi0,
-    "clopen": cmd_clopen,
-    "lemma-b2": cmd_lemma_b2,
-    "prop-b3": cmd_prop_b3,
-    "homeo-check": cmd_homeo_check,
+    "classify-p1": (cmd_classify_p1, ("laurent_matrix",)),
+    "birkhoff": (cmd_birkhoff, ("laurent_matrix",)),
+    "cochar-to-bundle": (cmd_cochar_to_bundle, ("splitting_type",)),
+    "h0": (cmd_h0, ("laurent_matrix",)),
+    "split-filtration": (cmd_split_filtration, ("filtered_module",)),
+    "assoc-graded": (cmd_assoc_graded, ("filtered_module",)),
+    "nakayama": (cmd_nakayama, ("graded_module",)),
+    "lift-map": (cmd_lift_map, ("graded_module",)),
+    "hensel-check": (cmd_hensel_check, ("graded_algebra", "findim_algebra")),
+    "lift-idempotent": (cmd_lift_idempotent, ("findim_algebra",)),
+    "pi0": (cmd_pi0, ("poset",)),
+    "clopen": (cmd_clopen, ("poset",)),
+    "lemma-b2": (cmd_lemma_b2, ("poset",)),
+    "prop-b3": (cmd_prop_b3, ("monotone_map",)),
+    "homeo-check": (cmd_homeo_check, ("monotone_map",)),
 }
 
 
@@ -399,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = COMMANDS[args.command]
+    handler, kinds = COMMANDS[args.command]
     try:
-        return handler(args)
+        lines = handler(_load(args.file, kinds), args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -414,6 +380,8 @@ def main(argv=None) -> int:
     except (AssertionError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

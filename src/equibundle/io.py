@@ -6,11 +6,13 @@ with `#` are skipped on parse and never printed.  The first key must be
 around `=` and after commas, and normalizes scalars as follows: rationals as
 `p/q` with the `/q` omitted when q = 1, prime-field residues as bare
 integers in [0, p) (the field header carries p; the standalone form
-`p mod N` is accepted on parse), Laurent terms as `c*t^e` with the exponent
-always written, truncated-polynomial entries as `c` or `c*e^j` with ascending
-j, multivariate terms as `c` or `c*x^a*y^b` with the variables in declared
-order.  Signs live in the ` + ` / ` - ` joiners.  Posets are given by their
-size and generating specialization pairs `i<j`.
+`p mod N` is accepted on parse).  Laurent, multivariate and truncated
+polynomials share one term-list grammar, read by `_parse_terms` and printed
+by `_render_terms`; each kind supplies only its term: `c*t^e` with the
+exponent always written, `c` or `c*x^a*y^b` with the variables in declared
+order, and `c` or `c*e^j` with ascending j.  Signs live in the ` + ` / ` - `
+joiners, and a sign with no term after it is a parse error.  Posets are
+given by their size and generating specialization pairs `i<j`.
 
 parse(render(doc)) == doc and render(parse(text)) is a fixed point: the
 grammar round-trips byte-exactly after one normalization pass.
@@ -90,92 +92,155 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         raise ParseError(f"bad scalar {text!r}: {exc}") from exc
 
 
-def _scalar_magnitude(value: Scalar) -> tuple[bool, str]:
-    """(negative?, printed magnitude); prime-field residues are never negative."""
-    if isinstance(value, FpElement):
-        return False, str(value.residue)
-    return value < 0, render_scalar(-value if value < 0 else value)
+# ---------------------------------------------------------------------------
+# Term lists: Laurent (c*t^k), multivariate (c*x^a*y^b) and truncated (c*e^j)
+# polynomials share one reader and one writer
+# ---------------------------------------------------------------------------
 
 
-def _join_terms(parts: Sequence[tuple[bool, str]]) -> str:
-    out = []
-    for i, (negative, body) in enumerate(parts):
-        if i == 0:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f" - {body}" if negative else f" + {body}")
-    return "".join(out)
-
-
-def _split_terms(text: str) -> list[str]:
-    """Split on top-level + and -, keeping the sign with each term."""
+def _split_terms(text: str) -> list[tuple[bool, str]]:
+    """Split on top-level + and - into (negative?, unsigned term) pairs; a
+    sign directly after '^', '*' or '/' belongs to the term."""
     terms = []
-    current = ""
-    sign = "+"
+    negative = False
+    start = 0
+    last = ""  # last non-space character of the current term
     for idx, ch in enumerate(text):
-        if ch in "+-" and current.strip():
-            # a sign directly after '^', 'e', or '*' belongs to an exponent
-            prev = current.rstrip()[-1:]
-            if prev in "^*/":
-                current += ch
+        if ch in "+-":
+            if last and last not in "^*/":
+                terms.append((negative, text[start:idx].strip()))
+                negative, start, last = ch == "-", idx + 1, ""
                 continue
-            terms.append((sign, current.strip()))
-            sign, current = ch, ""
-        elif ch in "+-" and not current.strip():
-            if current.strip() == "" and not terms and idx == 0:
-                sign = ch
-            else:
-                current += ch
+            if idx == 0:
+                negative, start = ch == "-", 1
+                continue
+        if not ch.isspace():
+            last = ch
+    if not last:
+        raise ParseError(f"dangling sign at the end of {text!r}" if terms
+                         else f"empty term list in {text!r}")
+    terms.append((negative, text[start:].strip()))
+    return terms
+
+
+def _parse_terms(text: str, field: Field, read_term, *context) -> dict:
+    """Sum the signed terms of `text` into {key: coefficient}; read_term(term,
+    field, *context) reads one unsigned term into (key, coefficient)."""
+    text = text.strip()
+    terms: dict = {}
+    if text == "0":
+        return terms
+    for negative, term in _split_terms(text):
+        key, coeff = read_term(term, field, *context)
+        if negative:
+            coeff = -coeff
+        old = terms.get(key)
+        terms[key] = coeff if old is None else old + coeff
+    return terms
+
+
+def _read_power(term: str, field: Field, letter: str, bad_exponent: str,
+                order: Optional[int]) -> tuple[int, Scalar]:
+    """`c*t^k`, `t^k` or `c` (exponent 0); `order` bounds an eps exponent."""
+    marker = f"*{letter}^"
+    if marker in term:
+        coeff_text, exp_text = term.split(marker, 1)
+    elif term.startswith(marker[1:]):
+        coeff_text, exp_text = "1", term[2:]
+    else:
+        coeff_text, exp_text = term, "0"
+    try:
+        exp = int(exp_text)
+    except ValueError as exc:
+        raise ParseError(bad_exponent.format(term)) from exc
+    if order is not None and not 0 <= exp < order:
+        raise ParseError(f"eps exponent {exp} outside truncation order {order}")
+    return exp, parse_scalar(coeff_text, field)
+
+
+def _read_monomial(term: str, field: Field, index: dict,
+                   nvars: int) -> tuple[tuple[int, ...], Scalar]:
+    """`c*x^a*y^b`, `x^a*y^b` (coefficient 1) or `c`."""
+    factors = term.split("*")
+    coeff_text, start = factors[0], 1
+    if "^" in coeff_text:  # a term like x^2 has the implicit coefficient 1
+        coeff_text, start = "1", 0
+    coeff = parse_scalar(coeff_text, field)
+    mono = [0] * nvars
+    for factor in factors[start:]:
+        if "^" not in factor:
+            raise ParseError(f"bad monomial factor {factor!r}")
+        name, exp_text = factor.split("^", 1)
+        if name not in index:
+            raise ParseError(f"unknown variable {name!r}")
+        try:
+            mono[index[name]] += int(exp_text)
+        except ValueError as exc:
+            raise ParseError(f"bad exponent in {factor!r}") from exc
+    if min(mono, default=0) < 0:
+        raise ValueError(f"bad monomial {tuple(mono)} for {nvars} variables")
+    return tuple(mono), coeff
+
+
+def _render_terms(terms, write_term, *context) -> str:
+    """Join (key, nonzero coefficient) pairs with the signs in the ` + ` /
+    ` - ` joiners; write_term(magnitude, key, *context) prints one term."""
+    out = []
+    for key, coeff in terms:
+        if isinstance(coeff, FpElement):  # residues are never negative
+            negative, body = False, str(coeff.residue)
         else:
-            current += ch
-    if current.strip():
-        terms.append((sign, current.strip()))
-    if not terms:
-        raise ParseError(f"empty term list in {text!r}")
-    return [f"{s}{body}" for s, body in terms]
+            negative = coeff < 0
+            body = render_scalar(-coeff if negative else coeff)
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(write_term(body, key, *context))
+    return "".join(out) or "0"
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials / matrices
-# ---------------------------------------------------------------------------
+def _write_eps(body: str, j: int) -> str:
+    return f"{body}*e^{j}" if j else body
+
+
+def _write_monomial(body: str, mono, variables: Sequence[str]) -> str:
+    return "*".join([body] + [f"{variables[i]}^{e}" for i, e in enumerate(mono) if e])
 
 
 def render_laurent(poly: LaurentPoly) -> str:
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for exp, coeff in sorted(poly.terms(), reverse=True):
-        negative, body = _scalar_magnitude(coeff)
-        parts.append((negative, f"{body}*t^{exp}"))
-    return _join_terms(parts)
+    return _render_terms(reversed(poly.terms()), "{}*t^{}".format)
 
 
 def parse_laurent(text: str, field: Field) -> LaurentPoly:
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly.zero(field)
-    poly = LaurentPoly.zero(field)
-    for term in _split_terms(text):
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        elif term.startswith("+"):
-            term = term[1:]
-        if "*t^" in term:
-            coeff_text, exp_text = term.split("*t^", 1)
-        elif term.startswith("t^"):
-            coeff_text, exp_text = "1", term[2:]
-        else:
-            coeff_text, exp_text = term, "0"
-        try:
-            exp = int(exp_text)
-        except ValueError as exc:
-            raise ParseError(f"bad exponent in term {term!r}") from exc
-        coeff = parse_scalar(coeff_text, field)
-        if sign < 0:
-            coeff = -coeff
-        poly = poly + LaurentPoly.monomial(field, coeff, exp)
-    return poly
+    return LaurentPoly(field, _parse_terms(
+        text, field, _read_power, "t", "bad exponent in term {!r}", None))
+
+
+def render_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
+    return _render_terms(poly.terms(), _write_monomial, variables)
+
+
+def parse_polynomial(text: str, field: Field, variables: Sequence[str]) -> Polynomial:
+    index = {name: i for i, name in enumerate(variables)}
+    return Polynomial(field, len(variables), _parse_terms(
+        text, field, _read_monomial, index, len(variables)))
+
+
+def render_eps(value: tuple, ring: EpsRing) -> str:
+    return _render_terms(((j, c) for j, c in enumerate(value) if c), _write_eps)
+
+
+def parse_eps(text: str, ring: EpsRing) -> tuple:
+    terms = _parse_terms(text, ring.field, _read_power, "e",
+                         "bad eps exponent in {!r}", ring.order)
+    zero = ring.field.zero
+    return tuple(terms.get(j, zero) for j in range(ring.order))
+
+
+# ---------------------------------------------------------------------------
+# Matrices
+# ---------------------------------------------------------------------------
 
 
 def _split_bracket_list(text: str) -> list[str]:
@@ -223,103 +288,6 @@ def parse_matrix(text: str, parse_entry) -> list[list]:
 
 def render_laurent_matrix(matrix: LaurentMatrix) -> str:
     return render_matrix(matrix.rows, render_laurent)
-
-
-# ---------------------------------------------------------------------------
-# Multivariate polynomials
-# ---------------------------------------------------------------------------
-
-
-def render_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for mono, coeff in poly.terms():
-        negative, body = _scalar_magnitude(coeff)
-        factors = [f"{variables[i]}^{e}" for i, e in enumerate(mono) if e]
-        parts.append((negative, "*".join([body] + factors)))
-    return _join_terms(parts)
-
-
-def parse_polynomial(text: str, field: Field, variables: Sequence[str]) -> Polynomial:
-    text = text.strip()
-    nvars = len(variables)
-    index = {name: i for i, name in enumerate(variables)}
-    if text == "0":
-        return Polynomial.zero(field, nvars)
-    poly = Polynomial.zero(field, nvars)
-    for term in _split_terms(text):
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        elif term.startswith("+"):
-            term = term[1:]
-        factors = term.split("*")
-        coeff_text = factors[0]
-        mono = [0] * nvars
-        start = 1
-        if "^" in coeff_text:  # term like x^2 with implicit coefficient 1
-            coeff_text = "1"
-            start = 0
-        coeff = parse_scalar(coeff_text, field)
-        for factor in factors[start:]:
-            if "^" not in factor:
-                raise ParseError(f"bad monomial factor {factor!r}")
-            name, exp_text = factor.split("^", 1)
-            if name not in index:
-                raise ParseError(f"unknown variable {name!r}")
-            try:
-                mono[index[name]] += int(exp_text)
-            except ValueError as exc:
-                raise ParseError(f"bad exponent in {factor!r}") from exc
-        if sign < 0:
-            coeff = -coeff
-        poly = poly + Polynomial.monomial(field, nvars, tuple(mono), coeff)
-    return poly
-
-
-# ---------------------------------------------------------------------------
-# Truncated-polynomial ring elements
-# ---------------------------------------------------------------------------
-
-
-def render_eps(value: tuple, ring: EpsRing) -> str:
-    nonzero = [(j, c) for j, c in enumerate(value) if c]
-    if not nonzero:
-        return "0"
-    parts = []
-    for j, coeff in nonzero:
-        negative, body = _scalar_magnitude(coeff)
-        parts.append((negative, body if j == 0 else f"{body}*e^{j}"))
-    return _join_terms(parts)
-
-
-def parse_eps(text: str, ring: EpsRing) -> tuple:
-    text = text.strip()
-    if text == "0":
-        return ring.zero
-    coeffs = [ring.field.zero] * ring.order
-    for term in _split_terms(text):
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        elif term.startswith("+"):
-            term = term[1:]
-        if "*e^" in term:
-            coeff_text, exp_text = term.split("*e^", 1)
-        elif term.startswith("e^"):
-            coeff_text, exp_text = "1", term[2:]
-        else:
-            coeff_text, exp_text = term, "0"
-        try:
-            j = int(exp_text)
-        except ValueError as exc:
-            raise ParseError(f"bad eps exponent in {term!r}") from exc
-        if not 0 <= j < ring.order:
-            raise ParseError(f"eps exponent {j} outside truncation order {ring.order}")
-        coeff = parse_scalar(coeff_text, ring.field)
-        coeffs[j] = coeffs[j] + (-coeff if sign < 0 else coeff)
-    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ ERROR_DOCUMENTS = {
     "filtered_rank_drop_f5_eps.txt": (
         "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
         "ranks = 2, 1\nmap 0 = [[1, 1*e^1]]\n"),
+    "laurent_dangling_sign.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^1, 1*t^0 -], [0, 1*t^-1]]\n"),
     "graded_mixed_sign.txt": (
         "kind = graded_module\nfield = Q\nvariables = x, y\ndegrees = 1, -1\n"
         "generators = 0\n"),

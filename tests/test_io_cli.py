@@ -3,20 +3,200 @@ import os
 
 import pytest
 
+from fractions import Fraction
+
 from equibundle.cli import main
-from equibundle.exact_core import GF, QQ
+from equibundle.exact_core import GF, QQ, FpElement, LaurentPoly
+from equibundle.filtered import EpsRing
+from equibundle.graded import Polynomial
 from equibundle.io import (
     ParseError,
     parse_document,
+    parse_eps,
     parse_laurent,
     parse_polynomial,
     parse_scalar,
+    render_eps,
     render_laurent,
     render_polynomial,
     render_scalar,
 )
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "corpus", "*.txt")))
+
+
+# ---------------------------------------------------------------------------
+# Reference grammar: the per-kind term loops the shared reader and writer
+# replaced, kept verbatim (dangling-sign bug included) for the differential
+# test below.
+# ---------------------------------------------------------------------------
+
+
+def ref_scalar_magnitude(value):
+    if isinstance(value, FpElement):
+        return False, str(value.residue)
+    return value < 0, render_scalar(-value if value < 0 else value)
+
+
+def ref_join_terms(parts):
+    out = []
+    for i, (negative, body) in enumerate(parts):
+        if i == 0:
+            out.append(f"-{body}" if negative else body)
+        else:
+            out.append(f" - {body}" if negative else f" + {body}")
+    return "".join(out)
+
+
+def ref_split_terms(text):
+    terms = []
+    current = ""
+    sign = "+"
+    for idx, ch in enumerate(text):
+        if ch in "+-" and current.strip():
+            prev = current.rstrip()[-1:]
+            if prev in "^*/":
+                current += ch
+                continue
+            terms.append((sign, current.strip()))
+            sign, current = ch, ""
+        elif ch in "+-" and not current.strip():
+            if current.strip() == "" and not terms and idx == 0:
+                sign = ch
+            else:
+                current += ch
+        else:
+            current += ch
+    if current.strip():
+        terms.append((sign, current.strip()))
+    if not terms:
+        raise ParseError(f"empty term list in {text!r}")
+    return [f"{s}{body}" for s, body in terms]
+
+
+def ref_render_laurent(poly):
+    if poly.is_zero:
+        return "0"
+    parts = []
+    for exp, coeff in sorted(poly.terms(), reverse=True):
+        negative, body = ref_scalar_magnitude(coeff)
+        parts.append((negative, f"{body}*t^{exp}"))
+    return ref_join_terms(parts)
+
+
+def ref_parse_laurent(text, field):
+    text = text.strip()
+    if text == "0":
+        return LaurentPoly.zero(field)
+    poly = LaurentPoly.zero(field)
+    for term in ref_split_terms(text):
+        sign = 1
+        if term.startswith("-"):
+            sign, term = -1, term[1:]
+        elif term.startswith("+"):
+            term = term[1:]
+        if "*t^" in term:
+            coeff_text, exp_text = term.split("*t^", 1)
+        elif term.startswith("t^"):
+            coeff_text, exp_text = "1", term[2:]
+        else:
+            coeff_text, exp_text = term, "0"
+        try:
+            exp = int(exp_text)
+        except ValueError as exc:
+            raise ParseError(f"bad exponent in term {term!r}") from exc
+        coeff = parse_scalar(coeff_text, field)
+        if sign < 0:
+            coeff = -coeff
+        poly = poly + LaurentPoly.monomial(field, coeff, exp)
+    return poly
+
+
+def ref_render_polynomial(poly, variables):
+    if poly.is_zero:
+        return "0"
+    parts = []
+    for mono, coeff in poly.terms():
+        negative, body = ref_scalar_magnitude(coeff)
+        factors = [f"{variables[i]}^{e}" for i, e in enumerate(mono) if e]
+        parts.append((negative, "*".join([body] + factors)))
+    return ref_join_terms(parts)
+
+
+def ref_parse_polynomial(text, field, variables):
+    text = text.strip()
+    nvars = len(variables)
+    index = {name: i for i, name in enumerate(variables)}
+    if text == "0":
+        return Polynomial.zero(field, nvars)
+    poly = Polynomial.zero(field, nvars)
+    for term in ref_split_terms(text):
+        sign = 1
+        if term.startswith("-"):
+            sign, term = -1, term[1:]
+        elif term.startswith("+"):
+            term = term[1:]
+        factors = term.split("*")
+        coeff_text = factors[0]
+        mono = [0] * nvars
+        start = 1
+        if "^" in coeff_text:
+            coeff_text = "1"
+            start = 0
+        coeff = parse_scalar(coeff_text, field)
+        for factor in factors[start:]:
+            if "^" not in factor:
+                raise ParseError(f"bad monomial factor {factor!r}")
+            name, exp_text = factor.split("^", 1)
+            if name not in index:
+                raise ParseError(f"unknown variable {name!r}")
+            try:
+                mono[index[name]] += int(exp_text)
+            except ValueError as exc:
+                raise ParseError(f"bad exponent in {factor!r}") from exc
+        if sign < 0:
+            coeff = -coeff
+        poly = poly + Polynomial.monomial(field, nvars, tuple(mono), coeff)
+    return poly
+
+
+def ref_render_eps(value, ring):
+    nonzero = [(j, c) for j, c in enumerate(value) if c]
+    if not nonzero:
+        return "0"
+    parts = []
+    for j, coeff in nonzero:
+        negative, body = ref_scalar_magnitude(coeff)
+        parts.append((negative, body if j == 0 else f"{body}*e^{j}"))
+    return ref_join_terms(parts)
+
+
+def ref_parse_eps(text, ring):
+    text = text.strip()
+    if text == "0":
+        return ring.zero
+    coeffs = [ring.field.zero] * ring.order
+    for term in ref_split_terms(text):
+        sign = 1
+        if term.startswith("-"):
+            sign, term = -1, term[1:]
+        elif term.startswith("+"):
+            term = term[1:]
+        if "*e^" in term:
+            coeff_text, exp_text = term.split("*e^", 1)
+        elif term.startswith("e^"):
+            coeff_text, exp_text = "1", term[2:]
+        else:
+            coeff_text, exp_text = term, "0"
+        try:
+            j = int(exp_text)
+        except ValueError as exc:
+            raise ParseError(f"bad eps exponent in {term!r}") from exc
+        if not 0 <= j < ring.order:
+            raise ParseError(f"eps exponent {j} outside truncation order {ring.order}")
+        coeff = parse_scalar(coeff_text, ring.field)
+        coeffs[j] = coeffs[j] + (-coeff if sign < 0 else coeff)
+    return tuple(coeffs)
 
 
 class TestScalars:
@@ -59,6 +239,11 @@ class TestLaurentGrammar:
     def test_cancellation(self):
         assert parse_laurent("1*t^1 - 1*t^1", QQ).is_zero
 
+    def test_dangling_sign(self):
+        for text in ("1*t^0 +", "1*t^0 -", "2*t^1 - 1*t^0+ "):
+            with pytest.raises(ParseError, match="dangling sign"):
+                parse_laurent(text, QQ)
+
 
 class TestPolynomialGrammar:
     def test_round_trip(self):
@@ -70,6 +255,139 @@ class TestPolynomialGrammar:
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
             parse_polynomial("1*z^1", QQ, ("x",))
+
+    def test_dangling_sign(self):
+        for text in ("1*x^1 -", "1*x^1*y^2 + 3 +"):
+            with pytest.raises(ParseError, match="dangling sign"):
+                parse_polynomial(text, QQ, ("x", "y"))
+
+
+class TestEpsGrammar:
+    def test_round_trip(self):
+        ring = EpsRing(GF(5), 3)
+        value = parse_eps("1*e^2 + 3 - 1*e^1 + 7 mod 5*e^2", ring)
+        assert value == (GF(5)(3), GF(5)(4), GF(5)(3))
+        assert render_eps(value, ring) == "3 + 4*e^1 + 3*e^2"
+
+    def test_dangling_sign(self):
+        with pytest.raises(ParseError, match="dangling sign"):
+            parse_eps("1 + 1*e^1 -", EpsRing(QQ, 2))
+
+
+TERM_ALPHABET = list("0123456789+-*^/ ") + [" mod 5", "t", "e", "x", "y"]
+DANGLING = "dangling sign at the end of "
+
+
+def random_term(rng):
+    coeff = rng.choice(["", "1", "2", "-3", "1/2", "4/6", "7 mod 5", "0", "12", "1/0"])
+    factors = [f"{rng.choice('texy')}^{rng.choice(['0', '1', '2', '3', '-1', '-2', ''])}"
+               for _ in range(rng.randint(0, 2))]
+    return "*".join(([coeff] if coeff else []) + factors) or "1"
+
+
+def random_term_list(rng):
+    """A string over TERM_ALPHABET: either noise, or a list of plausible
+    terms with a few characters inserted, deleted or replaced."""
+    if rng.random() < 0.25:
+        return "".join(rng.choice(TERM_ALPHABET) for _ in range(rng.randint(0, 10)))
+    text = random_term(rng)
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice([" + ", " - ", "+", "-", " +-"]) + random_term(rng)
+    chars = list(text)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(chars))
+        op = rng.random()
+        if op < 0.4:
+            chars.insert(i, rng.choice(TERM_ALPHABET))
+        elif op < 0.7 and len(chars) > 1:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(TERM_ALPHABET)
+    text = "".join(chars)
+    if rng.random() < 0.15:
+        text += rng.choice([" +", " -", "+", "- "])
+    return rng.choice(["", " "]) + text
+
+
+def outcome(parse, text, *args):
+    try:
+        return ("value", parse(text, *args))
+    except Exception as exc:  # the exception class and message are compared
+        return ("raised", type(exc), str(exc))
+
+
+def grammars():
+    """(name, new parser, reference parser, extra arguments), Q and F5."""
+    for field in (QQ, GF(5)):
+        yield "laurent", parse_laurent, ref_parse_laurent, (field,)
+        yield "polynomial", parse_polynomial, ref_parse_polynomial, (field, ("x", "y"))
+        for order in (1, 2, 3):
+            yield f"eps{order}", parse_eps, ref_parse_eps, (EpsRing(field, order),)
+
+
+class TestGrammarAgainstReference:
+    def test_random_strings_parse_alike(self, rng):
+        seen = {"value": 0, "raised": 0, "dangling": 0}
+        for _ in range(600):
+            text = random_term_list(rng)
+            for name, parse, reference, args in grammars():
+                new, old = outcome(parse, text, *args), outcome(reference, text, *args)
+                if new[0] == "raised" and new[2].startswith(DANGLING):
+                    # the one intended difference: the reference dropped the
+                    # trailing sign and read the terms before it
+                    stripped = text.strip()
+                    assert new[1] is ParseError and stripped[-1] in "+-", (name, text)
+                    assert outcome(parse, stripped[:-1], *args) == old, (name, text)
+                    seen["dangling"] += 1
+                else:
+                    assert new == old, (name, text)
+                    seen[new[0]] += 1
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("text, parse, reference, args, error", [
+        # a negative exponent is rejected at its own term, before a later bad one
+        ("1*x^-1 + 1*z^1", parse_polynomial, ref_parse_polynomial, (QQ, ("x",)),
+         "bad monomial (-1,) for 1 variables"),
+        ("2*x^1*y^-2 - q", parse_polynomial, ref_parse_polynomial, (QQ, ("x", "y")),
+         "bad monomial (1, -2) for 2 variables"),
+        # an out-of-range eps exponent is rejected before a later bad term
+        ("1*e^5 + 1*e^x", parse_eps, ref_parse_eps, (EpsRing(QQ, 2),),
+         "eps exponent 5 outside truncation order 2"),
+        ("q*e^-1 - w", parse_eps, ref_parse_eps, (EpsRing(GF(5), 3),),
+         "eps exponent -1 outside truncation order 3"),
+        # within a term: a bad coefficient before a bad factor, but a bad
+        # Laurent exponent before a bad coefficient
+        ("q*x^z", parse_polynomial, ref_parse_polynomial, (QQ, ("x",)),
+         "bad scalar 'q': Invalid literal for Fraction: 'q'"),
+        ("q*t^z", parse_laurent, ref_parse_laurent, (QQ,),
+         "bad exponent in term 'q*t^z'"),
+    ])
+    def test_first_bad_term_raises(self, text, parse, reference, args, error):
+        new = outcome(parse, text, *args)
+        assert new == outcome(reference, text, *args)
+        assert new[2] == error
+
+    def test_random_values_render_alike(self, rng):
+        def scalar(field):
+            if rng.random() < 0.3:
+                return field.zero
+            return field(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+        for _ in range(300):
+            field = rng.choice([QQ, GF(5)])
+            poly = LaurentPoly(field, {rng.randint(-4, 4): scalar(field)
+                                       for _ in range(rng.randint(0, 4))})
+            assert render_laurent(poly) == ref_render_laurent(poly)
+            assert parse_laurent(render_laurent(poly), field) == poly
+            names = ("x", "y")
+            poly = Polynomial(field, 2, {(rng.randint(0, 3), rng.randint(0, 3)): scalar(field)
+                                         for _ in range(rng.randint(0, 4))})
+            assert render_polynomial(poly, names) == ref_render_polynomial(poly, names)
+            assert parse_polynomial(render_polynomial(poly, names), field, names) == poly
+            ring = EpsRing(field, rng.randint(1, 3))
+            value = tuple(scalar(field) for _ in range(ring.order))
+            assert render_eps(value, ring) == ref_render_eps(value, ring)
+            assert parse_eps(render_eps(value, ring), ring) == value
 
 
 class TestDocumentRoundTrip:
@@ -213,6 +531,21 @@ class TestCli:
             "matrix = [[1*t^1, 1*t^0], [1*t^0, 1*t^1]]\n")
         code, _ = run_cli(capsys, "classify-p1", str(bad))
         assert code == 3
+
+    @pytest.mark.parametrize("command, text", [
+        ("birkhoff", "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0 +]]\n"),
+        ("nakayama", "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+                     "generators = 0\nmodule_relation = [1*x^1 -]\n"),
+        ("split-filtration", "kind = filtered_module\nfield = Q\nepsilon_power = 2\n"
+                             "window = 0, 1\nranks = 1, 1\nmap 0 = [[1 + 1*e^1 -]]\n"),
+    ], ids=["laurent", "polynomial", "eps"])
+    def test_dangling_sign_exit_2(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "dangling sign at the end of" in captured.err
 
     def test_wrong_kind_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify-p1", corpus_path("poset_vee.txt"))
