@@ -21,7 +21,6 @@ from equibundle.exact_core import (
     GF,
     QQ,
     FieldMismatchError,
-    FpElement,
     LaurentMatrix,
     LaurentPoly,
     UnitDeterminantError,
@@ -39,7 +38,6 @@ __all__ = [
     "GF",
     "QQ",
     "FieldMismatchError",
-    "FpElement",
     "LaurentMatrix",
     "LaurentPoly",
     "UnitDeterminantError",

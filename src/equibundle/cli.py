@@ -1,7 +1,9 @@
 """Command-line interface: one input document per run, deterministic reports.
 
 `main` loads the document, checks its kind against the command's entry in
-COMMANDS, and prints the report lines the command returns.  Exit codes:
+COMMANDS, and prints the report lines the command returns.  A command
+accepts `--verify` and only the value flags its entry names; argparse exits
+2 on any other flag, as on a malformed value.  Exit codes:
 0 = success (a mathematical "no" is still a successful run), 2 = document
 parse error, 3 = invalid object (failed validation), 1 = an internal
 cross-check failed (including the h0 stability check).  Commands let
@@ -320,23 +322,43 @@ def cmd_homeo_check(doc, args) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-# command -> (handler(doc, args) -> report lines, the document kinds it reads)
+def _window(text: str) -> int:
+    """A twist window: an integer >= 0 (a negative one would compare nothing)."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
+# The value flags, by name; a command accepts only those it reads.
+_VALUE_FLAGS = {
+    "--field": dict(default="Q", help="base field for generated objects (Q or F<p>)"),
+    "--twist-window": dict(type=_window, default=3,
+                           help="half-width of the twist window for h0 tables (>= 0)"),
+    "--degree-bound": dict(type=int, default=None,
+                           help="override the graded component enumeration bound"),
+}
+
+# command -> (handler(doc, args) -> report lines, the document kinds it reads,
+#             the value flags it reads)
 COMMANDS = {
-    "classify-p1": (cmd_classify_p1, ("laurent_matrix",)),
-    "birkhoff": (cmd_birkhoff, ("laurent_matrix",)),
-    "cochar-to-bundle": (cmd_cochar_to_bundle, ("splitting_type",)),
-    "h0": (cmd_h0, ("laurent_matrix",)),
-    "split-filtration": (cmd_split_filtration, ("filtered_module",)),
-    "assoc-graded": (cmd_assoc_graded, ("filtered_module",)),
-    "nakayama": (cmd_nakayama, ("graded_module",)),
-    "lift-map": (cmd_lift_map, ("graded_module",)),
-    "hensel-check": (cmd_hensel_check, ("graded_algebra", "findim_algebra")),
-    "lift-idempotent": (cmd_lift_idempotent, ("findim_algebra",)),
-    "pi0": (cmd_pi0, ("poset",)),
-    "clopen": (cmd_clopen, ("poset",)),
-    "lemma-b2": (cmd_lemma_b2, ("poset",)),
-    "prop-b3": (cmd_prop_b3, ("monotone_map",)),
-    "homeo-check": (cmd_homeo_check, ("monotone_map",)),
+    "classify-p1": (cmd_classify_p1, ("laurent_matrix",), ("--twist-window",)),
+    "birkhoff": (cmd_birkhoff, ("laurent_matrix",), ()),
+    "cochar-to-bundle": (cmd_cochar_to_bundle, ("splitting_type",), ("--field",)),
+    "h0": (cmd_h0, ("laurent_matrix",), ("--twist-window",)),
+    "split-filtration": (cmd_split_filtration, ("filtered_module",), ()),
+    "assoc-graded": (cmd_assoc_graded, ("filtered_module",), ()),
+    "nakayama": (cmd_nakayama, ("graded_module",), ("--degree-bound",)),
+    "lift-map": (cmd_lift_map, ("graded_module",), ()),
+    "hensel-check": (cmd_hensel_check, ("graded_algebra", "findim_algebra"), ()),
+    "lift-idempotent": (cmd_lift_idempotent, ("findim_algebra",), ()),
+    "pi0": (cmd_pi0, ("poset",), ()),
+    "clopen": (cmd_clopen, ("poset",), ()),
+    "lemma-b2": (cmd_lemma_b2, ("poset",), ()),
+    "prop-b3": (cmd_prop_b3, ("monotone_map",), ()),
+    "homeo-check": (cmd_homeo_check, ("monotone_map",), ()),
 }
 
 
@@ -349,15 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "splitting, henselian predicates, and finite spectral spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, _, flags) in COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("file", help="input document")
-        cmd.add_argument("--field", default="Q",
-                         help="base field for generated objects (Q or F<p>)")
-        cmd.add_argument("--twist-window", type=int, default=3,
-                         help="half-width of the twist window for h0 tables")
-        cmd.add_argument("--degree-bound", type=int, default=None,
-                         help="override the graded component enumeration bound")
+        for flag in flags:
+            cmd.add_argument(flag, **_VALUE_FLAGS[flag])
         cmd.add_argument("--verify", action="store_true",
                          help="force the independent oracle re-check")
     return parser
@@ -365,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, kinds = COMMANDS[args.command]
+    handler, kinds, _ = COMMANDS[args.command]
     try:
         lines = handler(_load(args.file, kinds), args)
     except CommandError as exc:

@@ -1,16 +1,18 @@
 """Exact scalar, Laurent-polynomial, and Laurent-matrix arithmetic.
 
-Scalars are either arbitrary-precision rationals (plain
-:class:`fractions.Fraction`, always reduced, positive denominator) or prime
-field residues (:class:`FpElement`, always reduced mod p).  Containers are
-immutable after construction, so values can be shared freely between threads.
-Nothing here ever rounds.
+Scalars are native Python numbers: over Q plain :class:`fractions.Fraction`
+(always reduced, positive denominator), over F_p plain ``int`` residues in
+[0, p).  The field is the one place that knows the representation: ``field(x)``
+reduces an int or a Fraction into it, ``field.validate`` rejects a scalar of
+the other kind with FieldMismatchError, and ``field.p`` is the characteristic
+(None over Q).  Containers validate their coefficients on construction, which
+reduces them mod p, and are immutable afterwards, so values can be shared
+freely between threads.  Nothing here ever rounds.
 
-Linear algebra over a field runs on one sparse elimination kernel over
-native scalars (int residues over F_p, Fractions over Q): rows are reduced
-against a pivot list, added to it one at a time, or eliminated in bulk.
-``row_reduce``, ``matrix_rank``, ``nullspace`` and ``invert_matrix`` convert
-field elements at the boundary and return the unique reduced echelon form.
+Linear algebra over a field runs on one sparse elimination kernel: rows are
+reduced against a pivot list, added to it one at a time, or eliminated in
+bulk.  ``row_reduce``, ``matrix_rank``, ``nullspace`` and ``invert_matrix``
+return the unique reduced echelon form and its derivatives.
 """
 
 from __future__ import annotations
@@ -55,107 +57,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FpElement:
-    """Residue in the prime field with p elements.
-
-    >>> a = FpElement(5, 2)
-    >>> a.inverse()
-    FpElement(p=5, residue=3)
-    >>> a + 4
-    FpElement(p=5, residue=1)
-    """
-
-    p: int
-    residue: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.p)
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    f"cannot mix F{self.p} and F{other.p} elements"
-                )
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        if isinstance(other, Fraction):
-            raise FieldMismatchError("cannot mix rational and prime-field scalars")
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.residue + other.residue)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.residue - other.residue)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, other.residue - self.residue)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.residue * other.residue)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(self.p, -self.residue)
-
-    def inverse(self) -> "FpElement":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F{self.p}")
-        return FpElement(self.p, pow(self.residue, -1, self.p))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __str__(self):
-        return f"{self.residue} mod {self.p}"
-
-
-Scalar = Union[Fraction, FpElement]
+Scalar = Union[Fraction, int]
 
 
 @dataclass(frozen=True)
 class RationalField:
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals; scalars are Fractions."""
 
     name = "Q"
-
-    def __call__(self, value) -> Fraction:
-        if isinstance(value, FpElement):
-            raise FieldMismatchError("prime-field element is not a rational")
-        return Fraction(value)
-
+    p = None
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __call__(self, value) -> Fraction:
+        return Fraction(value)
 
     def validate(self, value) -> Fraction:
         if not isinstance(value, Fraction):
@@ -171,9 +86,16 @@ class RationalField:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field F_p for a prime p <= 2**31."""
+    """The prime field F_p for a prime p <= 2**31; scalars are ints in [0, p).
+
+    >>> F5 = PrimeField(5)
+    >>> F5.inv(2), F5(-1), F5(Fraction(1, 2))
+    (3, 4, 3)
+    """
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.p > 2**31 or not _is_prime(self.p):
@@ -183,32 +105,22 @@ class PrimeField:
     def name(self) -> str:
         return f"F{self.p}"
 
-    def __call__(self, value) -> FpElement:
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise FieldMismatchError(f"element of F{value.p} is not in F{self.p}")
-            return value
+    def __call__(self, value) -> int:
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
-            return FpElement(self.p, value.numerator) / FpElement(self.p, value.denominator)
-        return FpElement(self.p, int(value))
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
+        return int(value) % self.p
 
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(self.p, 0)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(self.p, 1)
-
-    def validate(self, value) -> FpElement:
-        if not isinstance(value, FpElement) or value.p != self.p:
+    def validate(self, value) -> int:
+        if type(value) is not int:
             raise FieldMismatchError(f"expected an element of F{self.p}, got {value!r}")
-        return value
+        return value % self.p
 
-    def inv(self, value: FpElement) -> FpElement:
-        return value.inverse()
+    def inv(self, value: int) -> int:
+        if value % self.p == 0:
+            raise ZeroDivisionError(f"0 is not invertible in F{self.p}")
+        return pow(value, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -311,15 +223,14 @@ class LaurentPoly:
                 f"cannot combine polynomials over {self.field!r} and {other.field!r}"
             )
 
+    # The constructor reduces every coefficient and drops the zeros, so the
+    # operations below only accumulate.
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_field(other)
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            acc = terms.get(exp, self.field.zero) + coeff
-            if acc:
-                terms[exp] = acc
-            else:
-                terms.pop(exp, None)
+            terms[exp] = terms.get(exp, 0) + coeff
         return LaurentPoly(self.field, terms)
 
     def __neg__(self) -> "LaurentPoly":
@@ -331,15 +242,10 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_field(other)
         terms: dict[int, Scalar] = {}
-        zero = self.field.zero
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                acc = terms.get(e, zero) + c1 * c2
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return LaurentPoly(self.field, terms)
 
     def scaled(self, c) -> "LaurentPoly":
@@ -492,15 +398,16 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
 
 
 def _sparse(row: Sequence[Scalar], p: Optional[int]) -> dict:
-    """A row of field elements as a sparse row of native scalars."""
+    """A dense row of scalars as a sparse row, reduced mod p over F_p: a
+    pivot must never be a multiple of p."""
     if p:
-        return {c: r for c, v in enumerate(row) if (r := v.residue)}
+        return {c: r for c, v in enumerate(row) if (r := v % p)}
     return {c: v for c, v in enumerate(row) if v}
 
 
 def _echelon(field: Field, rows) -> tuple[Optional[int], list[tuple[int, dict]]]:
-    """(p, pivots) of rows of field elements, added one at a time."""
-    p = getattr(field, "p", None)
+    """(p, pivots) of rows of scalars, added one at a time."""
+    p = field.p
     pivots: list[tuple[int, dict]] = []
     for row in rows:
         _add_row(_sparse(row, p), pivots, p)
@@ -533,7 +440,7 @@ def row_reduce(field: Field, rows: Sequence[Sequence[Scalar]]):
     for _, row in pivots:
         dense = [zero] * ncols
         for c, v in row.items():
-            dense[c] = FpElement(p, v) if p else v
+            dense[c] = v
         out.append(dense)
     out += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return out, [col for col, _ in pivots]
@@ -548,12 +455,13 @@ def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
     rref, pivots = row_reduce(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    p = field.p
     basis = []
     for f in free:
         vec = [field.zero] * ncols
         vec[f] = field.one
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
+        for r, col in enumerate(pivots):
+            vec[col] = -rref[r][f] % p if p else -rref[r][f]
         basis.append(tuple(vec))
     return basis
 
@@ -625,7 +533,7 @@ def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) ->
     Every division in the elimination is then exact, and
     det = t^(sum r_i) * det(shifted) / prod(lcm).
     """
-    p = getattr(field, "p", None)
+    p = field.p
     shift, scale, mat = 0, 1, []
     for row in rows:
         exps = [e for entry in row for e in entry._terms]
@@ -637,7 +545,7 @@ def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) ->
         for entry in row:
             coeffs = [0] * (entry.max_exp() - low + 1) if entry._terms else []
             for e, c in entry._terms.items():
-                coeffs[e - low] = c.residue if p else c.numerator * (factor // c.denominator)
+                coeffs[e - low] = c if p else c.numerator * (factor // c.denominator)
             dense.append(coeffs)
         mat.append(dense)
         shift += low
@@ -662,11 +570,8 @@ def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) ->
                 row_i[j] = _poly_exact_div(entry, prev, p) if prev != [1] else entry
         prev = akk
     det = mat[n - 1][n - 1] if n else [1]
-    if p:
-        terms = {e + shift: FpElement(p, sign * c) for e, c in enumerate(det) if c}
-    else:
-        terms = {e + shift: Fraction(sign * c, scale) for e, c in enumerate(det) if c}
-    return LaurentPoly(field, terms)
+    return LaurentPoly(field, {e + shift: sign * c if p else Fraction(sign * c, scale)
+                               for e, c in enumerate(det)})
 
 
 class LaurentMatrix:
@@ -769,7 +674,7 @@ class LaurentMatrix:
                 row.append(acc)
             rows.append(row)
         return LaurentMatrix._with_det(self.field, rows, self._det_exp + other._det_exp,
-                                       self._det_coeff * other._det_coeff)
+                                       self.field(self._det_coeff * other._det_coeff))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):

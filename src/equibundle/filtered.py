@@ -33,8 +33,9 @@ from equibundle.projline import SplittingType
 class EpsRing:
     """Truncated polynomial ring k[eps]/(eps^order); order 1 is the field itself.
 
-    Elements are coefficient tuples of length `order`; all arithmetic is
-    exact and units are exactly the elements with invertible constant term.
+    Elements are coefficient tuples of length `order`, whose first entry is
+    the residue; all arithmetic is exact, reduced mod p over F_p, and units
+    are exactly the elements with invertible constant term.
     """
 
     field: Field
@@ -68,10 +69,12 @@ class EpsRing:
         return tuple(coeffs)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        p = self.field.p
+        return tuple((x + y) % p if p else x + y for x, y in zip(a, b))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        p = self.field.p
+        return tuple((x - y) % p if p else x - y for x, y in zip(a, b))
 
     def mul(self, a, b):
         out = [self.field.zero] * self.order
@@ -82,14 +85,12 @@ class EpsRing:
                 if i + j >= self.order:
                     break
                 if y:
-                    out[i + j] = out[i + j] + x * y
-        return tuple(out)
+                    out[i + j] += x * y
+        p = self.field.p
+        return tuple(v % p for v in out) if p else tuple(out)
 
     def is_zero(self, a) -> bool:
         return not any(a)
-
-    def residue(self, a) -> Scalar:
-        return a[0]
 
 
 Matrix = list  # list of rows; rows are lists of ring elements
@@ -133,8 +134,8 @@ def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
         return []
     nrows, ncols = len(t), len(t[0])
     field = ring.field
-    aug = [[ring.residue(v) for v in row] + [field.one if i == j else field.zero
-                                            for j in range(nrows)]
+    aug = [[v[0] for v in row] + [field.one if i == j else field.zero
+                                  for j in range(nrows)]
            for i, row in enumerate(t)]
     reduced, pivots = row_reduce(field, aug)
     if pivots[:ncols] != list(range(ncols)):
@@ -212,7 +213,7 @@ def validate_filtered(f: FilteredModule) -> ValidationReport:
             return ValidationReport(False, f"rank drops at step {f.lo + step}")
         if f.ranks[step] == 0:
             continue
-        residues = [[ring.residue(v) for v in row] for row in f.maps[step]]
+        residues = [[v[0] for v in row] for row in f.maps[step]]
         if matrix_rank(ring.field, residues) < f.ranks[step]:
             return ValidationReport(
                 False,
@@ -291,7 +292,7 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
     split injection, and exactness of the partial sums is verified at the end.
     """
     ring = f.ring
-    p = getattr(ring.field, "p", None)
+    p = ring.field.p
     colimit = colimit_module(f)
     top_rank, steps = colimit
     chosen: list[list] = []   # columns of the splitting basis, in degree order
@@ -303,7 +304,7 @@ def split_filtration(f: FilteredModule) -> FiltrationSplitting:
             if len(chosen) == target:
                 break
             candidate = [basis_matrix[r][col_idx] for r in range(top_rank)]
-            _add_row(_sparse([ring.residue(v) for v in candidate], p), echelon, p)
+            _add_row(_sparse([v[0] for v in candidate], p), echelon, p)
             if len(echelon) > len(chosen):
                 chosen.append(candidate)
                 degrees.append(index)

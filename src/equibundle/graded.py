@@ -84,15 +84,14 @@ class Polynomial:
         if self.field != other.field or self.nvars != other.nvars:
             raise FieldMismatchError("polynomials over different algebras")
 
+    # The constructor reduces every coefficient and drops the zeros, so the
+    # operations below only accumulate.
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = terms.get(mono, self.field.zero) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + coeff
         return Polynomial(self.field, self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -104,15 +103,10 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         terms: dict[Monomial, Scalar] = {}
-        zero = self.field.zero
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = terms.get(mono, zero) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Polynomial(self.field, self.nvars, terms)
 
     def scaled(self, c) -> "Polynomial":
@@ -179,20 +173,10 @@ class GradedAlgebra:
     def is_connected(self) -> bool:
         return all(d > 0 for d in self.degrees)
 
-    def monomials_of_degree(self, degree: int, max_total_exponent: Optional[int] = None):
-        """All exponent tuples of weighted degree `degree`.
-
-        For a connected algebra the list is finite without any cutoff; for
-        mixed signs a total-exponent cutoff is required.
-        """
-        if max_total_exponent is None:
-            if not self.is_connected():
-                raise ValueError(
-                    "mixed-sign degrees need an explicit total-exponent cutoff"
-                )
-            if degree < 0:
-                return []
-            max_total_exponent = degree  # degrees >= 1, so exponents sum <= degree
+    def monomials_of_degree(self, degree: int):
+        """All exponent tuples of weighted degree `degree` (connected algebra)."""
+        if not self.is_connected():
+            raise ValueError("monomial enumeration requires a connected algebra")
         out: list[Monomial] = []
         nvars = self.nvars
 
@@ -206,34 +190,10 @@ class GradedAlgebra:
                 rec(i + 1, remaining_total - e, acc, value + e * self.degrees[i])
                 acc.pop()
 
-        rec(0, max_total_exponent, [], 0)
+        # degrees >= 1, so the exponents of a monomial sum to at most degree
+        if degree >= 0:
+            rec(0, degree, [], 0)
         return out
-
-    def component_dimension(self, degree: int, max_total_exponent: Optional[int] = None) -> int:
-        """dim_k of the graded component B_degree (within the cutoff, if any)."""
-        monomials = self.monomials_of_degree(degree, max_total_exponent)
-        if not self.relations:
-            return len(monomials)
-        span = self._relation_span(degree, monomials, max_total_exponent)
-        return len(monomials) - matrix_rank(self.field, span) if span else len(monomials)
-
-    def _relation_span(self, degree, monomials, max_total_exponent):
-        index = {m: i for i, m in enumerate(monomials)}
-        rows = []
-        for rel in self.relations:
-            d = rel.weighted_degree(self.degrees)
-            for mono in self.monomials_of_degree(degree - d, max_total_exponent):
-                shifted = Polynomial.monomial(self.field, self.nvars, mono, self.field.one) * rel
-                row = [self.field.zero] * len(monomials)
-                usable = True
-                for m, c in shifted.terms():
-                    if m not in index:
-                        usable = False
-                        break
-                    row[index[m]] = c
-                if usable and any(row):
-                    rows.append(row)
-        return rows
 
 
 # ---------------------------------------------------------------------------

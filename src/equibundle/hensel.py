@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 from equibundle.exact_core import (
     Field,
-    PrimeField,
-    RationalField,
     Scalar,
     nullspace,
     row_reduce,
@@ -45,7 +43,8 @@ class FiniteDimAlgebra:
     structure[i][j] is the coordinate vector of e_i * e_j.  Commutativity,
     associativity, unitality, and closure of the distinguished ideal under
     multiplication are all checked at construction, except for the
-    constructions that prove them (see `_trusted`).
+    constructions that prove them (see `_trusted`).  Element operations
+    reduce mod p over F_p.
     """
 
     field: Field
@@ -122,14 +121,16 @@ class FiniteDimAlgebra:
         return vec
 
     def add(self, a: Vector, b: Vector) -> Vector:
-        return tuple(x + y for x, y in zip(a, b))
+        p = self.field.p
+        return tuple((x + y) % p if p else x + y for x, y in zip(a, b))
 
     def sub(self, a: Vector, b: Vector) -> Vector:
-        return tuple(x - y for x, y in zip(a, b))
+        p = self.field.p
+        return tuple((x - y) % p if p else x - y for x, y in zip(a, b))
 
     def scale(self, c, a: Vector) -> Vector:
-        c = self.field(c)
-        return tuple(c * x for x in a)
+        c, p = self.field(c), self.field.p
+        return tuple(c * x % p if p else c * x for x in a)
 
     def mul(self, a: Vector, b: Vector) -> Vector:
         out = [self.field.zero] * self.dim
@@ -142,8 +143,9 @@ class FiniteDimAlgebra:
                 coeff = x * y
                 for l, s in enumerate(self.structure[i][j]):
                     if s:
-                        out[l] = out[l] + coeff * s
-        return tuple(out)
+                        out[l] += coeff * s
+        p = self.field.p
+        return tuple(v % p for v in out) if p else tuple(out)
 
     def power(self, a: Vector, exponent: int) -> Vector:
         out = self.one
@@ -191,7 +193,7 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
                 for i in range(d + 1):
                     vec[top - d + i] = vec[top - d + i] - lead * coeffs[i]
             vec.pop()
-        return tuple(vec + [field.zero] * (d - len(vec)))
+        return tuple(field(v) for v in vec) + (field.zero,) * (d - len(vec))
 
     structure = []
     for i in range(d):
@@ -241,18 +243,15 @@ def jacobson_radical(algebra: FiniteDimAlgebra) -> list[Vector]:
     """
     d = algebra.dim
     field = algebra.field
-    if isinstance(field, RationalField) or (
-            isinstance(field, PrimeField) and field.p > d):
+    if field.p is None or field.p > d:
         basis = nullspace(field, _trace_form(algebra), d)
-    elif isinstance(field, PrimeField):
+    else:
         e = 1
         while field.p**e < d:
             e += 1
         images = [algebra.power(algebra.unit_vector(i), field.p**e) for i in range(d)]
         rows = [[images[j][i] for j in range(d)] for i in range(d)]
         basis = nullspace(field, rows, d)
-    else:  # pragma: no cover - only two field kinds exist
-        raise TypeError(f"unsupported field {field!r}")
     for vec in basis:
         if not algebra.is_nilpotent(vec):
             raise AssertionError("radical computation produced a non-nilpotent element")
@@ -263,6 +262,7 @@ def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
     """Gram matrix of (u, v) -> trace of multiplication by u*v on the basis."""
     d = algebra.dim
     field = algebra.field
+    p = field.p
     # trace of multiplication by each basis vector e_l
     traces = [sum((algebra.structure[l][j][j] for j in range(d)), field.zero)
               for l in range(d)]
@@ -274,7 +274,7 @@ def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
             for coeff, t in zip(algebra.structure[i][j], traces):
                 if coeff:
                     trace = trace + coeff * t
-            row.append(trace)
+            row.append(trace % p if p else trace)
         gram.append(row)
     return gram
 

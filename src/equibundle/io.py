@@ -4,11 +4,13 @@ A document is a list of `key = value` lines; blank lines and lines starting
 with `#` are skipped on parse and never printed.  The first key must be
 `kind`.  Canonical printing uses a fixed key order per kind, single spaces
 around `=` and after commas, and normalizes scalars as follows: rationals as
-`p/q` with the `/q` omitted when q = 1, prime-field residues as bare
-integers in [0, p) (the field header carries p; the standalone form
-`p mod N` is accepted on parse).  Laurent, multivariate and truncated
-polynomials share one term-list grammar, read by `_parse_terms` and printed
-by `_render_terms`; each kind supplies only its term: `c*t^e` with the
+`p/q` with the `/q` omitted when q = 1, prime-field residues, which are
+plain ints, as bare integers in [0, p) (the field header carries p; the
+standalone form `p mod N` is accepted on parse).  One writer serves both
+kinds: an int has a numerator and a denominator too, and a residue is never
+negative.  Laurent, multivariate and truncated polynomials share one
+term-list grammar, read by `_parse_terms` and printed by `_render_terms`;
+each kind supplies only its term: `c*t^e` with the
 exponent always written, `c` or `c*x^a*y^b` with the variables in declared
 order, and `c` or `c*e^j` with ascending j.  Signs live in the ` + ` / ` - `
 joiners, and a sign with no term after it is a parse error.  Posets are
@@ -26,7 +28,6 @@ from typing import Optional, Sequence, Union
 
 from equibundle.exact_core import (
     Field,
-    FpElement,
     GF,
     LaurentMatrix,
     LaurentPoly,
@@ -68,8 +69,6 @@ def parse_field(text: str) -> Field:
 
 
 def render_scalar(value: Scalar) -> str:
-    if isinstance(value, FpElement):
-        return str(value.residue)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -187,11 +186,8 @@ def _render_terms(terms, write_term, *context) -> str:
     ` - ` joiners; write_term(magnitude, key, *context) prints one term."""
     out = []
     for key, coeff in terms:
-        if isinstance(coeff, FpElement):  # residues are never negative
-            negative, body = False, str(coeff.residue)
-        else:
-            negative = coeff < 0
-            body = render_scalar(-coeff if negative else coeff)
+        negative = coeff < 0
+        body = render_scalar(-coeff if negative else coeff)
         if out:
             out.append(" - " if negative else " + ")
         elif negative:
@@ -234,8 +230,7 @@ def render_eps(value: tuple, ring: EpsRing) -> str:
 def parse_eps(text: str, ring: EpsRing) -> tuple:
     terms = _parse_terms(text, ring.field, _read_power, "e",
                          "bad eps exponent in {!r}", ring.order)
-    zero = ring.field.zero
-    return tuple(terms.get(j, zero) for j in range(ring.order))
+    return ring(tuple(terms.get(j, 0) for j in range(ring.order)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ which pins the sign of the splitting type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from equibundle.exact_core import (
     Field,
@@ -165,7 +165,7 @@ def _column_reduce(g: LaurentMatrix):
         # below leave it unchanged.
         inv_pivot = field.inv(lam[pivot])
         w[pivot] = [entry.scaled(inv_pivot) for entry in w[pivot]]
-        w_det = w_det * inv_pivot
+        w_det = field(w_det * inv_pivot)
         for j in support:
             if j == pivot:
                 continue
@@ -194,7 +194,8 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
 
     # A = C * D^(-1): strip t^top from each column; entries land in k[1/t].
     a_rows = [[cols[j][i].shifted(-tops[j]) for j in range(n)] for i in range(n)]
-    A = LaurentMatrix._with_det(field, a_rows, g_exp - sum(tops), g_coeff / w_det)
+    A = LaurentMatrix._with_det(field, a_rows, g_exp - sum(tops),
+                                  field(g_coeff * field.inv(w_det)))
     D = LaurentMatrix.monomial_diagonal(field, tops)
     B = LaurentMatrix._with_det(field, w, 0, w_det)
 
@@ -220,14 +221,7 @@ def splitting_type(bundle: BundleOnP1) -> SplittingType:
 # ---------------------------------------------------------------------------
 
 
-def _native_entries(g: LaurentMatrix, p: Optional[int]) -> list[list[list[tuple]]]:
-    """The (exponent, coefficient) terms of each entry of g, as native scalars:
-    the int residue over F_p (p given), the Fraction over Q (p is None)."""
-    return [[[(exp, coeff.residue if p else coeff) for exp, coeff in g.entry(i, j).terms()]
-             for j in range(g.n)] for i in range(g.n)]
-
-
-def _constraint_rows(g: LaurentMatrix, twist: int, bound: int, p: Optional[int]) -> list[dict]:
+def _constraint_rows(g: LaurentMatrix, twist: int, bound: int) -> list[dict]:
     """Sparse rows whose common kernel is the section space at a degree bound.
 
     Variables are the coefficients f[j, d] for 0 <= d <= bound, numbered
@@ -235,11 +229,12 @@ def _constraint_rows(g: LaurentMatrix, twist: int, bound: int, p: Optional[int])
     exponent e >= 1 of t^(-twist) * g * f.
     """
     rows: list[dict] = []
-    for entries in _native_entries(g, p):
-        max_e = max((terms[-1][0] - twist + bound for terms in entries if terms), default=0)
+    for row in g.rows:
+        max_e = max((entry.max_exp() - twist + bound for entry in row if not entry.is_zero),
+                    default=0)
         block: list[dict] = [{} for _ in range(max_e)]
-        for j, terms in enumerate(entries):
-            for exp, coeff in terms:
+        for j, entry in enumerate(row):
+            for exp, coeff in entry.terms():
                 # row e holds coeff at d = e - (exp - twist); distinct
                 # exponents of one entry land in distinct variables
                 shift = exp - twist
@@ -266,11 +261,12 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
     vanishing top coefficients, so has every section below it, and each
     dimension at bound is the one at bound + 1.
     """
-    p = getattr(g.field, "p", None)
+    p = g.field.p
     n, top = g.n, bound + 1
-    one = g.field.one.residue if p else g.field.one
-    entries = _native_entries(g, p)
-    pivots = _eliminate(_constraint_rows(g, high, top, p), p)
+    # over Q the seed rows must hold Fraction(1): _normalized divides by it
+    one = g.field.one
+    entries = [[entry.terms() for entry in row] for row in g.rows]
+    pivots = _eliminate(_constraint_rows(g, high, top), p)
     size = n * (top + 1)
     recheck = size - len(pivots)
     units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(n)]

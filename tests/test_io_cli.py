@@ -5,8 +5,8 @@ import pytest
 
 from fractions import Fraction
 
-from equibundle.cli import main
-from equibundle.exact_core import GF, QQ, FpElement, LaurentPoly
+from equibundle.cli import COMMANDS, build_parser, main
+from equibundle.exact_core import GF, QQ, LaurentPoly
 from equibundle.filtered import EpsRing
 from equibundle.graded import Polynomial
 from equibundle.io import (
@@ -33,8 +33,8 @@ CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "corpus"
 
 
 def ref_scalar_magnitude(value):
-    if isinstance(value, FpElement):
-        return False, str(value.residue)
+    if isinstance(value, int):  # an F_p residue, never negative
+        return False, str(value)
     return value < 0, render_scalar(-value if value < 0 else value)
 
 
@@ -195,7 +195,7 @@ def ref_parse_eps(text, ring):
         if not 0 <= j < ring.order:
             raise ParseError(f"eps exponent {j} outside truncation order {ring.order}")
         coeff = parse_scalar(coeff_text, ring.field)
-        coeffs[j] = coeffs[j] + (-coeff if sign < 0 else coeff)
+        coeffs[j] = ring.field(coeffs[j] + (-coeff if sign < 0 else coeff))
     return tuple(coeffs)
 
 
@@ -511,6 +511,42 @@ class TestCli:
         assert code == 0
         assert "h0 twist 3 = " in out and "h0 twist 4 = " not in out
         assert "h0 oracle" not in out
+
+    @pytest.mark.parametrize("command", ["classify-p1", "h0"])
+    @pytest.mark.parametrize("window", ["-2", "-1", "abc"])
+    def test_bad_twist_window_exits_2(self, capsys, command, window):
+        # a negative window gave an empty h0 table, which --verify then
+        # reported as agreeing after comparing nothing
+        argv = [command, corpus_path("laurent_matrix_o1.txt"), "--verify",
+                "--twist-window", window]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--twist-window" in captured.err
+        argv[-1] = "0"
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and "h0 twist 0 = 2" in out and "h0 twist -1" not in out
+
+    def test_unread_value_flag_exits_2(self, capsys):
+        # a command accepts --verify and only the value flags it reads
+        cases = [("classify-p1", "laurent_matrix_f5.txt", "--field", "Q"),
+                 ("pi0", "poset_vee.txt", "--field", "F7"),
+                 ("birkhoff", "laurent_matrix_f5.txt", "--twist-window", "2"),
+                 ("nakayama", "graded_module_zero.txt", "--twist-window", "2"),
+                 ("h0", "laurent_matrix_o1.txt", "--degree-bound", "2"),
+                 ("cochar-to-bundle", "splitting_type_basic.txt", "--degree-bound", "1")]
+        for command, name, flag, value in cases:
+            with pytest.raises(SystemExit) as exc:
+                main([command, corpus_path(name), flag, value, "--verify"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == "", (command, flag)
+            assert f"unrecognized arguments: {flag} {value}" in captured.err
+        for command, (_, _, flags) in COMMANDS.items():
+            for flag in flags:
+                value = "F5" if flag == "--field" else "1"
+                args = build_parser().parse_args([command, "doc.txt", flag, value, "--verify"])
+                assert args.verify and str(getattr(args, flag[2:].replace("-", "_"))) == value
 
     def test_classify_o1_convention(self, capsys):
         code, out = run_cli(capsys, "classify-p1", corpus_path("laurent_matrix_o1.txt"))

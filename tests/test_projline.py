@@ -213,10 +213,10 @@ class TestPivotOrder:
 
         for k in range(75):
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
-            p = getattr(field, "p", None)
+            p = field.p
             if k % 2:
                 g = random_bundle(rng, field, rng.randint(1, 4)).matrix
-                rows = _constraint_rows(g, rng.randint(-2, 2), rng.randint(1, 6), p)
+                rows = _constraint_rows(g, rng.randint(-2, 2), rng.randint(1, 6))
             else:
                 nvars = rng.randint(2, 30)
                 rows = [random_sparse_row(rng, p, nvars) for _ in range(rng.randint(1, 40))]
@@ -356,8 +356,8 @@ def random_sparse_row(rng, p, nvars):
 
 def _sections_dimension(g, twist, bound):
     """Reference: the section space at one twist and bound, eliminated afresh."""
-    p = getattr(g.field, "p", None)
-    return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound, p), p))
+    p = g.field.p
+    return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound), p))
 
 
 def _eliminate_linear_scan(rows, p):
