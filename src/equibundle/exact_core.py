@@ -620,10 +620,6 @@ class LaurentMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "LaurentMatrix":
-        return cls.monomial_diagonal(field, [0] * n)
-
-    @classmethod
     def monomial_diagonal(cls, field: Field, exponents: Sequence[int]) -> "LaurentMatrix":
         zero = LaurentPoly.zero(field)
         n = len(exponents)

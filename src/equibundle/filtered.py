@@ -60,14 +60,6 @@ class EpsRing:
     def one(self):
         return (self.field.one,) + (self.field.zero,) * (self.order - 1)
 
-    @property
-    def eps(self):
-        if self.order < 2:
-            raise ValueError("eps vanishes at truncation order 1")
-        coeffs = [self.field.zero] * self.order
-        coeffs[1] = self.field.one
-        return tuple(coeffs)
-
     def add(self, a, b):
         p = self.field.p
         return tuple((x + y) % p if p else x + y for x, y in zip(a, b))

@@ -180,19 +180,18 @@ class GradedAlgebra:
         out: list[Monomial] = []
         nvars = self.nvars
 
-        def rec(i: int, remaining_total: int, acc: list[int], value: int):
+        def rec(i: int, remaining: int, acc: list[int]):
             if i == nvars:
-                if value == degree:
+                if remaining == 0:
                     out.append(tuple(acc))
                 return
-            for e in range(remaining_total + 1):
+            # variable i can take at most the remaining weighted degree
+            for e in range(remaining // self.degrees[i] + 1):
                 acc.append(e)
-                rec(i + 1, remaining_total - e, acc, value + e * self.degrees[i])
+                rec(i + 1, remaining - e * self.degrees[i], acc)
                 acc.pop()
 
-        # degrees >= 1, so the exponents of a monomial sum to at most degree
-        if degree >= 0:
-            rec(0, degree, [], 0)
+        rec(0, degree, [])
         return out
 
 

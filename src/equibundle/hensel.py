@@ -159,8 +159,15 @@ class FiniteDimAlgebra:
         return out
 
     def is_nilpotent(self, a: Vector) -> bool:
-        """Nilpotency test by powering up to the algebra dimension."""
-        return not any(self.power(a, self.dim))
+        """Nilpotency test: a is nilpotent iff a^(2^k) = 0 once 2^k >= dim.
+        Squares a until then, stopping early at zero."""
+        exponent = 1
+        while any(a):
+            if exponent >= self.dim:
+                return False
+            a = self.mul(a, a)
+            exponent *= 2
+        return True
 
     def in_span(self, vec: Vector, spanning: Sequence[Vector]) -> bool:
         return span_test(self.field, spanning)(vec)
@@ -195,14 +202,8 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
             vec.pop()
         return tuple(field(v) for v in vec) + (field.zero,) * (d - len(vec))
 
-    structure = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = [field.zero] * (i + j + 1)
-            prod[i + j] = field.one
-            row.append(reduce_poly(prod))
-        structure.append(tuple(row))
+    powers = [reduce_poly([field.zero] * k + [field.one]) for k in range(2 * d - 1)]
+    structure = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
 
     ideal_vectors = []
     for gen in ideal_generators:
@@ -219,7 +220,7 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
     # associativity is that of k[x] carried through the ring map mod f.  The
     # span of x^s * g mod f for s < d is the whole ideal g * k[x]/(f), since
     # x^s for s >= d reduces mod f to lower powers, so the ideal is closed.
-    return FiniteDimAlgebra._trusted(field, d, tuple(structure),
+    return FiniteDimAlgebra._trusted(field, d, structure,
                                      tuple(ideal_vectors))
 
 

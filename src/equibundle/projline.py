@@ -15,18 +15,16 @@ which pins the sign of the splitting type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from equibundle.exact_core import (
     Field,
     LaurentMatrix,
     LaurentPoly,
     QQ,
-    Scalar,
     _add_row,
     _eliminate,
+    _normalized,
     _reduce,
-    nullspace,
 )
 
 
@@ -112,12 +110,6 @@ def cocharacter_to_bundle(d: SplittingType, field: Field = QQ) -> BundleOnP1:
     return BundleOnP1(LaurentMatrix.monomial_diagonal(field, [-di for di in d.degrees]))
 
 
-def _top_data(column: Sequence[LaurentPoly]) -> tuple[int, list[Scalar]]:
-    """Top degree of a nonzero column and its vector of t^top coefficients."""
-    top = max(entry.max_exp() for entry in column if not entry.is_zero)
-    return top, [entry.coeff(top) for entry in column]
-
-
 def _column_reduce(g: LaurentMatrix):
     """Right-reduce g over k[t] until the top-coefficient matrix is invertible.
 
@@ -125,56 +117,59 @@ def _column_reduce(g: LaurentMatrix):
     given columns, W is invertible over k[t] with the constant determinant
     w_det, and the top-coefficient vectors of the columns of C are linearly
     independent.
+
+    A step replaces one column, so the state carries over: the echelon holds
+    the top-coefficient vectors of the leading independent columns, column
+    j's with the tracking entry n + j = 1.  The first vector that reduces to
+    tracking entries alone gives the dependency lam, 1 at its own column.
+    The columns before the pivot do not change, so their echelon rows stay.
     """
     field = g.field
+    p = field.p
     n = g.n
     cols = [[g.entry(i, j) for i in range(n)] for j in range(n)]
+    tops = [max(entry.max_exp() for entry in col if not entry.is_zero) for col in cols]
     one = LaurentPoly.one(field)
     zero = LaurentPoly.zero(field)
     w = [[one if i == j else zero for j in range(n)] for i in range(n)]
     w_det = field.one
+    echelon: list[tuple[int, dict]] = []
 
     while True:
-        tops = []
-        tcs = []
-        for col in cols:
-            top, tc = _top_data(col)
-            tops.append(top)
-            tcs.append(tc)
-        # Columns of the scalar matrix are the top-coefficient vectors.
-        kernel = nullspace(field, [[tcs[j][i] for j in range(n)] for i in range(n)], n)
-        if not kernel:
+        for j in range(len(echelon), n):
+            # over Q the tracking entry must be Fraction(1): _normalized divides by it
+            vec = {i: c for i, entry in enumerate(cols[j]) if (c := entry.coeff(tops[j]))}
+            vec[n + j] = field.one
+            vec = _reduce(vec, echelon, p)
+            col = min(vec)
+            if col >= n:
+                break
+            echelon.append((col, _normalized(vec, col, p)))
+        else:
             return cols, tops, w, w_det
-        lam = kernel[0]
-        support = [j for j in range(n) if lam[j]]
-        pivot = max(support, key=lambda j: (tops[j], j))
-        # New pivot column: sum of lam_j * t^(top_pivot - top_j) * col_j.
-        # This kills the t^top_pivot coefficient vector, so the total top
-        # degree strictly decreases; it is a unimodular operation over k[t].
-        new_col = [zero] * n
-        shifts = {}
-        for j in support:
-            shift = tops[pivot] - tops[j]
-            shifts[j] = shift
-            for i in range(n):
-                if not cols[j][i].is_zero:
-                    new_col[i] = new_col[i] + cols[j][i].scaled(lam[j]).shifted(shift)
-        cols[pivot] = new_col
-        # Maintain g = C * W: the inverse operation acts on the rows of W.
-        # Scaling a row multiplies det W by inv_pivot; the row additions
-        # below leave it unchanged.
+        lam = {var - n: c for var, c in vec.items()}
+        pivot = max(lam, key=lambda j: (tops[j], j))
+        # New pivot column: sum of lam_j * t^(top_pivot - top_j) * col_j, a
+        # unimodular operation over k[t] that kills the t^top_pivot vector.
+        # Maintain g = C * W: the inverse operation acts on the rows of W,
+        # and scaling the pivot row multiplies det W by inv_pivot.
         inv_pivot = field.inv(lam[pivot])
-        w[pivot] = [entry.scaled(inv_pivot) for entry in w[pivot]]
         w_det = field(w_det * inv_pivot)
-        for j in support:
-            if j == pivot:
-                continue
-            factor = lam[j]
-            shift = shifts[j]
-            w[j] = [
-                wj - wp.scaled(factor).shifted(shift)
-                for wj, wp in zip(w[j], w[pivot])
-            ]
+        w_pivot = w[pivot] = [entry.scaled(inv_pivot) for entry in w[pivot]]
+        new_col = [zero] * n
+        for j, factor in lam.items():
+            shift = tops[pivot] - tops[j]
+            for i, entry in enumerate(cols[j]):
+                if not entry.is_zero:
+                    new_col[i] = new_col[i] + entry.scaled(factor).shifted(shift)
+            if j != pivot:
+                w[j] = [wj - wp.scaled(factor).shifted(shift) for wj, wp in zip(w[j], w_pivot)]
+        # the total top degree must strictly decrease, or the loop would not end
+        top = max(entry.max_exp() for entry in new_col if not entry.is_zero)
+        if top >= tops[pivot]:
+            raise AssertionError("column step did not lower the top degree")
+        cols[pivot], tops[pivot] = new_col, top
+        del echelon[pivot:]
 
 
 def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
@@ -203,8 +198,8 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
         raise AssertionError("left factor escaped k[1/t]")
     if not B.entries_in_poly_ring():
         raise AssertionError("right factor escaped k[t]")
-    # det B is constant by construction; for A this tests sum(tops) == w(g).
-    if A.det_unit_exponent()[0] != 0 or B.det_unit_exponent()[0] != 0:
+    # det B is constant by construction; this tests sum(tops) == w(g).
+    if A.det_unit_exponent()[0] != 0:
         raise AssertionError("outer factor determinant is not constant")
     if (A @ D) @ B != g:
         raise AssertionError("factorization residual is nonzero")
@@ -221,27 +216,25 @@ def splitting_type(bundle: BundleOnP1) -> SplittingType:
 # ---------------------------------------------------------------------------
 
 
-def _constraint_rows(g: LaurentMatrix, twist: int, bound: int) -> list[dict]:
-    """Sparse rows whose common kernel is the section space at a degree bound.
-
-    Variables are the coefficients f[j, d] for 0 <= d <= bound, numbered
-    j * (bound + 1) + d; there is one row per output coordinate i and
-    exponent e >= 1 of t^(-twist) * g * f.
-    """
-    rows: list[dict] = []
+def _coefficient_rows(g: LaurentMatrix, low: int, top: int) -> dict[int, tuple[dict, ...]]:
+    """The sparse rows "t^e coefficient of g * f = 0" for every e > low, by e:
+    one per output coordinate i, empty where no variable reaches t^e.  The
+    coefficient f[j, d], 0 <= d <= top, is variable j * (top + 1) + d."""
+    width = top + 1
+    span = g.exponent_range()[1] + top - low
+    blocks = []
     for row in g.rows:
-        max_e = max((entry.max_exp() - twist + bound for entry in row if not entry.is_zero),
-                    default=0)
-        block: list[dict] = [{} for _ in range(max_e)]
+        # block[k] is the row of e = low + 1 + k
+        block: list[dict] = [{} for _ in range(span)]
         for j, entry in enumerate(row):
+            base = j * width
             for exp, coeff in entry.terms():
-                # row e holds coeff at d = e - (exp - twist); distinct
-                # exponents of one entry land in distinct variables
-                shift = exp - twist
-                for d in range(max(0, 1 - shift), bound + 1):
-                    block[d + shift - 1][j * (bound + 1) + d] = coeff
-        rows += [row for row in block if row]
-    return rows
+                # distinct exponents of one entry land in distinct variables
+                shift = exp - low - 1
+                for d in range(max(0, -shift), width):
+                    block[d + shift][base + d] = coeff
+        blocks.append(block)
+    return {low + 1 + k: rows for k, rows in enumerate(zip(*blocks))}
 
 
 def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) -> dict[int, int]:
@@ -265,8 +258,9 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
     n, top = g.n, bound + 1
     # over Q the seed rows must hold Fraction(1): _normalized divides by it
     one = g.field.one
-    entries = [[entry.terms() for entry in row] for row in g.rows]
-    pivots = _eliminate(_constraint_rows(g, high, top), p)
+    rows = _coefficient_rows(g, low, top)
+    above = [e for e in rows if e > high]
+    pivots = _eliminate([row for i in range(n) for e in above if (row := rows[e][i])], p)
     size = n * (top + 1)
     recheck = size - len(pivots)
     units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(n)]
@@ -279,11 +273,7 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
     table: dict[int, int] = {}
     for m in range(high, low - 1, -1):
         table[m] = size - len(pivots)
-        if m == low:
-            break
-        for row_terms in entries:
-            row = {j * (top + 1) + m - exp: coeff for j, terms in enumerate(row_terms)
-                   for exp, coeff in terms if 0 <= m - exp <= top}
+        for row in rows.get(m, ()):
             _add_row(row, pivots, p)
     return table
 

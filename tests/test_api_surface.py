@@ -1,8 +1,8 @@
 """Public-API guard: no public name in ``src/`` that nothing needs.
 
 Every public top-level name of a module ``src/equibundle/<name>.py`` (the
-package ``__init__`` aside) must be referenced somewhere that the product
-uses: elsewhere in its own module, in another module of the package, or in
+package ``__init__`` aside), and every public method of a public class there,
+must be referenced somewhere that the product uses: elsewhere in its own module, in another module of the package, or in
 the acceptance criteria (``tests/test_acceptance.py``).  A name only unit
 tests reach is test-only API: move it into the tests or delete it.
 Checked on the syntax tree, so comments and strings do not count.
@@ -22,14 +22,21 @@ def _tree(path: str) -> ast.Module:
 
 
 def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public top-level names, and ``Class.method`` for the public methods of
+    public classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     names = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, functions + (ast.ClassDef,)):
             names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, functions))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+    return {name for name in names
+            if not any(part.startswith("_") for part in name.split("."))}
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -54,10 +61,11 @@ def unreferenced_public_names() -> list[str]:
     for module, tree in trees.items():
         if module == "__init__":
             continue
-        for name in sorted(_public_definitions(tree)):
+        for qualified in sorted(_public_definitions(tree)):
+            name = qualified.rsplit(".", 1)[-1]
             if name in acceptance or any(name in refs for refs in references.values()):
                 continue
-            unused.append(f"{module}.{name}")
+            unused.append(f"{module}.{qualified}")
     return unused
 
 
@@ -69,3 +77,17 @@ def test_guard_sees_definitions_and_references():
     tree = ast.parse("X = 1\nY: int = 2\ndef f():\n    return X\nclass _C: pass\n")
     assert _public_definitions(tree) == {"X", "Y", "f"}
     assert "X" in _references(tree) and "Y" not in _references(tree)
+
+
+def test_guard_sees_methods_of_public_classes():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self):\n        return self._h()\n"
+        "    def _h(self): pass\n"
+        "    def __eq__(self, other): pass\n"
+        "    @property\n    def p(self): pass\n"
+        "class _D:\n    def m2(self): pass\n"
+    )
+    assert _public_definitions(tree) == {"C", "C.m", "C.p"}
+    references = _references(tree)
+    assert "_h" in references and "m" not in references and "p" not in references

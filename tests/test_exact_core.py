@@ -138,7 +138,7 @@ def test_ring_axioms_prime_field(f, g, h):
 
 class TestLaurentMatrix:
     def test_identity_det(self):
-        assert LaurentMatrix.identity(QQ, 2).det_unit_exponent() == (0, Fraction(1))
+        assert LaurentMatrix.monomial_diagonal(QQ, [0] * 2).det_unit_exponent() == (0, Fraction(1))
 
     def test_diagonal_det(self):
         m = LaurentMatrix.monomial_diagonal(QQ, [2, -1])
@@ -310,7 +310,7 @@ class TestCarriedDeterminant:
                 g = (ad @ s) @ b
                 f = birkhoff_factorize(BundleOnP1(g))
                 for m in (a, d, b, ad, ad @ s, g, f.A, f.D, f.B,
-                          LaurentMatrix.identity(field, n)):
+                          LaurentMatrix.monomial_diagonal(field, [0] * n)):
                     check(m)
 
 

@@ -24,6 +24,11 @@ RD = EpsRing(QQ, 2)       # dual numbers Q[eps]/(eps^2)
 FIELDS = [QQ, GF(5), GF(2**31 - 1)]
 
 
+def eps(ring):
+    """The element eps of k[eps]/(eps^order), order >= 2."""
+    return ring((0, 1) + (0,) * (ring.order - 2))
+
+
 def fm(ring, lo, ranks, maps):
     return FilteredModule(ring=ring, lo=lo, hi=lo + len(ranks) - 1,
                           ranks=tuple(ranks), maps=tuple(maps))
@@ -38,7 +43,7 @@ class TestEpsRing:
 
     def test_nilpotent_not_unit(self):
         with pytest.raises(ZeroDivisionError):
-            eps_inv(RD, RD.eps)
+            eps_inv(RD, eps(RD))
 
     def test_higher_order_inverse(self):
         ring = EpsRing(GF(5), 4)
@@ -64,11 +69,11 @@ class TestValidate:
 
     def test_eps_twisted_injection_is_split(self):
         # (1, eps): splits because the residue has full column rank
-        t = [[RD.one], [RD.eps]]
+        t = [[RD.one], [eps(RD)]]
         assert split_injection_retraction(RD, t) is not None
 
     def test_eps_only_injection_is_not_split(self):
-        report = validate_filtered(fm(RD, 0, [1, 1], [[[RD.eps]]]))
+        report = validate_filtered(fm(RD, 0, [1, 1], [[[eps(RD)]]]))
         assert not report
 
 
@@ -123,7 +128,7 @@ class TestSplitFiltration:
     def test_eps_twisted_inclusion(self):
         # inclusion (1, eps) over Q[eps]/(eps^2): a splitting exists and the
         # exact partial-sum identity is verified inside split_filtration
-        f = fm(RD, 0, [1, 2], [[[RD.one], [RD.eps]]])
+        f = fm(RD, 0, [1, 2], [[[RD.one], [eps(RD)]]])
         s = split_filtration(f)
         assert s.graded_ranks == {0: 1, 1: 1}
 
@@ -173,7 +178,7 @@ class TestResidueVerdicts:
                     t = [list(row) for row in random_filtered(rng, ring, [a, b]).maps[0]]
                     col = rng.randrange(a)
                     for row in t:
-                        row[col] = ring.mul(ring.eps, row[col])
+                        row[col] = ring.mul(eps(ring), row[col])
                     assert any(not ring.is_zero(row[col]) for row in t)
                     assert not validate_filtered(fm(ring, 0, [a, b], [t]))
                     assert split_injection_retraction(ring, t) is None
@@ -242,9 +247,9 @@ class TestVerifySplitting:
                 mutants.append(("higher into lower", add_column(ring, s.basis, lo, hi, unit)))
                 if order > 1:
                     mutants.append(("eps-multiple into lower", add_column(
-                        ring, s.basis, lo, hi, ring.mul(ring.eps, unit))))
+                        ring, s.basis, lo, hi, ring.mul(eps(ring), unit))))
             for c in range(len(s.basis)):
-                scale = ring.eps if order > 1 else ring.zero
+                scale = eps(ring) if order > 1 else ring.zero
                 column = [ring.mul(scale, v) for v in s.basis[c]]
                 mutants.append(("scaled by eps or zeroed",
                                 s.basis[:c] + (tuple(column),) + s.basis[c + 1:]))
@@ -381,13 +386,13 @@ def random_transition(rng, ring, a, b):
         src, dst = rng.sample(range(a), 2)
         scale = ring(tuple(rng.randint(-2, 2) for _ in range(ring.order)))
         if ring.order > 1 and rng.random() < 0.5:
-            scale = ring.mul(ring.eps, scale)
+            scale = ring.mul(eps(ring), scale)
         for row in t:
             row[dst] = ring.mul(scale, row[src])
     elif ring.order > 1 and rng.random() < 0.3:
         col = rng.randrange(a)
         for row in t:
-            row[col] = ring.mul(ring.eps, row[col])
+            row[col] = ring.mul(eps(ring), row[col])
     return t
 
 

@@ -300,6 +300,42 @@ class TestComponentDimension:
             plain.component_dimension(d) for d in range(5)] == [1, 0, 1, 1, 1]
 
 
+def monomials_by_total_exponent(alg, degree):
+    """Reference: every exponent tuple whose exponents sum to at most the
+    degree, in lexicographic order, kept if its weighted degree matches."""
+    out = []
+
+    def rec(i, remaining_total, acc, value):
+        if i == alg.nvars:
+            if value == degree:
+                out.append(tuple(acc))
+            return
+        for e in range(remaining_total + 1):
+            acc.append(e)
+            rec(i + 1, remaining_total - e, acc, value + e * alg.degrees[i])
+            acc.pop()
+
+    if degree >= 0:
+        rec(0, degree, [], 0)
+    return out
+
+
+class TestMonomialsOfDegree:
+    def test_matches_total_exponent_enumeration(self, rng):
+        weights = [(1,), (1, 2), (2, 1, 3), (1, 1, 1), (3, 2, 2, 1), (2, 5)]
+        weights += [tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+                    for _ in range(6)]
+        for degrees in weights:
+            alg = algebra(QQ, degrees)
+            for degree in range(-2, 15):
+                assert alg.monomials_of_degree(degree) == \
+                    monomials_by_total_exponent(alg, degree), (degrees, degree)
+
+    def test_no_variables(self):
+        alg = algebra(QQ, ())
+        assert [alg.monomials_of_degree(d) for d in (-1, 0, 1)] == [[], [()], []]
+
+
 class TestIsoClass:
     def test_sorting(self):
         assert iso_class_graded_free((1, 0, 1)) == (0, 1, 1)

@@ -113,6 +113,39 @@ class TestTrustedQuotient:
                 assert rebuilt == alg
 
 
+    def test_table_is_x_to_the_i_plus_j_mod_f(self, rng):
+        # reference: each product x^i * x^j divided by f on its own
+        def x_power_mod(field, coeffs, k):
+            d = len(coeffs) - 1
+            vec = [field.zero] * k + [field.one]
+            for top in range(k, d - 1, -1):
+                lead = vec[top]
+                for i in range(d + 1):
+                    vec[top - d + i] = field(vec[top - d + i] - lead * coeffs[i])
+                vec.pop()
+            return tuple(vec) + (field.zero,) * (d - len(vec))
+
+        for field in (QQ, F5, GF(2**31 - 1)):
+            for d in range(1, 9):
+                quotient = [field(c) for c in random_quotient(rng, field, d)]
+                alg = from_univariate_quotient(field, quotient)
+                assert alg.structure == tuple(
+                    tuple(x_power_mod(field, quotient, i + j) for j in range(d))
+                    for i in range(d))
+
+
+class TestIsNilpotent:
+    def test_matches_power_to_the_dimension(self, rng):
+        for field in (QQ, F5, GF(2)):
+            for d in range(1, 9):
+                alg = from_univariate_quotient(field, random_quotient(rng, field, d))
+                radical = jacobson_radical(alg)
+                for _ in range(6):
+                    a = alg.coerce([rng.randint(-2, 2) for _ in range(d)])
+                    if radical and rng.random() < 0.5:
+                        a = radical[rng.randrange(len(radical))]
+                    assert alg.is_nilpotent(a) == (not any(alg.power(a, d))), (field, d, a)
+
 class TestHenselianPair:
     def test_nilpotent_ideal(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from equibundle.exact_core import GF, QQ, LaurentMatrix, LaurentPoly, _eliminate
+from equibundle.exact_core import GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, nullspace
 from equibundle.projline import (
     BundleOnP1,
-    _constraint_rows,
     SplittingType,
+    _coefficient_rows,
+    _column_reduce,
     birkhoff_factorize,
     cocharacter_to_bundle,
     h0_dimension,
@@ -36,15 +38,15 @@ NILPOTENT_UPPER = [[((1, 1),), ((1, 0),)], [(), ((1, -1),)]]  # [[t, 1], [0, 1/t
 
 class TestBirkhoff:
     def test_identity_already_factored(self):
-        b = BundleOnP1(LaurentMatrix.identity(QQ, 2))
+        b = BundleOnP1(LaurentMatrix.monomial_diagonal(QQ, [0] * 2))
         f = birkhoff_factorize(b)
-        eye = LaurentMatrix.identity(QQ, 2)
+        eye = LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
         assert (f.A, f.D, f.B) == (eye, eye, eye)
 
     def test_monomial_diagonal_already_factored(self):
         g = LaurentMatrix.monomial_diagonal(QQ, [2, -1])
         f = birkhoff_factorize(BundleOnP1(g))
-        eye = LaurentMatrix.identity(QQ, 2)
+        eye = LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
         assert (f.A, f.D, f.B) == (eye, g, eye)
 
     def test_unipotent_mixing_is_trivial(self):
@@ -52,7 +54,7 @@ class TestBirkhoff:
         # frozen values (0, 0, 0, 2, 4, 6, 8).
         b = bundle(QQ, NILPOTENT_UPPER)
         f = birkhoff_factorize(b)
-        assert f.D == LaurentMatrix.identity(QQ, 2)
+        assert f.D == LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
         assert [h0_dimension(b, m) for m in range(-3, 4)] == [0, 0, 0, 2, 4, 6, 8]
 
     def test_factorization_is_exact_and_in_subrings(self, rng):
@@ -92,7 +94,7 @@ class TestBirkhoff:
 
 class TestSplittingType:
     def test_identity_rank3(self):
-        b = BundleOnP1(LaurentMatrix.identity(QQ, 3))
+        b = BundleOnP1(LaurentMatrix.monomial_diagonal(QQ, [0] * 3))
         assert splitting_type(b).degrees == (0, 0, 0)
 
     def test_twist_convention(self):
@@ -137,7 +139,7 @@ class TestSplittingType:
 class TestCocharacterToBundle:
     def test_trivial(self):
         assert cocharacter_to_bundle(SplittingType((0, 0))).matrix == \
-            LaurentMatrix.identity(QQ, 2)
+            LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
 
     def test_convention_forced(self):
         b = cocharacter_to_bundle(SplittingType((1, -1)))
@@ -150,7 +152,7 @@ class TestCocharacterToBundle:
 
 class TestH0:
     def test_trivial_rank2(self):
-        assert h0_dimension(BundleOnP1(LaurentMatrix.identity(QQ, 2))) == 2
+        assert h0_dimension(BundleOnP1(LaurentMatrix.monomial_diagonal(QQ, [0] * 2))) == 2
 
     def test_o1_has_two_sections(self):
         assert h0_dimension(bundle(QQ, [[((1, -1),)]])) == 2
@@ -173,6 +175,45 @@ class TestH0:
                 b = planted_bundle(rng, field, degrees)
                 for m in range(-3, 4):
                     assert h0_dimension(b, m) == h0_formula(degrees, m), (field, n, m)
+
+
+class TestColumnReduce:
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2**31 - 1)], ids=["Q", "F5", "F2^31-1"])
+    def test_matches_reference_on_dense_bundles(self, rng, field):
+        # the echelon carried between steps finds the dependency the fresh
+        # nullspace found, so every column, top, row of W and det W agree
+        for n in range(1, 13):
+            degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
+            g = planted_bundle(rng, field, degrees).matrix
+            got, want = _column_reduce(g), _column_reduce_reference(g)
+            assert got == want and type(got[3]) is type(want[3]), (field, n)
+
+    def test_matches_reference_on_monomial_diagonals(self, rng):
+        for field in (QQ, GF(5), GF(2**31 - 1)):
+            for n in range(1, 7):
+                g = LaurentMatrix.monomial_diagonal(field, [rng.randint(-4, 4) for _ in range(n)])
+                assert _column_reduce(g) == _column_reduce_reference(g), (field, n)
+
+
+class TestCoefficientRows:
+    def test_matches_reference_rows(self, rng):
+        # the rows of all e > twist are those of the one-twist builder, and
+        # the rows of one e are those it adds going from twist e to e - 1
+        def rows_of(block):
+            return Counter(tuple(sorted(row.items())) for row in block if row)
+
+        for k in range(60):
+            field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
+            g = random_bundle(rng, field, rng.randint(1, 4)).matrix
+            twist = rng.randint(-3, 3)
+            bound = rng.randint(0, 6)
+            rows = _coefficient_rows(g, twist, bound)
+            assert rows_of(row for block in rows.values() for row in block) == \
+                rows_of(_constraint_rows(g, twist, bound)), k
+            for e in range(twist + 1, max(rows, default=twist) + 2):
+                added = (rows_of(_constraint_rows(g, e - 1, bound))
+                         - rows_of(_constraint_rows(g, e, bound)))
+                assert rows_of(rows.get(e, ())) == added, (k, e)
 
 
 class TestSparseElimination:
@@ -312,7 +353,7 @@ def random_unimodular(rng, field, n, negative, factors=None):
     With factors given, that many elementary factors whose exponents
     alternate between 0 and 1; otherwise 1-3 factors with exponents 0-3.
     """
-    out = LaurentMatrix.identity(field, n)
+    out = LaurentMatrix.monomial_diagonal(field, [0] * n)
     sign = -1 if negative else 1
     count = rng.randint(1, 3) if factors is None else factors
     for k in range(count):
@@ -352,6 +393,75 @@ def random_sparse_row(rng, p, nvars):
                                                     rng.randint(1, 3))
         row[var] = c
     return row
+
+
+def _top_data(column):
+    """Reference: top degree of a nonzero column and its t^top coefficients."""
+    top = max(entry.max_exp() for entry in column if not entry.is_zero)
+    return top, [entry.coeff(top) for entry in column]
+
+
+def _column_reduce_reference(g):
+    """Reference: the column reduction that re-derives the top data of every
+    column and runs a fresh nullspace at each step."""
+    field = g.field
+    n = g.n
+    cols = [[g.entry(i, j) for i in range(n)] for j in range(n)]
+    one = LaurentPoly.one(field)
+    zero = LaurentPoly.zero(field)
+    w = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    w_det = field.one
+    while True:
+        tops = []
+        tcs = []
+        for col in cols:
+            top, tc = _top_data(col)
+            tops.append(top)
+            tcs.append(tc)
+        kernel = nullspace(field, [[tcs[j][i] for j in range(n)] for i in range(n)], n)
+        if not kernel:
+            return cols, tops, w, w_det
+        lam = kernel[0]
+        support = [j for j in range(n) if lam[j]]
+        pivot = max(support, key=lambda j: (tops[j], j))
+        new_col = [zero] * n
+        shifts = {}
+        for j in support:
+            shift = tops[pivot] - tops[j]
+            shifts[j] = shift
+            for i in range(n):
+                if not cols[j][i].is_zero:
+                    new_col[i] = new_col[i] + cols[j][i].scaled(lam[j]).shifted(shift)
+        cols[pivot] = new_col
+        inv_pivot = field.inv(lam[pivot])
+        w[pivot] = [entry.scaled(inv_pivot) for entry in w[pivot]]
+        w_det = field(w_det * inv_pivot)
+        for j in support:
+            if j == pivot:
+                continue
+            factor = lam[j]
+            shift = shifts[j]
+            w[j] = [
+                wj - wp.scaled(factor).shifted(shift)
+                for wj, wp in zip(w[j], w[pivot])
+            ]
+
+
+def _constraint_rows(g, twist, bound):
+    """Reference: the sections' rows at one twist and bound, one row per
+    output coordinate i and exponent e >= 1 of t^(-twist) * g * f."""
+    rows = []
+    for row in g.rows:
+        max_e = max((entry.max_exp() - twist + bound for entry in row if not entry.is_zero),
+                    default=0)
+        block = [{} for _ in range(max_e)]
+        for j, entry in enumerate(row):
+            for exp, coeff in entry.terms():
+                shift = exp - twist
+                for d in range(max(0, 1 - shift), bound + 1):
+                    block[d + shift - 1][j * (bound + 1) + d] = coeff
+        rows += [row for row in block if row]
+    return rows
 
 
 def _sections_dimension(g, twist, bound):
