@@ -656,18 +656,19 @@ class LaurentMatrix:
             return NotImplemented
         if self.field != other.field or self.n != other.n:
             raise FieldMismatchError("cannot multiply incompatible matrices")
-        n = self.n
+        # each entry is summed in one {exp: coeff} dict and built once
+        cols = list(zip(*other.rows))
         rows = []
-        for i in range(n):
+        for self_row in self.rows:
             row = []
-            for j in range(n):
-                acc = LaurentPoly.zero(self.field)
-                for l in range(n):
-                    a = self.rows[i][l]
-                    b = other.rows[l][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
+            for col in cols:
+                acc: dict[int, Scalar] = {}
+                for a, b in zip(self_row, col):
+                    if a._terms and b._terms:
+                        for e1, c1 in a._terms.items():
+                            for e2, c2 in b._terms.items():
+                                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+                row.append(LaurentPoly(self.field, acc))
             rows.append(row)
         return LaurentMatrix._with_det(self.field, rows, self._det_exp + other._det_exp,
                                        self.field(self._det_coeff * other._det_coeff))

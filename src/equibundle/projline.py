@@ -110,6 +110,16 @@ def cocharacter_to_bundle(d: SplittingType, field: Field = QQ) -> BundleOnP1:
     return BundleOnP1(LaurentMatrix.monomial_diagonal(field, [-di for di in d.degrees]))
 
 
+def _minus_shifted(a: LaurentPoly, factor, b: LaurentPoly, shift: int) -> LaurentPoly:
+    """a - factor * t^shift * b, built as one polynomial."""
+    if b.is_zero:
+        return a
+    acc = dict(a._terms)
+    for exp, c in b._terms.items():
+        acc[exp + shift] = acc.get(exp + shift, 0) - factor * c
+    return LaurentPoly(a.field, acc)
+
+
 def _column_reduce(g: LaurentMatrix):
     """Right-reduce g over k[t] until the top-coefficient matrix is invertible.
 
@@ -152,18 +162,20 @@ def _column_reduce(g: LaurentMatrix):
         # New pivot column: sum of lam_j * t^(top_pivot - top_j) * col_j, a
         # unimodular operation over k[t] that kills the t^top_pivot vector.
         # Maintain g = C * W: the inverse operation acts on the rows of W,
-        # and scaling the pivot row multiplies det W by inv_pivot.
+        # and scaling the pivot row multiplies det W by inv_pivot.  Each new
+        # entry is summed in one {exp: coeff} dict and built once.
         inv_pivot = field.inv(lam[pivot])
         w_det = field(w_det * inv_pivot)
         w_pivot = w[pivot] = [entry.scaled(inv_pivot) for entry in w[pivot]]
-        new_col = [zero] * n
+        acc_col: list[dict] = [{} for _ in range(n)]
         for j, factor in lam.items():
             shift = tops[pivot] - tops[j]
-            for i, entry in enumerate(cols[j]):
-                if not entry.is_zero:
-                    new_col[i] = new_col[i] + entry.scaled(factor).shifted(shift)
+            for acc, entry in zip(acc_col, cols[j]):
+                for exp, c in entry._terms.items():
+                    acc[exp + shift] = acc.get(exp + shift, 0) + factor * c
             if j != pivot:
-                w[j] = [wj - wp.scaled(factor).shifted(shift) for wj, wp in zip(w[j], w_pivot)]
+                w[j] = [_minus_shifted(wj, factor, wp, shift) for wj, wp in zip(w[j], w_pivot)]
+        new_col = [LaurentPoly(field, acc) for acc in acc_col]
         # the total top degree must strictly decrease, or the loop would not end
         top = max(entry.max_exp() for entry in new_col if not entry.is_zero)
         if top >= tops[pivot]:
@@ -279,9 +291,19 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
 
 
 def _bound(g: LaurentMatrix, twist: int) -> int:
-    """Degree bound n*(e_max - e_min) + |twist| + 1, exponent window widened to 0."""
-    e_min, e_max = g.exponent_range()
-    return g.n * (max(e_max, 0) - min(e_min, 0)) + abs(twist) + 1
+    """Degree bound max(0, m - w + min(R - min(rowtop), C - min(coltop))) at
+    twist m, where det g = c * t^w and R, C sum the top exponents of the
+    rows and of the columns of g.
+
+    Proof: a section at twist m is f = t^m g^-1 h with h in k[1/t]^n, so
+    deg f <= m + e_max(g^-1); and g^-1 = adj(g) / (c * t^w), where the (j, i)
+    cofactor drops row i and column j of g, so its top exponent is at most
+    the sum of the row tops it keeps and at most that of the column tops.
+    """
+    rowtop = [max(entry.max_exp() for entry in row if not entry.is_zero) for row in g.rows]
+    coltop = [max(entry.max_exp() for entry in col if not entry.is_zero) for col in zip(*g.rows)]
+    cofactor_top = min(sum(rowtop) - min(rowtop), sum(coltop) - min(coltop))
+    return max(0, twist - g.det_unit_exponent()[0] + cofactor_top)
 
 
 def h0_table(bundle: BundleOnP1, window: int) -> dict[int, int]:
@@ -306,10 +328,13 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
     """Dimension of the space of global sections of the twisted bundle.
 
     Computed by exact linear algebra on Laurent coefficients with the degree
-    bound n*(e_max - e_min) + |twist| + 1, where the exponent window of the
-    transition matrix is normalized to contain 0 (otherwise monomial
-    diagonals t^-d would get a window of width zero and sections of degree d
-    would be truncated).  One sparse elimination at bound + 1 gives the
+    bound max(0, m - w + min(R - min(rowtop), C - min(coltop))) at twist m,
+    where det g = c * t^w and R, C sum the top exponents of the rows and of
+    the columns of g.  It is a theorem, read off g alone: a section is
+    f = t^m g^-1 h with h in k[1/t]^n, so deg f <= m + e_max(g^-1), and
+    g^-1 = adj(g) / (c * t^w) with each cofactor's top exponent at most the
+    sum of the row tops, or of the column tops, that it keeps.  It is exact
+    on line bundles.  One sparse elimination at bound + 1 gives the
     dimension at bound + 1 and, by forcing the t^(bound + 1) coefficients to
     zero, at the bound; the two must agree, or ArithmeticError is raised.
     This is the one-twist case of ``h0_table``'s walk: going down from twist

@@ -235,6 +235,68 @@ def random_laurent_rows(rng, field, n):
     return rows
 
 
+def _matmul_reference(x, y):
+    """Reference: the product that sums a * b entry by entry through
+    LaurentPoly + and *; returns the rows and the carried (w, c)."""
+    n = x.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = LaurentPoly.zero(x.field)
+            for l in range(n):
+                a = x.rows[i][l]
+                b = y.rows[l][j]
+                if not a.is_zero and not b.is_zero:
+                    acc = acc + a * b
+            row.append(acc)
+        rows.append(tuple(row))
+    (wx, cx), (wy, cy) = x.det_unit_exponent(), y.det_unit_exponent()
+    return tuple(rows), (wx + wy, x.field(cx * cy))
+
+
+def elementary_pair(rng, field, n):
+    """An elementary matrix over k[t, 1/t] and its inverse."""
+    i, j = rng.sample(range(n), 2)
+    terms = [(rng.randint(1, 3), rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))]
+    pair = []
+    for sign in (1, -1):
+        rows = [[LaurentPoly.one(field) if a == b else LaurentPoly.zero(field)
+                 for b in range(n)] for a in range(n)]
+        rows[i][j] = lp(field, *[(sign * c, e) for c, e in terms])
+        pair.append(LaurentMatrix(field, rows))
+    return pair
+
+
+class TestMatmulAgainstReference:
+    @pytest.mark.parametrize("field", [QQ, F5, GF(2**31 - 1)], ids=["Q", "F5", "F2^31-1"])
+    def test_matches_reference(self, rng, field):
+        def check(x, y):
+            product = x @ y
+            assert (product.rows, product.det_unit_exponent()) == _matmul_reference(x, y)
+            for row in product.rows:
+                for entry in row:
+                    for c in entry._terms.values():
+                        assert c, "stored zero coefficient"
+                        if field.p:
+                            assert type(c) is int and 0 <= c < field.p
+                        else:
+                            assert type(c) is Fraction
+            return product
+
+        for k in range(40):
+            n = k % 6 + 2
+            check(random_unit_matrix(rng, field, n), random_unit_matrix(rng, field, n))
+        # a unimodular matrix times its inverse cancels to the identity
+        for n in range(2, 7):
+            u = u_inv = LaurentMatrix.monomial_diagonal(field, [0] * n)
+            for _ in range(2 * n):
+                e, e_inv = elementary_pair(rng, field, n)
+                u, u_inv = u @ e, e_inv @ u_inv
+            assert check(u, u_inv) == LaurentMatrix.monomial_diagonal(field, [0] * n)
+            assert check(u_inv, u) == LaurentMatrix.monomial_diagonal(field, [0] * n)
+
+
 class TestBareissDeterminant:
     @pytest.mark.parametrize("field", [QQ, F5, GF(2**31 - 1)], ids=["Q", "F5", "F2^31-1"])
     def test_matches_minor_expansion(self, rng, field):

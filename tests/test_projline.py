@@ -7,6 +7,7 @@ from equibundle.exact_core import GF, QQ, LaurentMatrix, LaurentPoly, _eliminate
 from equibundle.projline import (
     BundleOnP1,
     SplittingType,
+    _bound,
     _coefficient_rows,
     _column_reduce,
     birkhoff_factorize,
@@ -268,7 +269,8 @@ class TestPivotOrder:
 class TestH0Table:
     def test_matches_from_scratch_at_each_own_bound(self, rng):
         # every twist of the table against a fresh elimination of that
-        # twist's own system, at its own bound n*span + |m| + 1
+        # twist's own system at the old bound n*span + |m| + 1, which is
+        # independent of the cofactor bound the table is computed at
         from equibundle.projline import h0_table
 
         for field in (QQ, GF(5), GF(2**31 - 1)):
@@ -317,6 +319,55 @@ class TestH0Table:
                     expected = {m: dim for m, (dim, _) in dims.items()}
                     assert _stable_sections_table(g, high, low, bound) == expected
         assert raised > 0
+
+
+class TestDegreeBound:
+    def test_exact_on_line_bundles(self):
+        # O(d) is t^(-d): its sections at twist m have degree <= d + m
+        for field in (QQ, GF(5)):
+            for d in range(-6, 7):
+                g = cocharacter_to_bundle(SplittingType((d,)), field).matrix
+                for m in range(-6, 7):
+                    assert _bound(g, m) == max(d + m, 0), (field, d, m)
+
+    def test_one_entry_t_to_the_n(self):
+        # g = [[1, t^n], [0, 1]]: g^-1 = [[1, -t^n], [0, 1]] has top exponent n
+        for n in range(0, 7):
+            g = bundle(QQ, [[((1, 0),), ((1, n),)], [(), ((1, 0),)]]).matrix
+            for m in range(-n, 7):
+                assert _bound(g, m) == m + n, (n, m)
+
+    def test_min_of_row_and_column_sums(self):
+        # diag(t^3, 1, 1) * [[1, 1, 1], [0, 1, 0], [0, 0, 1]] is O(-3)+O+O, so
+        # sections at twist m have degree <= m.  Its row tops (3, 0, 0) give
+        # that; its column tops (3, 3, 3) give m + 3.  The transpose swaps them.
+        t3 = ((1, 3),)
+        grid = [[t3, t3, t3], [(), ((1, 0),), ()], [(), (), ((1, 0),)]]
+        for rows in (grid, [list(col) for col in zip(*grid)]):
+            g = bundle(QQ, rows).matrix
+            assert g.det_unit_exponent()[0] == 3
+            for m in range(0, 5):
+                assert _bound(g, m) == m
+                assert _sections_dimension(g, m, m) == h0_formula((0, 0, -3), m)
+
+    def test_below_old_bound_and_same_sections(self, rng):
+        # on diagonal and dense planted bundles the cofactor bound is below
+        # the old bound n*span + |m| + 1, and counts the same sections
+        for field in (QQ, GF(5), GF(2**31 - 1)):
+            for n in range(1, 11):
+                degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
+                diagonal = cocharacter_to_bundle(SplittingType(tuple(degrees)), field)
+                for b in (diagonal, planted_bundle(rng, field, degrees)):
+                    g = b.matrix
+                    e_min, e_max = g.exponent_range()
+                    span = max(e_max, 0) - min(e_min, 0)
+                    m = rng.randint(-3, 3)
+                    old = n * span + abs(m) + 1
+                    new = _bound(g, m)
+                    assert new < old, (field, n, m)
+                    dim = _sections_dimension(g, m, new)
+                    assert dim == _sections_dimension(g, m, old) == h0_formula(degrees, m), \
+                        (field, n, m)
 
 
 class TestStabilityCheck:
