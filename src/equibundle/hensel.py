@@ -12,6 +12,9 @@ pairs with their irrelevant ideal; that predicate is purely combinatorial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from equibundle.exact_core import (
@@ -132,20 +135,44 @@ class FiniteDimAlgebra:
         c, p = self.field(c), self.field.p
         return tuple(c * x % p if p else c * x for x in a)
 
+    @cached_property
+    def _table(self):
+        """(den, table): e_i * e_j is the sum of n/den * e_l over the (l, n)
+        in table[i][j], with integer n and one common den (1 over F_p)."""
+        den = 1 if self.field.p else lcm(
+            *(v.denominator for row in self.structure for vec in row for v in vec))
+        return den, tuple(
+            tuple(tuple((l, n) for l, n in enumerate(self._numerators(vec, den)[1]) if n)
+                  for vec in row)
+            for row in self.structure)
+
+    def _numerators(self, vec: Vector, den: Optional[int] = None):
+        """(den, the integer numerators of vec over den).  den defaults to the
+        lcm of the denominators of vec over Q; over F_p it is 1."""
+        if self.field.p:
+            return 1, vec
+        if den is None:
+            den = lcm(*(x.denominator for x in vec))
+        return den, [x.numerator * (den // x.denominator) for x in vec]
+
     def mul(self, a: Vector, b: Vector) -> Vector:
-        out = [self.field.zero] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                coeff = x * y
-                for l, s in enumerate(self.structure[i][j]):
-                    if s:
-                        out[l] += coeff * s
+        den, table = self._table
+        da, na = self._numerators(a)
+        db, nb = self._numerators(b)
+        out = [0] * self.dim
+        right = [(j, y) for j, y in enumerate(nb) if y]
+        for i, x in enumerate(na):
+            if x:
+                row = table[i]
+                for j, y in right:
+                    coeff = x * y
+                    for l, n in row[j]:
+                        out[l] += coeff * n
         p = self.field.p
-        return tuple(v % p for v in out) if p else tuple(out)
+        if p:
+            return tuple(v % p for v in out)
+        total = da * db * den
+        return tuple(Fraction(v, total) for v in out)
 
     def power(self, a: Vector, exponent: int) -> Vector:
         out = self.one
@@ -192,26 +219,31 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
     if d < 1:
         raise ValueError("quotient polynomial must have positive degree")
 
-    def reduce_poly(vec):
-        vec = list(vec)
-        for top in range(len(vec) - 1, d - 1, -1):
-            lead = vec[top]
-            if lead:
-                for i in range(d + 1):
-                    vec[top - d + i] = vec[top - d + i] - lead * coeffs[i]
-            vec.pop()
-        return tuple(field(v) for v in vec) + (field.zero,) * (d - len(vec))
+    p = field.p
 
-    powers = [reduce_poly([field.zero] * k + [field.one]) for k in range(2 * d - 1)]
+    def step(vec, c=field.zero):
+        """x * vec + c mod f, for vec in the basis 1, x, ..., x^(d-1)."""
+        top = vec[-1]
+        shifted = (c,) + vec[:-1]
+        if not top:
+            return shifted
+        return tuple((s - top * a) % p if p else s - top * a
+                     for s, a in zip(shifted, coeffs))
+
+    powers = [(field.one,) + (field.zero,) * (d - 1)]
+    for _ in range(2 * d - 2):
+        powers.append(step(powers[-1]))
     structure = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
 
     ideal_vectors = []
     for gen in ideal_generators:
-        base = reduce_poly([field(c) for c in gen])
-        for shift in range(d):
-            shifted = reduce_poly([field.zero] * shift + list(base))
+        shifted = (field.zero,) * d
+        for c in reversed(gen):  # Horner's rule
+            shifted = step(shifted, field(c))
+        for _ in range(d):
             if any(shifted):
                 ideal_vectors.append(shifted)
+            shifted = step(shifted)
     if ideal_vectors:
         reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
         ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
@@ -262,20 +294,17 @@ def jacobson_radical(algebra: FiniteDimAlgebra) -> list[Vector]:
 def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
     """Gram matrix of (u, v) -> trace of multiplication by u*v on the basis."""
     d = algebra.dim
-    field = algebra.field
-    p = field.p
-    # trace of multiplication by each basis vector e_l
-    traces = [sum((algebra.structure[l][j][j] for j in range(d)), field.zero)
-              for l in range(d)]
+    p = algebra.field.p
+    den, table = algebra._table
+    # den * trace of multiplication by each basis vector e_k
+    traces = [sum(n for j in range(d) for l, n in table[k][j] if l == j)
+              for k in range(d)]
     gram = []
     for i in range(d):
         row = []
         for j in range(d):
-            trace = field.zero
-            for coeff, t in zip(algebra.structure[i][j], traces):
-                if coeff:
-                    trace = trace + coeff * t
-            row.append(trace % p if p else trace)
+            trace = sum(n * traces[l] for l, n in table[i][j])
+            row.append(trace % p if p else Fraction(trace, den * den))
         gram.append(row)
     return gram
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from equibundle import hensel
-from equibundle.exact_core import GF, QQ, nullspace
-from equibundle.graded import GradedAlgebra
+from equibundle.cli import main
+from equibundle.exact_core import GF, QQ, nullspace, row_reduce
+from equibundle.graded import GradedAlgebra, Polynomial
 from equibundle.hensel import (
     FiniteDimAlgebra,
     from_univariate_quotient,
@@ -13,8 +14,10 @@ from equibundle.hensel import (
     lift_idempotent,
     trivially_henselian,
 )
+from equibundle.io import render_polynomial
 
 F5 = GF(5)
+FIELDS = (QQ, F5, GF(2**31 - 1))
 
 
 def graded(field, degrees):
@@ -279,6 +282,89 @@ class TestIdempotentSearch:
             assert alg.in_span(alg.sub(lift.element, vec), alg.ideal)
 
 
+class TestMulAgainstReference:
+    def check_products(self, rng, alg):
+        vectors = [alg.zero] + [alg.unit_vector(i) for i in range(alg.dim)]
+        vectors += [alg.coerce(random_coords(rng, alg.dim)) for _ in range(6)]
+        for a in vectors:
+            for b in [a] + rng.sample(vectors, 4):
+                product = alg.mul(a, b)
+                assert product == _mul_reference(alg, a, b), (alg.field, alg.dim, a, b)
+                assert_field_elements(alg.field, product)
+
+    def test_quotients(self, rng):
+        for field in FIELDS:
+            for d in range(1, 13):
+                for quotient in (random_quotient(rng, field, d), rational_quotient(rng, d)):
+                    self.check_products(rng, from_univariate_quotient(field, quotient))
+
+    def test_public_constructor_with_fractional_structure_constants(self, rng):
+        # basis e_i = c_i x^i of k[x]/(f): e_i * e_j = sum_l c_i c_j / c_l *
+        # (x^(i+j) mod f)_l e_l, and e_1 * e_1 = c_1^2 / c_2 e_2 with c_1 = 1/2
+        # is never integral, so the table's common denominator is not 1
+        for field in FIELDS:
+            for d in range(3, 11):
+                scales = [1, Fraction(1, 2)] + [
+                    rng.choice([Fraction(1, 2), Fraction(2, 3), 3]) for _ in range(d - 2)]
+                c = [field(s) for s in scales]
+                base = from_univariate_quotient(field, random_quotient(rng, field, d))
+                structure = [[[c[i] * c[j] * field.inv(c[l]) * base.structure[i][j][l]
+                               for l in range(d)] for j in range(d)] for i in range(d)]
+                alg = FiniteDimAlgebra(field=field, dim=d, structure=structure)
+                if field == QQ:
+                    assert alg._table[0] > 1
+                self.check_products(rng, alg)
+
+
+class TestQuotientAgainstReference:
+    def test_table_and_ideal(self, rng):
+        for field in FIELDS:
+            for d in range(1, 11):
+                for quotient in (random_quotient(rng, field, d), rational_quotient(rng, d)):
+                    high = random_coords(rng, rng.randint(d + 1, 2 * d + 3))
+                    high[-1] = rng.randint(1, 4)  # degree at least d
+                    constant = [rng.choice([1, -2, Fraction(3, 4)])]
+                    for gens in ([high], [[]], [[0, 0, 0]], [list(quotient)], [constant],
+                                 [high, [], list(quotient), random_coords(rng, d)]):
+                        alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
+                        structure, ideal = _quotient_reference(field, quotient, gens)
+                        assert alg.structure == structure, (field, quotient)
+                        assert alg.ideal == ideal, (field, quotient, gens)
+                        for row in alg.structure:
+                            for vec in row:
+                                assert_field_elements(field, vec)
+
+
+class TestPlantedLargeDimension:
+    """Planted Q documents k[x]/(prod (x - a)^m) with the ideal (prod (x - a)),
+    at dimensions the benchmark does not reach, run through the CLI."""
+
+    @pytest.mark.parametrize("dim", [16, 20])
+    def test_hensel_check(self, rng, tmp_path, capsys, dim):
+        roots, quotient, radical = planted_quotient(rng, dim)
+        report = run_findim(tmp_path, capsys, "hensel-check", quotient, radical)
+        assert report["dimension"] == str(dim)
+        assert report["radical dimension"] == str(dim - len(roots))
+        assert report["henselian pair"] == "yes"
+
+    @pytest.mark.parametrize("dim", [16, 20])
+    def test_lift_idempotent(self, rng, tmp_path, capsys, dim):
+        roots, quotient, radical = planted_quotient(rng, dim)
+        chosen = [rng.randint(0, 1) for _ in roots]
+        subset = [a for a, c in zip(roots, chosen) if c]
+        candidate = crt_idempotent(QQ, roots, [1] * len(roots), subset, len(roots))
+        # the candidate is idempotent mod the ideal, not in the algebra
+        noise = poly_mul(radical, [rng.randint(-2, 2) for _ in range(dim - len(roots))])
+        candidate = [QQ(a + b) for a, b in zip(list(candidate) + [0] * dim, noise)]
+        report = run_findim(tmp_path, capsys, "lift-idempotent", quotient, radical,
+                            idempotent=candidate)
+        assert report["exact"] == "yes"
+        e = [Fraction(t) for t in report["idempotent"].strip("[]").split(", ")]
+        assert len(e) == dim
+        assert poly_mod(poly_mul(e, e), quotient) == poly_mod(e, quotient)
+        assert [poly_eval(e, a) for a in roots] == chosen
+
+
 def is_idempotent_mod_ideal(alg, vec):
     vec = alg.coerce(vec)
     return alg.in_span(alg.sub(alg.mul(vec, vec), vec), alg.ideal)
@@ -295,13 +381,6 @@ def random_nilpotent_instance(rng, field):
     else:
         roots = rng.sample(range(5), rng.randint(1, 2))
     mults = [rng.randint(1, 3) for _ in roots]
-
-    def poly_mul(a, b):
-        out = [field.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
 
     quotient = [field.one]
     radical_gen = [field.one]
@@ -359,13 +438,6 @@ def count_calls(monkeypatch, name):
 def random_quotient(rng, field, d):
     """Monic coefficients, constant first, of a degree-d product of random
     monic factors, one of them repeated whenever d > 1."""
-    def poly_mul(a, b):
-        out = [field.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
-
     quotient = [field.one]
     left = d
     while left:
@@ -386,3 +458,127 @@ def frobenius_radical(alg):
     images = [alg.power(alg.unit_vector(i), q) for i in range(alg.dim)]
     rows = [[images[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
     return [tuple(v) for v in nullspace(alg.field, rows, alg.dim)]
+
+
+def rational_quotient(rng, d):
+    """Monic coefficients, constant first, of a degree-d product of monic
+    factors with rational coefficients whose denominators are 1-4."""
+    quotient = [1]
+    while len(quotient) <= d:
+        degree = rng.randint(1, min(2, d + 1 - len(quotient)))
+        factor = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(degree)]
+        quotient = poly_mul(quotient, factor + [1])
+    return quotient
+
+
+def random_coords(rng, n):
+    """n coordinates, zero, negative and rational among them (denominators 1-4)."""
+    return [rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+            for _ in range(n)]
+
+
+def assert_field_elements(field, vec):
+    if field.p:
+        assert all(type(v) is int and 0 <= v < field.p for v in vec), vec
+    else:
+        assert all(type(v) is Fraction for v in vec), vec
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_mod(a, monic):
+    a, d = list(a), len(monic) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        lead = a.pop()
+        for i in range(d):
+            a[top - d + i] -= lead * monic[i]
+    return a + [0] * (d - len(a))
+
+
+def poly_eval(a, x):
+    return sum(c * x**k for k, c in enumerate(a))
+
+
+def planted_quotient(rng, dim):
+    """(roots, f, prod (x - a)) for f = prod (x - a)^m over 1-3 roots in
+    +-1..3 whose multiplicities m sum to dim."""
+    roots = rng.sample([-3, -2, -1, 1, 2, 3], rng.randint(1, 3))
+    mults = [1] * len(roots)
+    for _ in range(dim - len(roots)):
+        mults[rng.randrange(len(roots))] += 1
+    quotient, radical = [1], [1]
+    for a, m in zip(roots, mults):
+        radical = poly_mul(radical, [-a, 1])
+        for _ in range(m):
+            quotient = poly_mul(quotient, [-a, 1])
+    return roots, quotient, radical
+
+
+def run_findim(tmp_path, capsys, command, quotient, radical, idempotent=None):
+    """Run `command` on a Q findim_algebra document; return its report fields."""
+    def text(coeffs):
+        poly = Polynomial(QQ, 1, {(k,): QQ(c) for k, c in enumerate(coeffs)})
+        return render_polynomial(poly, ("x",))
+
+    lines = ["kind = findim_algebra", "field = Q", f"quotient = {text(quotient)}",
+             f"ideal = [{text(radical)}]"]
+    if idempotent is not None:
+        lines.append(f"idempotent = {text(idempotent)}")
+    path = tmp_path / "algebra.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(path)]) == 0
+    return dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def _mul_reference(alg, a, b):
+    """The product as one loop over field elements, straight from the table."""
+    out = [alg.field.zero] * alg.dim
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if not y:
+                continue
+            coeff = x * y
+            for l, s in enumerate(alg.structure[i][j]):
+                if s:
+                    out[l] += coeff * s
+    p = alg.field.p
+    return tuple(v % p for v in out) if p else tuple(out)
+
+
+def _quotient_reference(field, monic_coeffs, ideal_generators):
+    """(structure, ideal) of k[x]/(f), each x^k and each x^s * g reduced mod f
+    from scratch."""
+    coeffs = [field(c) for c in monic_coeffs]
+    d = len(coeffs) - 1
+
+    def reduce_poly(vec):
+        vec = list(vec)
+        for top in range(len(vec) - 1, d - 1, -1):
+            lead = vec[top]
+            if lead:
+                for i in range(d + 1):
+                    vec[top - d + i] = vec[top - d + i] - lead * coeffs[i]
+            vec.pop()
+        return tuple(field(v) for v in vec) + (field.zero,) * (d - len(vec))
+
+    powers = [reduce_poly([field.zero] * k + [field.one]) for k in range(2 * d - 1)]
+    structure = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
+    ideal_vectors = []
+    for gen in ideal_generators:
+        base = reduce_poly([field(c) for c in gen])
+        for shift in range(d):
+            shifted = reduce_poly([field.zero] * shift + list(base))
+            if any(shifted):
+                ideal_vectors.append(shifted)
+    if ideal_vectors:
+        reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
+        ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
+    return structure, tuple(ideal_vectors)
