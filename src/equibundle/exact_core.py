@@ -287,7 +287,7 @@ def _normalized(row: dict, col: int, p: Optional[int]) -> dict:
     if p:
         inv = pow(row[col], -1, p)
         return {v: inv * c % p for v, c in row.items()}
-    inv = 1 / row[col]
+    inv = Fraction(1) / row[col]
     return {v: inv * c for v, c in row.items()}
 
 

@@ -9,8 +9,12 @@ ranks, and a splitting is a grading of E_inf whose partial sums reproduce the
 filtration exactly.
 
 Base rings are exact fields or truncated polynomial rings k[eps]/(eps^m); a
-field is the case m = 1.  Degrees increase along the window; the classical
-decreasing-filtration picture is this one read through i -> -i.
+field is the case m = 1.  Every decision is linear algebra over the residue
+field k: a map is a split injection when its residue matrix has full column
+rank (Nakayama), and a splitting is verified in R^n = k^(n*m), where the
+R-span of some columns is the k-span of their eps-shifts.  Degrees increase
+along the window; the classical decreasing-filtration picture is this one
+read through i -> -i.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from equibundle.exact_core import (
     Field,
     Scalar,
     _add_row,
+    _reduce,
     _sparse,
     matrix_rank,
-    row_reduce,
 )
 from equibundle.projline import SplittingType
 
@@ -63,10 +67,6 @@ class EpsRing:
     def add(self, a, b):
         p = self.field.p
         return tuple((x + y) % p if p else x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.field.p
-        return tuple((x - y) % p if p else x - y for x, y in zip(a, b))
 
     def mul(self, a, b):
         out = [self.field.zero] * self.order
@@ -108,39 +108,6 @@ def mat_mul(ring: EpsRing, a: Matrix, b: Matrix) -> Matrix:
             new_row.append(acc)
         out.append(new_row)
     return out
-
-
-def split_injection_retraction(ring: EpsRing, t: Matrix) -> Optional[Matrix]:
-    """A retraction R with R*T = identity, or None if T is not split injective.
-
-    Over the local base a map of free modules is split injective exactly when
-    its residue matrix has full column rank (Nakayama).  A left inverse of the
-    residue matrix then lifts to a retraction by the Newton step
-    R <- (2I - R*T) * R, which squares the error R*T - I in (eps), so
-    ceil(log2 order) steps make it exact.  Callers that need only the verdict
-    (`validate_filtered`, `split_filtration`) decide it on the residues;
-    the retraction itself serves `verify_splitting`, where T is the square
-    splitting basis and the retraction is its inverse.
-    """
-    if not t or not t[0]:
-        return []
-    nrows, ncols = len(t), len(t[0])
-    field = ring.field
-    aug = [[v[0] for v in row] + [field.one if i == j else field.zero
-                                  for j in range(nrows)]
-           for i, row in enumerate(t)]
-    reduced, pivots = row_reduce(field, aug)
-    if pivots[:ncols] != list(range(ncols)):
-        return None
-    # Rows 0..ncols-1 of the recorded transform P satisfy P*T0 = [I; 0].
-    r = [[ring(v) for v in row[ncols:]] for row in reduced[:ncols]]
-    for _ in range((ring.order - 1).bit_length()):
-        error = mat_mul(ring, r, t)
-        for i in range(ncols):
-            error[i][i] = ring.sub(error[i][i], ring.one)
-        r = [[ring.sub(a, b) for a, b in zip(row, fix)]
-             for row, fix in zip(r, mat_mul(ring, error, r))]
-    return r
 
 
 @dataclass(frozen=True)
@@ -319,33 +286,44 @@ def verify_splitting(f: FilteredModule, splitting: FiltrationSplitting,
                      colimit=None) -> None:
     """Exact check that partial sums of the grading equal the filtration.
 
-    The square basis B is inverted once; a filtration step lies in the
-    partial sum of degrees <= its index exactly when its coordinates in B
-    vanish in every higher-degree row.  Containment gives equality: the step
-    is a direct summand of rank r (a composite of validated split
-    injections), the partial sum is free of rank r (its columns are part of
-    the basis B), and a direct summand of a free module that sits inside a
-    free module of the same rank is all of it.  `colimit` is
-    ``colimit_module(f)`` if the caller already holds it.
+    Over R = k[eps]/(eps^m), R^n is k^(n*m), and the R-span of some columns
+    is the k-span of their shifts eps^0 * b, ..., eps^(m-1) * b.  Walking the
+    steps upward, the shifts of every basis column of degree <= the index
+    join one echelon over k, and the step lies in the partial sum exactly
+    when each of its columns reduces to zero against it.  No inverse is
+    computed: the last step is (hi, identity), so its containment shows that
+    the n basis columns span R^n, which makes the square basis B invertible.
+    Containment then gives equality: the step is a direct summand of rank r
+    (a composite of validated split injections), the partial sum is free of
+    rank r (its columns are part of the basis B), and a direct summand of a
+    free module that sits inside a free module of the same rank is all of
+    it.  `colimit` is ``colimit_module(f)`` if the caller already holds it.
     """
     ring = f.ring
+    m, p, zero = ring.order, ring.field.p, ring.field.zero
     top_rank, steps = colimit_module(f) if colimit is None else colimit
     basis = splitting.basis
     degrees = splitting.degrees_by_column
-    inverse = None
-    if len(basis) == len(degrees) == top_rank and all(
-            len(col) == top_rank for col in basis):
-        inverse = split_injection_retraction(
-            ring, [[col[r] for col in basis] for r in range(top_rank)])
-    if inverse is None:
+    if not (len(basis) == len(degrees) == top_rank
+            and all(len(col) == top_rank for col in basis)):
         raise AssertionError("splitting basis is not invertible")
+
+    def shifted(col, s):
+        """eps^s * col over k: the eps^j coefficient of entry r at j * n + r."""
+        return _sparse([zero] * (s * top_rank) + [v[j] for j in range(m - s) for v in col], p)
+
+    by_degree = sorted(range(top_rank), key=degrees.__getitem__)
+    echelon: list[tuple[int, dict]] = []
+    added = 0
     for index, image in steps:
-        if sum(1 for d in degrees if d <= index) != f.rank(index):
+        rank = f.rank(index)
+        if sum(1 for d in degrees if d <= index) != rank:
             raise AssertionError("partial sum has the wrong rank")
-        # coordinates of the step in the basis columns of higher degree
-        higher = mat_mul(ring, [row for row, d in zip(inverse, degrees) if d > index],
-                         image)
-        if not all(ring.is_zero(v) for row in higher for v in row):
+        for c in by_degree[added:rank]:
+            for s in range(m):
+                _add_row(shifted(basis[c], s), echelon, p)
+        added = rank
+        if any(_reduce(shifted(col, 0), echelon, p) for col in zip(*image)):
             raise AssertionError("filtration step escapes the partial sum")
 
 

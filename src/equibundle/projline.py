@@ -147,7 +147,6 @@ def _column_reduce(g: LaurentMatrix):
 
     while True:
         for j in range(len(echelon), n):
-            # over Q the tracking entry must be Fraction(1): _normalized divides by it
             vec = {i: c for i, entry in enumerate(cols[j]) if (c := entry.coeff(tops[j]))}
             vec[n + j] = field.one
             vec = _reduce(vec, echelon, p)
@@ -268,7 +267,6 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
     """
     p = g.field.p
     n, top = g.n, bound + 1
-    # over Q the seed rows must hold Fraction(1): _normalized divides by it
     one = g.field.one
     rows = _coefficient_rows(g, low, top)
     above = [e for e in rows if e > high]
@@ -329,14 +327,10 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
 
     Computed by exact linear algebra on Laurent coefficients with the degree
     bound max(0, m - w + min(R - min(rowtop), C - min(coltop))) at twist m,
-    where det g = c * t^w and R, C sum the top exponents of the rows and of
-    the columns of g.  It is a theorem, read off g alone: a section is
-    f = t^m g^-1 h with h in k[1/t]^n, so deg f <= m + e_max(g^-1), and
-    g^-1 = adj(g) / (c * t^w) with each cofactor's top exponent at most the
-    sum of the row tops, or of the column tops, that it keeps.  It is exact
-    on line bundles.  One sparse elimination at bound + 1 gives the
-    dimension at bound + 1 and, by forcing the t^(bound + 1) coefficients to
-    zero, at the bound; the two must agree, or ArithmeticError is raised.
+    read off g alone; ``_bound`` states it and proves it.  It is exact on
+    line bundles.  One sparse elimination at bound + 1 gives the dimension
+    at bound + 1 and, by forcing the t^(bound + 1) coefficients to zero, at
+    the bound; the two must agree, or ArithmeticError is raised.
     This is the one-twist case of ``h0_table``'s walk: going down from twist
     m to m - 1 only adds the rows "t^m coefficient of g * f = 0" to the same
     system, so one elimination serves every twist below.

@@ -397,6 +397,21 @@ class TestLinearAlgebra:
         rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
         assert invert_matrix(QQ, rows) is None
 
+    def test_int_rows_give_exact_fractions_over_q(self):
+        def exact(got, expected):
+            flat = [v for row in got for v in row]
+            assert all(type(v) is Fraction for v in flat)
+            assert [list(row) for row in got] == [[Fraction(v) for v in row] for row in expected]
+
+        half = Fraction(1, 2)
+        rref, pivots = row_reduce(QQ, [[2, 1, 3], [4, 2, 6]])
+        exact(rref, [[1, half, 3 * half], [0, 0, 0]])
+        assert pivots == [0]
+        exact(nullspace(QQ, [[2, 1, 3]], 3), [[-half, 1, 0], [-3 * half, 0, 1]])
+        exact(row_reduce(QQ, [[2, 1], [1, 3]])[0], [[1, 0], [0, 1]])
+        fifth = Fraction(1, 5)
+        exact(invert_matrix(QQ, [[2, 1], [1, 3]]), [[3 * fifth, -fifth], [-fifth, 2 * fifth]])
+
 
 def _row_reduce_dense(field, rows):
     """Reference: the dense Gauss-Jordan that the sparse kernel replaced."""

@@ -13,7 +13,6 @@ from equibundle.filtered import (
     mat_identity,
     mat_mul,
     split_filtration,
-    split_injection_retraction,
     validate_filtered,
     verify_splitting,
 )
@@ -70,7 +69,7 @@ class TestValidate:
     def test_eps_twisted_injection_is_split(self):
         # (1, eps): splits because the residue has full column rank
         t = [[RD.one], [eps(RD)]]
-        assert split_injection_retraction(RD, t) is not None
+        assert validate_filtered(fm(RD, 0, [1, 2], [t]))
 
     def test_eps_only_injection_is_not_split(self):
         report = validate_filtered(fm(RD, 0, [1, 1], [[[eps(RD)]]]))
@@ -150,7 +149,8 @@ class TestSplitFiltration:
 
 
 class TestResidueVerdicts:
-    """The residue-rank verdicts against the retraction as the reference."""
+    """The residue-rank verdicts against the unit-pivot retraction as the
+    reference."""
 
     def test_validate_matches_retraction(self, rng):
         seen = set()
@@ -162,7 +162,7 @@ class TestResidueVerdicts:
                     b = rng.randint(a, 4)
                     t = random_transition(rng, ring, a, b)
                     verdict = bool(validate_filtered(fm(ring, 0, [a, b], [t])))
-                    assert verdict == (split_injection_retraction(ring, t) is not None)
+                    assert verdict == (_retraction_unit_pivots(ring, t) is not None)
                     seen.add(verdict)
         assert seen == {True, False}
 
@@ -181,7 +181,7 @@ class TestResidueVerdicts:
                         row[col] = ring.mul(eps(ring), row[col])
                     assert any(not ring.is_zero(row[col]) for row in t)
                     assert not validate_filtered(fm(ring, 0, [a, b], [t]))
-                    assert split_injection_retraction(ring, t) is None
+                    assert _retraction_unit_pivots(ring, t) is None
 
     def test_split_basis_matches_retraction_selection(self, rng):
         for field in FIELDS:
@@ -196,39 +196,17 @@ class TestResidueVerdicts:
                     assert s.degrees_by_column == degrees
 
 
-class TestRetractionAgainstUnitPivotReference:
-    """The residue left inverse with its Newton lift against the unit-pivot
-    elimination over k[eps]/(eps^m) that it replaced."""
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_verdict_and_exact_retraction(self, rng, order):
-        seen = set()
-        for field in FIELDS:
-            ring = EpsRing(field, order)
-            for _ in range(30):
-                a = rng.randint(1, 4)
-                b = rng.randint(max(1, a - 1), 6)
-                t = random_transition(rng, ring, a, b)
-                retraction = split_injection_retraction(ring, t)
-                expected = _retraction_unit_pivots(ring, t)
-                assert (retraction is None) == (expected is None)
-                if retraction is not None:
-                    assert mat_mul(ring, retraction, t) == mat_identity(ring, a)
-                seen.add(retraction is None)
-            assert split_injection_retraction(ring, []) == []
-            assert split_injection_retraction(ring, [[], []]) == []
-        assert seen == {True, False}
-
-
 class TestVerifySplitting:
     """verify_splitting against the two-way containment check it replaced,
     on valid splittings and on seeded wrong ones."""
 
-    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_rejects_wrong_splittings(self, rng, field, order):
         ring = EpsRing(field, order)
         unit = ring(tuple(rng.randint(1, 4) for _ in range(order)))
+        if not unit[0]:  # an even residue over F2
+            unit = ring.add(unit, ring.one)
         kinds = set()
         for _ in range(12):
             f = random_filtered(rng, ring, sorted(rng.randint(0, 4) for _ in range(4)))
@@ -240,27 +218,38 @@ class TestVerifySplitting:
             # adding a lower-degree column into a higher one keeps it valid
             for lo, hi in pairs:
                 valid = with_basis(s, add_column(ring, s.basis, hi, lo, unit))
-                verify_splitting(f, valid)
-                assert containment_verdict(f, valid)
+                assert verified(f, valid) and containment_verdict(f, valid)
             mutants = []
             for lo, hi in pairs:
-                mutants.append(("higher into lower", add_column(ring, s.basis, lo, hi, unit)))
+                mutants.append(("higher into lower", with_basis(
+                    s, add_column(ring, s.basis, lo, hi, unit))))
                 if order > 1:
-                    mutants.append(("eps-multiple into lower", add_column(
-                        ring, s.basis, lo, hi, ring.mul(eps(ring), unit))))
+                    mutants.append(("eps-multiple into lower", with_basis(s, add_column(
+                        ring, s.basis, lo, hi, ring.mul(eps(ring), unit)))))
+                swapped = list(degrees)
+                swapped[lo], swapped[hi] = degrees[hi], degrees[lo]
+                mutants.append(("degree labels swapped", FiltrationSplitting(
+                    s.graded_ranks, s.basis, tuple(swapped))))
             for c in range(len(s.basis)):
                 scale = eps(ring) if order > 1 else ring.zero
                 column = [ring.mul(scale, v) for v in s.basis[c]]
-                mutants.append(("scaled by eps or zeroed",
-                                s.basis[:c] + (tuple(column),) + s.basis[c + 1:]))
-            for kind, basis in mutants:
-                wrong = with_basis(s, basis)
-                with pytest.raises(AssertionError):
-                    verify_splitting(f, wrong)
-                assert not containment_verdict(f, wrong), kind
+                mutants.append(("scaled by eps or zeroed", with_basis(
+                    s, s.basis[:c] + (tuple(column),) + s.basis[c + 1:])))
+            for kind, wrong in mutants:
+                assert not verified(f, wrong) and not containment_verdict(f, wrong), kind
                 kinds.add(kind)
-        assert kinds == {"higher into lower", "scaled by eps or zeroed"} | (
+        assert kinds == {"higher into lower", "degree labels swapped",
+                         "scaled by eps or zeroed"} | (
             {"eps-multiple into lower"} if order > 1 else set())
+
+
+def verified(f, splitting):
+    """verify_splitting as a verdict: False when it raises AssertionError."""
+    try:
+        verify_splitting(f, splitting)
+    except AssertionError:
+        return False
+    return True
 
 
 def with_basis(splitting, basis):
@@ -279,7 +268,7 @@ def add_column(ring, basis, dst, src, scale):
 def solve_columns(ring, t, rhs):
     """Reference: solve T*X = RHS for a split-injective T; None if some column
     of RHS lies outside the column span of T."""
-    retraction = split_injection_retraction(ring, t)
+    retraction = _retraction_unit_pivots(ring, t)
     if retraction is None:
         raise ValueError("coefficient matrix is not split injective")
     candidate = mat_mul(ring, retraction, rhs)
@@ -365,7 +354,7 @@ def conjugate_by_unipotent(rng, f):
 
 def invert(ring, mat):
     """Inverse of a square invertible matrix: its retraction."""
-    out = split_injection_retraction(ring, mat)
+    out = _retraction_unit_pivots(ring, mat)
     assert out is not None
     return out
 
@@ -411,7 +400,7 @@ def retraction_selection(f):
             trial = chosen + [candidate]
             trial_matrix = [[trial[c][r] for c in range(len(trial))]
                             for r in range(top_rank)]
-            if split_injection_retraction(ring, trial_matrix) is not None:
+            if _retraction_unit_pivots(ring, trial_matrix) is not None:
                 chosen.append(candidate)
                 degrees.append(index)
     return tuple(tuple(col) for col in chosen), tuple(degrees)
@@ -433,8 +422,7 @@ def eps_inv(ring, a):
 
 
 def _row_reduce_local(ring, mat):
-    """Reference: Gauss-Jordan over the local ring with unit pivots only, as
-    split_injection_retraction once did it."""
+    """Reference: Gauss-Jordan over the local ring with unit pivots only."""
     mat = [row[:] for row in mat]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -450,8 +438,8 @@ def _row_reduce_local(ring, mat):
         mat[r] = [ring.mul(inv, v) for v in mat[r]]
         for i in range(nrows):
             if i != r and not ring.is_zero(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [ring.sub(a, ring.mul(factor, b))
+                minus_factor = ring.mul(ring(-1), mat[i][c])
+                mat[i] = [ring.add(a, ring.mul(minus_factor, b))
                           for a, b in zip(mat[i], mat[r])]
         pivots.append((r, c))
         r += 1
@@ -462,7 +450,7 @@ def _row_reduce_local(ring, mat):
 
 def _retraction_unit_pivots(ring, t):
     """Reference retraction from unit-pivot elimination of [T | I]."""
-    nrows, ncols = len(t), len(t[0])
+    nrows, ncols = len(t), len(t[0]) if t else 0
     aug = [row[:] + [ring.one if i == j else ring.zero for j in range(nrows)]
            for i, row in enumerate(t)]
     reduced, pivots = _row_reduce_local(ring, aug)
