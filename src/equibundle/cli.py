@@ -272,51 +272,41 @@ def cmd_lift_idempotent(doc, args) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _render_subset(subset) -> str:
-    return "{" + ", ".join(str(x) for x in sorted(subset)) + "}"
+def _subset_lines(label: str, subsets, size: int) -> list[str]:
+    """One line per subset, given as sorted points: one str per point."""
+    names = [str(x) for x in range(size)]
+    return [f"{label} {i} = {{{', '.join([names[x] for x in s])}}}"
+            for i, s in enumerate(subsets)]
 
 
 def cmd_pi0(doc, args) -> list[str]:
     data = topospace.pi0(doc.poset)
-    lines = ["report = pi0", f"components = {data.count}"]
-    for i, part in enumerate(data.components):
-        lines.append(f"component {i} = {_render_subset(part)}")
-    return lines
+    return ["report = pi0", f"components = {data.count}",
+            *_subset_lines("component", map(sorted, data.components), doc.poset.size)]
 
 
 def cmd_clopen(doc, args) -> list[str]:
     sets = topospace.clopen_sets(doc.poset)
-    lines = ["report = clopen", f"count = {len(sets)}"]
-    for i, subset in enumerate(sets):
-        lines.append(f"clopen {i} = {_render_subset(subset)}")
-    return lines
+    return ["report = clopen", f"count = {len(sets)}",
+            *_subset_lines("clopen", sets, doc.poset.size)]
 
 
 def cmd_lemma_b2(doc, args) -> list[str]:
     verdict = topospace.lemma_b2_verify(doc.poset)
-    return [
-        "report = lemma-b2",
-        f"bijections hold = {_yesno(verdict)}",
-    ]
+    return ["report = lemma-b2", f"bijections hold = {_yesno(verdict)}"]
 
 
 def cmd_prop_b3(doc, args) -> list[str]:
     report = topospace.prop_b3_check(doc.map)
-    return [
-        "report = prop-b3",
-        f"clopen bijection = {_yesno(report.clopen_bijection)}",
-        f"pi0 bijective = {_yesno(report.pi0_bijective)}",
-        f"pi0 homeomorphism = {_yesno(report.pi0_homeomorphism)}",
-        f"equivalence holds = {_yesno(report.all_equivalent)}",
-    ]
+    return ["report = prop-b3", f"clopen bijection = {_yesno(report.clopen_bijection)}",
+            f"pi0 bijective = {_yesno(report.pi0_bijective)}",
+            f"pi0 homeomorphism = {_yesno(report.pi0_homeomorphism)}",
+            f"equivalence holds = {_yesno(report.all_equivalent)}"]
 
 
 def cmd_homeo_check(doc, args) -> list[str]:
     verdict = topospace.homeo_criterion(doc.map)
-    return [
-        "report = homeo-check",
-        f"homeomorphism = {_yesno(verdict)}",
-    ]
+    return ["report = homeo-check", f"homeomorphism = {_yesno(verdict)}"]
 
 
 # ---------------------------------------------------------------------------

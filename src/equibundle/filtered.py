@@ -304,9 +304,10 @@ def verify_splitting(f: FilteredModule, splitting: FiltrationSplitting,
     top_rank, steps = colimit_module(f) if colimit is None else colimit
     basis = splitting.basis
     degrees = splitting.degrees_by_column
-    if not (len(basis) == len(degrees) == top_rank
-            and all(len(col) == top_rank for col in basis)):
-        raise AssertionError("splitting basis is not invertible")
+    lengths = sorted({len(col) for col in basis})
+    if not (len(basis) == len(degrees) == top_rank and lengths in ([], [top_rank])):
+        raise AssertionError(f"splitting basis has {len(basis)} columns of lengths {lengths} "
+                             f"and {len(degrees)} degrees; the top rank is {top_rank}")
 
     def shifted(col, s):
         """eps^s * col over k: the eps^j coefficient of entry r at j * n + r."""

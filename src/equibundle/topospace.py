@@ -6,14 +6,16 @@ the generization-closed (down-closed) sets.  Every finite poset satisfies the
 basis condition for spectral spaces, quotients by connected components are
 discrete, and pro-clopen coincides with clopen; the operations below verify
 these coincidences rather than assume them.  Subsets are ``int`` bitmasks
-(bit x for point x), and pi0 is computed once per poset, memoized on it.
+(bit x for point x), and pi0 is computed once per poset, memoized on it.  Each
+2^n enumeration reads a union table, table[s] = the union of masks[i] over the
+bits i of s: of up-sets it maps s to its closure, of down-sets to its
+generization, of the fibers of a map to its preimage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import product
+from functools import cached_property
 from typing import Iterable, Iterator
 
 ENUMERATION_LIMIT = 16  # enumerate at most 2^16 subsets, clopen sets or open sets
@@ -33,8 +35,20 @@ def _check_limit(what: str, exponent: int, sets: str) -> None:
                          f"the limit is 2^{ENUMERATION_LIMIT}")
 
 
-def _preimage(mapping: tuple[int, ...], subset: int) -> int:
-    return sum(1 << x for x, v in enumerate(mapping) if subset >> v & 1)
+def _fibers(mapping, size: int) -> list[int]:
+    """The preimages of the points 0 .. size - 1."""
+    fibers = [0] * size
+    for x, v in enumerate(mapping):
+        fibers[v] |= 1 << x
+    return fibers
+
+
+def _union_table(masks) -> list[int]:
+    """table[s] = the union of masks[i] over the bits i of s; built by doubling."""
+    table = [0]
+    for mask in masks:
+        table += [t | mask for t in table]
+    return table
 
 
 def _union(masks, subset: int) -> int:
@@ -45,11 +59,6 @@ def _union(masks, subset: int) -> int:
         out |= masks[low.bit_length() - 1]
         subset ^= low
     return out
-
-
-def _is_monotone(source: FinitePoset, target: FinitePoset, mapping) -> bool:
-    return all(target.up[mapping[x]] >> mapping[y] & 1
-               for x in range(source.size) for y in _bits(source.up[x]))
 
 
 @dataclass(frozen=True)
@@ -70,16 +79,23 @@ class FinitePoset:
         up = [sum(1 << y for y, v in enumerate(row) if v) for row in matrix]
         if any(not u >> x & 1 for x, u in enumerate(up)):
             raise ValueError("specialization must be reflexive")
-        down = [0] * n
         for x, u in enumerate(up):
             for y in _bits(u):
-                down[y] |= 1 << x
                 if y != x and up[y] >> x & 1:
                     raise ValueError("mutually specializing distinct points")
                 if up[y] & ~u:
                     raise ValueError("specialization must be transitive")
-        object.__setattr__(self, "up", tuple(up))
-        object.__setattr__(self, "down", tuple(down))
+        self._set_masks(up)
+
+    def _set_masks(self, up: list[int]) -> None:
+        """Up- and down-sets from up-sets that are reflexive and transitive."""
+        down = [0] * len(up)
+        for x, u in enumerate(up):
+            for y in _bits(u):
+                down[y] |= 1 << x
+        if any(u & d != 1 << x for x, (u, d) in enumerate(zip(up, down))):
+            raise ValueError("mutually specializing distinct points")
+        self.__dict__.update(up=tuple(up), down=tuple(down))
 
     @classmethod
     def from_relations(cls, size: int, relations: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -93,27 +109,15 @@ class FinitePoset:
             for i in range(size):
                 if rows[i] >> k & 1:
                     rows[i] |= rows[k]
-        return cls(size, [[bool(r >> j & 1) for j in range(size)] for r in rows])
+        poset = object.__new__(cls)  # Warshall masks: only antisymmetry is checked
+        poset.__dict__.update(size=size, _pi0=None, leq=tuple(
+            [tuple([bool(r >> j & 1) for j in range(size)]) for r in rows]))
+        poset._set_masks(rows)
+        return poset
 
     @classmethod
     def antichain(cls, size: int) -> "FinitePoset":
         return cls.from_relations(size, [])
-
-    @classmethod
-    def chain(cls, size: int) -> "FinitePoset":
-        return cls.from_relations(size, [(i, i + 1) for i in range(size - 1)])
-
-    # up[x] and down[x] contain x: a subset is stable iff it is their union over it
-    def is_closed(self, subset: int) -> bool:
-        """Closed = stable under specialization (up-closed)."""
-        return _union(self.up, subset) == subset
-
-    def is_open(self, subset: int) -> bool:
-        """Open = stable under generization (down-closed)."""
-        return _union(self.down, subset) == subset
-
-    def is_clopen(self, subset: int) -> bool:
-        return self.is_closed(subset) and self.is_open(subset)
 
     def is_discrete(self) -> bool:
         return all(u == 1 << x for x, u in enumerate(self.up))
@@ -134,6 +138,12 @@ class Pi0:
     @property
     def count(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def _unions(self) -> list[int]:
+        """The 2^count clopen subsets: bit i of the index picks component i."""
+        _check_limit("clopen", self.count, "unions of components")
+        return _union_table(self.masks)
 
 
 def _components(space: FinitePoset) -> list[int]:
@@ -157,45 +167,38 @@ def pi0(space: FinitePoset) -> Pi0:
     Computed once per poset and memoized on it."""
     if space._pi0 is None:
         masks = _components(space)
+        owner = {x: i for i, m in enumerate(masks) for x in _bits(m)}
         object.__setattr__(space, "_pi0", Pi0(
-            components=tuple(frozenset(_bits(m)) for m in masks),
-            component_of=tuple([next(i for i, m in enumerate(masks) if m >> x & 1)
-                                for x in range(space.size)]),
+            components=tuple([frozenset(_bits(m)) for m in masks]),
+            component_of=tuple([owner[x] for x in range(space.size)]),
             quotient=FinitePoset.antichain(len(masks)),
             masks=tuple(masks),
         ))
     return space._pi0
 
 
-def _clopen_unions(space: FinitePoset) -> list[tuple[int, frozenset[int]]]:
-    """The 2^|pi0| unions of connected components, as masks and as sets."""
+def clopen_sets(space: FinitePoset) -> list[tuple[int, ...]]:
+    """All clopen subsets = unions of connected components (2^|pi0| of them),
+    as sorted point tuples, ordered by size and then by their points."""
     data = pi0(space)
     _check_limit("clopen", data.count, "unions of components")
-    out = [(0, frozenset())]
-    for part, points in zip(data.masks, data.components):
-        out += [(m | part, s | points) for m, s in out]
-    return out
+    sets: list[tuple[int, ...]] = [()]
+    for part in data.components:
+        points = tuple(sorted(part))
+        sets += [tuple(sorted(s + points)) for s in sets]
+    sets.sort()
+    sets.sort(key=len)  # stable: by size, then by points
+    return sets
 
 
-def clopen_sets(space: FinitePoset) -> list[frozenset[int]]:
-    """All clopen subsets = unions of connected components (2^|pi0| of them)."""
-    n = space.size
-    # equal sizes order by sorted points: the lower least differing point comes
-    # first, so the bit-reversed mask is larger
-    ordered = sorted(_clopen_unions(space),
-                     key=lambda u: (len(u[1]), -int(f"{u[0]:0{n}b}"[::-1], 2)))
-    return [points for _, points in ordered]
-
-
-def _pro_clopen(space: FinitePoset, parts: tuple[int, ...], subset: int) -> bool:
-    """Closed and a union of the components `parts`; verified to coincide
-    with clopen."""
-    closed = space.is_closed(subset)
-    verdict = closed and all(part & subset in (0, part) for part in parts)
-    if verdict != (closed and space.is_open(subset)):
-        raise AssertionError(
-            "pro-clopen and clopen disagree on a finite space; impossible")
-    return verdict
+def _pro_clopens(space: FinitePoset, image: list[int], unions: list[int]) -> set[int]:
+    """Closed unions of components, verified clopen; image[s]: the components s meets."""
+    up, down = _union_table(space.up), _union_table(space.down)
+    closed = [s for s in space.subsets() if up[s] == s]
+    pro_clopens = {s for s in closed if unions[image[s]] == s}
+    if pro_clopens != {s for s in closed if down[s] == s}:
+        raise AssertionError("pro-clopen and clopen disagree on a finite space; impossible")
+    return pro_clopens
 
 
 def lemma_b2_verify(space: FinitePoset) -> bool:
@@ -207,16 +210,17 @@ def lemma_b2_verify(space: FinitePoset) -> bool:
     """
     _check_limit("lemma-b2", space.size, "subsets")
     data = pi0(space)
-    quotient, parts = data.quotient, data.masks
-    preimage = partial(_union, parts)
-    image = partial(_union, [1 << c for c in data.component_of])
+    quotient, preimage = data.quotient, data._unions
+    image = _union_table([1 << c for c in data.component_of])
 
     def corresponds(sets_q: set[int], sets_x: set[int]) -> bool:
-        return ({preimage(s) for s in sets_q} == sets_x and len(sets_x) == len(sets_q)
-                and all(image(preimage(s)) == s for s in sets_q))
+        return ({preimage[s] for s in sets_q} == sets_x and len(sets_x) == len(sets_q)
+                and all(image[preimage[s]] == s for s in sets_q))
 
-    pro_clopens = {s for s in space.subsets() if _pro_clopen(space, parts, s)}
-    closed_q = {s for s in quotient.subsets() if quotient.is_closed(s)}
+    # the clopen subsets of X too: _pro_clopens verifies the two coincide
+    pro_clopens = _pro_clopens(space, image, preimage)
+    up_q, down_q = _union_table(quotient.up), _union_table(quotient.down)
+    closed_q = {s for s in quotient.subsets() if up_q[s] == s}
     if not corresponds(closed_q, pro_clopens):
         return False
     # by increasing size, a nonempty set is minimal iff it contains no
@@ -227,9 +231,7 @@ def lemma_b2_verify(space: FinitePoset) -> bool:
             minimal.append(s)
     if not corresponds({1 << i for i in range(quotient.size)}, set(minimal)):
         return False
-    clopens_x = {s for s in space.subsets() if space.is_clopen(s)}
-    clopens_q = {s for s in quotient.subsets() if quotient.is_clopen(s)}
-    return corresponds(clopens_q, clopens_x)
+    return corresponds({s for s in closed_q if down_q[s] == s}, pro_clopens)
 
 
 def non_open_preimage(source: FinitePoset, target: FinitePoset,
@@ -239,8 +241,9 @@ def non_open_preimage(source: FinitePoset, target: FinitePoset,
     Every open set is a union of the principal opens down[t] (the minimal
     basis of a finite T0 space), so all preimages of opens are open iff these.
     """
-    return next((t for t, open_t in enumerate(target.down)
-                 if not source.is_open(_preimage(mapping, open_t))), None)
+    fibers = _fibers(mapping, target.size)
+    preimages = [_union(fibers, open_t) for open_t in target.down]
+    return next((t for t, p in enumerate(preimages) if _union(source.down, p) != p), None)
 
 
 @dataclass(frozen=True)
@@ -252,28 +255,27 @@ class MonotoneMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = tuple([int(v) for v in self.mapping])
         if len(mapping) != self.source.size:
             raise ValueError("mapping must cover the source")
         if any(not (0 <= v < self.target.size) for v in mapping):
             raise ValueError("mapping value out of range")
         object.__setattr__(self, "mapping", mapping)
-        if not _is_monotone(self.source, self.target, mapping):
+        source, up = self.source, self.target.up
+        if not all(up[mapping[x]] >> mapping[y] & 1
+                   for x in range(source.size) for y in _bits(source.up[x])):
             raise ValueError("map does not preserve specialization")
         # continuity = openness of preimages, equivalent to monotonicity here;
         # verified directly so the equivalence is exercised, not assumed
         if non_open_preimage(self.source, self.target, mapping) is not None:
             raise AssertionError("monotone map with a non-open preimage; impossible")
 
-    def preimage(self, subset: int) -> int:
-        return _preimage(self.mapping, subset)
-
 
 def pi0_map(f: MonotoneMap) -> tuple[Pi0, Pi0, tuple[int, ...]]:
     """Induced map on connected components."""
     src, tgt = pi0(f.source), pi0(f.target)
-    induced = tuple(tgt.component_of[f.mapping[(part & -part).bit_length() - 1]]
-                    for part in src.masks)
+    induced = tuple([tgt.component_of[f.mapping[(part & -part).bit_length() - 1]]
+                     for part in src.masks])
     return src, tgt, induced
 
 
@@ -293,11 +295,11 @@ class PropB3Report:
 
 def prop_b3_check(f: MonotoneMap) -> PropB3Report:
     """Evaluate the three conditions independently and report them."""
-    clopens_y = [m for m, _ in _clopen_unions(f.target)]
-    clopens_x = {m for m, _ in _clopen_unions(f.source)}
-    preimages = {f.preimage(s) for s in clopens_y}
-    clopen_bijection = len(preimages) == len(clopens_y) and preimages == clopens_x
     src, tgt, induced = pi0_map(f)
+    clopens_y, clopens_x = tgt._unions, src._unions
+    # preimage commutes with union: these are the preimages of clopens_y
+    preimages = set(_union_table(_fibers([tgt.component_of[v] for v in f.mapping], tgt.count)))
+    clopen_bijection = len(preimages) == len(clopens_y) and preimages == set(clopens_x)
     bijective = len(set(induced)) == src.count and src.count == tgt.count
     homeomorphism = _is_homeomorphism(src.quotient, tgt.quotient, induced)
     return PropB3Report(clopen_bijection, bijective, homeomorphism)
@@ -309,12 +311,13 @@ def _is_homeomorphism(source: FinitePoset, target: FinitePoset,
         return False
     _check_limit("the homeomorphism test", source.size, "open sets")
     inverse = sorted(range(source.size), key=mapping.__getitem__)
+    down_s, down_t = _union_table(source.down), _union_table(target.down)
 
-    def continuous(fn, dom: FinitePoset, cod: FinitePoset) -> bool:
-        return all(dom.is_open(_preimage(fn, subset))
-                   for subset in cod.subsets() if cod.is_open(subset))
+    def continuous(fn, dom: list[int], cod: list[int]) -> bool:  # open u: cod[u] == u
+        preimage = _union_table(_fibers(fn, len(fn)))
+        return all(dom[p] == p for u, (g, p) in enumerate(zip(cod, preimage)) if g == u)
 
-    return continuous(mapping, source, target) and continuous(inverse, target, source)
+    return continuous(mapping, down_s, down_t) and continuous(inverse, down_t, down_s)
 
 
 def homeo_criterion(f: MonotoneMap) -> bool:
@@ -350,6 +353,19 @@ def all_posets(size: int) -> Iterator[FinitePoset]:
 
 
 def all_monotone_maps(source: FinitePoset, target: FinitePoset) -> Iterator[MonotoneMap]:
-    for values in product(range(target.size), repeat=source.size):
-        if _is_monotone(source, target, values):
+    """Every monotone map, in lexicographic order: point y goes, in label order,
+    above the images of the earlier points below it and below those above it."""
+    def extend(values: tuple[int, ...]) -> Iterator[MonotoneMap]:
+        y = len(values)
+        if y == source.size:
             yield MonotoneMap(source, target, values)
+            return
+        allowed, earlier = (1 << target.size) - 1, (1 << y) - 1
+        for x in _bits(source.down[y] & earlier):
+            allowed &= target.up[values[x]]
+        for x in _bits(source.up[y] & earlier):
+            allowed &= target.down[values[x]]
+        for t in _bits(allowed):
+            yield from extend(values + (t,))
+
+    yield from extend(())

@@ -242,6 +242,24 @@ class TestVerifySplitting:
                          "scaled by eps or zeroed"} | (
             {"eps-multiple into lower"} if order > 1 else set())
 
+    def test_wrong_shape_is_named(self):
+        f = fm(RD, 0, [1, 2], [((RD.one,), (RD.zero,))])
+        s = split_filtration(f)
+        assert (len(s.basis), s.degrees_by_column) == (2, (0, 1))
+        verify_splitting(f, s)
+        cases = [
+            (FiltrationSplitting(s.graded_ranks, s.basis[:1], s.degrees_by_column),
+             "splitting basis has 1 columns of lengths [2] and 2 degrees; the top rank is 2"),
+            (with_basis(s, [s.basis[0], s.basis[1][:1]]),
+             "splitting basis has 2 columns of lengths [1, 2] and 2 degrees; the top rank is 2"),
+            (FiltrationSplitting(s.graded_ranks, s.basis, (0, 1, 1)),
+             "splitting basis has 2 columns of lengths [2] and 3 degrees; the top rank is 2"),
+        ]
+        for wrong, message in cases:
+            with pytest.raises(AssertionError) as caught:
+                verify_splitting(f, wrong)
+            assert str(caught.value) == message
+
 
 def verified(f, splitting):
     """verify_splitting as a verdict: False when it raises AssertionError."""

@@ -20,12 +20,18 @@ from equibundle.topospace import (
     pi0_map,
     prop_b3_check,
 )
-from equibundle.topospace import _is_homeomorphism, _pro_clopen
+from equibundle.topospace import _is_homeomorphism, _pro_clopens, _union_table
 
 
-def pro_clopen_check(space, subset):
-    """The pro-clopen test as lemma_b2_verify runs it, on the space's pi0."""
-    return _pro_clopen(space, pi0(space).masks, subset)
+def chain(size):
+    """0 specializes to 1, 1 to 2, and so on."""
+    return FinitePoset.from_relations(size, [(i, i + 1) for i in range(size - 1)])
+
+
+def pro_clopens(space):
+    """The pro-clopen subsets as lemma_b2_verify finds them, on the space's pi0."""
+    data = pi0(space)
+    return _pro_clopens(space, _union_table([1 << c for c in data.component_of]), data._unions)
 
 
 class TestPoset:
@@ -48,10 +54,10 @@ class TestPoset:
         assert poset.leq[0][2]
 
     def test_opens_are_generization_closed(self):
-        poset = FinitePoset.chain(2)  # 0 specializes to 1; closed point is 1
-        assert poset.is_closed(0b10)
-        assert poset.is_open(0b01)
-        assert not poset.is_open(0b10)
+        poset = chain(2)  # 0 specializes to 1; closed point is 1
+        assert _union_table(poset.up)[0b10] == 0b10
+        assert _union_table(poset.down)[0b01] == 0b01
+        assert _union_table(poset.down)[0b10] != 0b10
 
 
 class TestPi0:
@@ -59,7 +65,7 @@ class TestPi0:
         assert pi0(FinitePoset.antichain(3)).count == 3
 
     def test_chain(self):
-        assert pi0(FinitePoset.chain(2)).count == 1
+        assert pi0(chain(2)).count == 1
 
     def test_two_generic_points_one_specialization(self):
         poset = FinitePoset.from_relations(3, [(0, 2), (1, 2)])
@@ -70,7 +76,7 @@ class TestPi0:
         assert pi0(poset).quotient.is_discrete()
 
     def test_functoriality_sampled(self):
-        posets = [FinitePoset.chain(2), FinitePoset.antichain(2),
+        posets = [chain(2), FinitePoset.antichain(2),
                   FinitePoset.from_relations(3, [(0, 2), (1, 2)])]
         for x in posets:
             for y in posets:
@@ -86,15 +92,15 @@ class TestPi0:
 
 class TestClopen:
     def test_connected_space(self):
-        sets = clopen_sets(FinitePoset.chain(4))
-        assert sets == [frozenset(), frozenset({0, 1, 2, 3})]
+        sets = clopen_sets(chain(4))
+        assert [frozenset(s) for s in sets] == [frozenset(), frozenset({0, 1, 2, 3})]
 
     def test_two_components(self):
         poset = FinitePoset.from_relations(3, [(0, 1)])
         assert len(clopen_sets(poset)) == 4
 
     def test_empty_space(self):
-        assert clopen_sets(FinitePoset(0, ())) == [frozenset()]
+        assert [frozenset(s) for s in clopen_sets(FinitePoset(0, ()))] == [frozenset()]
 
     def test_count_is_power_of_components(self, rng):
         for poset in list(all_posets(4))[:25]:
@@ -104,14 +110,14 @@ class TestClopen:
 class TestProClopen:
     def test_single_component(self):
         poset = FinitePoset.from_relations(3, [(0, 1)])
-        assert pro_clopen_check(poset, 0b011)
+        assert 0b011 in pro_clopens(poset)
 
     def test_non_closed_singleton(self):
-        poset = FinitePoset.chain(2)
-        assert not pro_clopen_check(poset, 0b01)
+        poset = chain(2)
+        assert 0b01 not in pro_clopens(poset)
 
     def test_empty(self):
-        assert pro_clopen_check(FinitePoset.chain(3), 0)
+        assert 0 in pro_clopens(chain(3))
 
 
 class TestLemmaB2:
@@ -119,7 +125,7 @@ class TestLemmaB2:
         assert lemma_b2_verify(FinitePoset.antichain(3))
 
     def test_chain4(self):
-        assert lemma_b2_verify(FinitePoset.chain(4))
+        assert lemma_b2_verify(chain(4))
 
     def test_exhaustive_small(self):
         for size in range(0, 4):
@@ -169,9 +175,9 @@ class TestHomeoCriterion:
             MonotoneMap(FinitePoset.antichain(1), FinitePoset.antichain(2), (0,)))
 
     def test_rejects_non_discrete(self):
-        chain = FinitePoset.chain(2)
+        line = chain(2)
         with pytest.raises(ValueError):
-            homeo_criterion(MonotoneMap(chain, chain, (0, 1)))
+            homeo_criterion(MonotoneMap(line, line, (0, 1)))
 
 
 class TestEnumeration:
@@ -182,6 +188,32 @@ class TestEnumeration:
     def test_monotone_map_counts_discrete(self):
         x, y = FinitePoset.antichain(2), FinitePoset.antichain(3)
         assert sum(1 for _ in all_monotone_maps(x, y)) == 9
+
+    def test_monotone_maps_match_the_filtered_product(self, rng):
+        small = [p for n in range(0, 4) for p in all_posets(n)]
+        pairs = [(x, y) for x in small for y in small]
+        for _ in range(30):
+            x, y = (FinitePoset.from_relations(n, rels) for n, rels in
+                    random_relabelled_posets(rng, 2, sizes=(4, 5)))
+            pairs.append((x, y))
+        for x, y in pairs:
+            assert [f.mapping for f in all_monotone_maps(x, y)] == ref_monotone_maps(x.leq, y.leq)
+
+    def test_monotone_map_count_over_criterion_08_posets(self):
+        posets = [p for n in range(0, 5) for p in all_posets(n)]
+        assert sum(1 for x in posets for y in posets for _ in all_monotone_maps(x, y)) == 101_167
+
+    def test_union_table_matches_per_subset_unions(self, rng):
+        for n in range(0, 9):
+            masks = [rng.getrandbits(12) for _ in range(n)]
+            table = _union_table(masks)
+            assert len(table) == 1 << n
+            for s in range(1 << n):
+                expected = 0
+                for i in range(n):
+                    if s >> i & 1:
+                        expected |= masks[i]
+                assert table[s] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +305,14 @@ def ref_clopen_sets(leq):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def ref_monotone_maps(source_leq, target_leq):
+    """Every mapping of the product that preserves specialization, in order."""
+    n = len(source_leq)
+    return [values for values in product(range(len(target_leq)), repeat=n)
+            if all(target_leq[values[x]][values[y]]
+                   for x in range(n) for y in range(n) if source_leq[x][y])]
+
+
 def ref_pro_clopen_check(leq, subset):
     subset = frozenset(subset)
     parts = ref_pi0(leq)[0]
@@ -317,11 +357,12 @@ def as_mask(subset):
     return sum(1 << x for x in subset)
 
 
-def random_relabelled_posets(rng, count):
-    """Random posets of size <= 10, density 0.2-0.6, with shuffled labels."""
+def random_relabelled_posets(rng, count, sizes=(0, 10)):
+    """Random posets of sizes in the closed range `sizes`, density 0.2-0.6,
+    with shuffled labels."""
     out = []
     for _ in range(count):
-        n = rng.randint(0, 10)
+        n = rng.randint(*sizes)
         density = rng.uniform(0.2, 0.6)
         labels = list(range(n))
         rng.shuffle(labels)
@@ -347,12 +388,15 @@ class TestAgainstReference:
         assert data.components == components
         assert data.component_of == component_of
         assert data.masks == tuple(as_mask(c) for c in components)
-        assert clopen_sets(poset) == ref_clopen_sets(leq)
+        assert [frozenset(s) for s in clopen_sets(poset)] == ref_clopen_sets(leq)
+        found = pro_clopens(poset)
+        closure, generization = _union_table(poset.up), _union_table(poset.down)
         for subset in ref_subsets(poset.size):
             mask = as_mask(subset)
-            assert pro_clopen_check(poset, mask) == ref_pro_clopen_check(leq, subset)
-            assert poset.is_closed(mask) == ref_is_closed(leq, subset)
-            assert poset.is_clopen(mask) == ref_is_clopen(leq, subset)
+            assert (mask in found) == ref_pro_clopen_check(leq, subset)
+            closed = closure[mask] == mask
+            assert closed == ref_is_closed(leq, subset)
+            assert (closed and generization[mask] == mask) == ref_is_clopen(leq, subset)
         assert lemma_b2_verify(poset) == ref_lemma_b2_verify(leq)
 
     def test_every_small_poset(self):
@@ -397,18 +441,18 @@ class TestAgainstReference:
                             "specialization must be transitive"}
 
     def test_pi0_is_memoized_per_poset(self):
-        first, second = FinitePoset.chain(3), FinitePoset.antichain(3)
+        first, second = chain(3), FinitePoset.antichain(3)
         assert pi0(first) is pi0(first)
         assert pi0(second).count == 3 and pi0(first).count == 1
 
 
 class TestContinuity:
     def test_flipped_chain_has_a_non_open_preimage(self):
-        chain = FinitePoset.chain(3)
+        line = chain(3)
         # 0 -> 2, 2 -> 0 reverses specialization: {0} is open, its preimage {2} is not
-        assert non_open_preimage(chain, chain, (2, 1, 0)) == 0
+        assert non_open_preimage(line, line, (2, 1, 0)) == 0
         with pytest.raises(ValueError, match="does not preserve specialization"):
-            MonotoneMap(chain, chain, (2, 1, 0))
+            MonotoneMap(line, line, (2, 1, 0))
 
     def test_monotone_maps_have_open_preimages(self):
         posets = [p for n in range(0, 4) for p in all_posets(n)]
@@ -432,6 +476,32 @@ class TestContinuity:
                     assert (found is None) == monotone
                     caught += found is not None
         assert caught > 100
+
+
+class TestClopenReport:
+    def test_matches_the_reference_on_relabelled_unions(self, rng, tmp_path, capsys):
+        for count in list(range(1, 11)) * 2:  # components
+            rels, n = [], 0
+            for _ in range(count):
+                size = rng.randint(1, 3)
+                if size == 3 and rng.random() < 0.5:  # a vee above point n
+                    rels += [(n + 1, n), (n + 2, n)]
+                else:  # a chain
+                    rels += [(n + i, n + i + 1) for i in range(size - 1)]
+                n += size
+            labels = list(range(n))
+            rng.shuffle(labels)
+            rels = [(labels[x], labels[y]) for x, y in rels]
+            path = tmp_path / "poset.txt"
+            path.write_text(f"kind = poset\nn = {n}\n"
+                            + "".join(f"rel = {x}<{y}\n" for x, y in rels))
+            assert main(["clopen", str(path)]) == 0
+            expected = ref_clopen_sets(ref_closure(n, rels))
+            lines = ["report = clopen", f"count = {len(expected)}"] + [
+                f"clopen {i} = {{{', '.join(str(x) for x in sorted(s))}}}"
+                for i, s in enumerate(expected)]
+            assert capsys.readouterr().out == "\n".join(lines) + "\n"
+            assert len(expected) == 2 ** count
 
 
 class TestComponentSearchOnce:
@@ -495,6 +565,17 @@ class TestEnumerationLimits:
         assert code == 3 and out == ""
         assert "enumerates 2^31" in err and "Traceback" not in err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command,lines", [("lemma-b2", 2), ("clopen", 2 + 2 ** 16)])
+    def test_sixteen_point_antichain_is_within_the_limit(self, tmp_path, capsys, command,
+                                                          lines):
+        # the worst case inside the limit: tables of 2^16 entries, 2^16 clopen sets
+        code, out, err, elapsed = self.run(tmp_path, capsys, command, "kind = poset\nn = 16\n")
+        assert code == 0 and err == "" and len(out.splitlines()) == lines
+        last = "bijections hold = yes" if command == "lemma-b2" else (
+            "clopen 65535 = {" + ", ".join(map(str, range(16))) + "}")
+        assert out.splitlines()[-1] == last
+        assert elapsed < 3.0
 
     def test_sixteen_point_chain_is_within_the_limit(self, tmp_path, capsys):
         assert ENUMERATION_LIMIT == 16
