@@ -70,7 +70,7 @@ class RationalField:
     one = Fraction(1)
 
     def __call__(self, value) -> Fraction:
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def validate(self, value) -> Fraction:
         if not isinstance(value, Fraction):

@@ -9,18 +9,22 @@ degree-zero part; this is the instance class on which the graded Nakayama
 zero test, the lifting of maps along B -> B/IB and the isomorphism test are
 certified, always with respect to I.  No Groebner machinery: dimensions of
 graded components are computed by exact linear algebra on monomial bases,
-which is all the desk scale needs.
+which is all the desk scale needs.  Each relation column times each monomial
+of the complementary degree is one sparse row, read off the column's terms,
+and the rows of one degree are eliminated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from equibundle.exact_core import (
     Field,
     FieldMismatchError,
     Scalar,
+    _eliminate,
     matrix_rank,
     row_reduce,
 )
@@ -177,22 +181,13 @@ class GradedAlgebra:
         """All exponent tuples of weighted degree `degree` (connected algebra)."""
         if not self.is_connected():
             raise ValueError("monomial enumeration requires a connected algebra")
-        out: list[Monomial] = []
-        nvars = self.nvars
-
-        def rec(i: int, remaining: int, acc: list[int]):
-            if i == nvars:
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            # variable i can take at most the remaining weighted degree
-            for e in range(remaining // self.degrees[i] + 1):
-                acc.append(e)
-                rec(i + 1, remaining - e * self.degrees[i], acc)
-                acc.pop()
-
-        rec(0, degree, [])
-        return out
+        # (exponent prefix, weighted degree left for the remaining variables),
+        # extended one variable at a time in lexicographic order
+        partial = [((), degree)]
+        for w in self.degrees:
+            partial = [(acc + (e,), left - e * w)
+                       for acc, left in partial for e in range(left // w + 1)]
+        return [acc for acc, left in partial if left == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,44 +221,38 @@ class GradedModulePresentation:
         return self._column_degrees
 
     def component_dimension(self, degree: int) -> int:
-        """dim_k of the graded component in the given degree (connected algebra)."""
+        """dim_k of the graded component in the given degree (connected algebra).
+
+        Coordinate block j holds the monomials of degree `degree - m_j`.
+        """
         alg = self.algebra
         if not alg.is_connected():
             raise ValueError("component enumeration requires a connected algebra")
-        blocks = [alg.monomials_of_degree(degree - m) for m in self.generator_degrees]
-        offsets = [0]
-        for block in blocks:
-            offsets.append(offsets[-1] + len(block))
-        total = offsets[-1]
-        if total == 0:
-            return 0
-        index = [{m: offsets[j] + i for i, m in enumerate(block)}
-                 for j, block in enumerate(blocks)]
+        gens = self.generator_degrees
         # An algebra relation rel acts on coordinate j as the one-entry
-        # relation column (j, rel) of degree deg(rel) + m_j; every column is
-        # multiplied by all monomials of the right degree.
+        # relation column (j, rel) of degree deg(rel) + m_j.
         columns = [([(j, e) for j, e in enumerate(col) if not e.is_zero], delta)
-                   for col, delta in zip(self.relations, self.column_degrees)]
+                   for col, delta in zip(self.relations, self.column_degrees)
+                   if delta is not None]  # an all-zero column relates nothing
         for rel in alg.relations:
             d = rel.weighted_degree(alg.degrees)
             if d is not None:
-                columns += [([(j, rel)], d + m)
-                            for j, m in enumerate(self.generator_degrees)]
-        rows = []
-        for entries, delta in columns:
-            if delta is None:  # an all-zero column relates nothing
-                continue
-            for mono in alg.monomials_of_degree(degree - delta):
-                shift = Polynomial.monomial(alg.field, alg.nvars, mono, alg.field.one)
-                row = [alg.field.zero] * total
-                for j, entry in entries:
-                    for m, c in (shift * entry).terms():
-                        row[index[j][m]] = c
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return total
-        return total - matrix_rank(alg.field, rows)
+                columns += [([(j, rel)], d + m) for j, m in enumerate(gens)]
+        basis = {d: alg.monomials_of_degree(d) for d in
+                 {degree - m for m in gens} | {degree - delta for _, delta in columns}}
+        index, total = [], 0
+        for m in gens:
+            index.append({mono: total + i for i, mono in enumerate(basis[degree - m])})
+            total += len(index[-1])
+        if total == 0:
+            return 0
+        # The entries' coefficients are validated and nonzero, and distinct
+        # terms of one entry land on distinct coordinates, so a row is its
+        # shifted terms as they stand.
+        rows = [{index[j][tuple(map(add, mono, m))]: c
+                 for j, entry in entries for m, c in entry._terms.items()}
+                for entries, delta in columns for mono in basis[degree - delta]]
+        return total - len(_eliminate(rows, alg.field.p))
 
     def default_degree_bound(self) -> int:
         """Enumeration window: max generator degree + 5 (CLI-overridable)."""

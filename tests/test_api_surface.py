@@ -5,7 +5,9 @@ package ``__init__`` aside), and every public method of a public class there,
 must be referenced somewhere that the product uses: elsewhere in its own module, in another module of the package, or in
 the acceptance criteria (``tests/test_acceptance.py``).  A name only unit
 tests reach is test-only API: move it into the tests or delete it.
-Checked on the syntax tree, so comments and strings do not count.
+Checked on the syntax tree, so comments and strings do not count, and an
+attribute of a module imported from outside the package (``itertools.chain``)
+does not count as a reference to a method of the same name.
 """
 
 import ast
@@ -39,14 +41,30 @@ def _public_definitions(tree: ast.Module) -> set[str]:
             if not any(part.startswith("_") for part in name.split("."))}
 
 
+def _foreign_modules(tree: ast.Module) -> set[str]:
+    """Names that an ``import`` statement binds to a module outside the
+    package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".", 1)[0]
+                if top != "equibundle":
+                    out.add(alias.asname or top)
+    return out
+
+
 def _references(tree: ast.Module) -> set[str]:
-    """Names read, attributes taken and names imported, anywhere in the tree."""
+    """Names read, attributes taken and names imported, anywhere in the tree;
+    an attribute of a foreign module is not a reference."""
+    foreign = _foreign_modules(tree)
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
     return out
@@ -91,3 +109,12 @@ def test_guard_sees_methods_of_public_classes():
     assert _public_definitions(tree) == {"C", "C.m", "C.p"}
     references = _references(tree)
     assert "_h" in references and "m" not in references and "p" not in references
+
+
+def test_guard_skips_attributes_of_foreign_modules():
+    tree = ast.parse("import itertools\nitertools.chain(x)\n")
+    assert "chain" not in _references(tree)
+    tree = ast.parse("import itertools\nobj.chain()\n")
+    assert "chain" in _references(tree)
+    tree = ast.parse("import equibundle.topospace as topo\ntopo.pi0(x)\n")
+    assert "pi0" in _references(tree)

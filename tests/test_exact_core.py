@@ -74,6 +74,19 @@ class TestFieldOps:
         with pytest.raises(ValueError):
             GF(2**31 + 11)
 
+    def test_rational_conversion(self):
+        # a Fraction passes through unchanged; anything else, a Fraction
+        # subclass included, becomes an exact Fraction
+        class Sub(Fraction):
+            pass
+
+        x = Fraction(2, 3)
+        assert QQ(x) is x
+        for value, expected in ((3, Fraction(3)), ("1/2", Fraction(1, 2)),
+                                (Sub(1, 3), Fraction(1, 3))):
+            converted = QQ(value)
+            assert type(converted) is Fraction and converted == expected
+
     def test_rational_coercion_into_fp(self):
         assert F5(Fraction(1, 2)) == F5(3)
 

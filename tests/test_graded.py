@@ -320,6 +320,108 @@ def monomials_by_total_exponent(alg, degree):
     return out
 
 
+def ref_component_dimension(mod, degree):
+    """Reference: the dense-row enumeration.  Each relation column (and each
+    algebra relation on each generator) times each monomial of the
+    complementary degree is expanded as a polynomial product into a dense
+    row over the monomial basis, and the rows' rank comes from matrix_rank."""
+    alg = mod.algebra
+    if not alg.is_connected():
+        raise ValueError("component enumeration requires a connected algebra")
+    blocks = [monomials_by_total_exponent(alg, degree - m) for m in mod.generator_degrees]
+    offsets = [0]
+    for block in blocks:
+        offsets.append(offsets[-1] + len(block))
+    total = offsets[-1]
+    if total == 0:
+        return 0
+    index = [{m: offsets[j] + i for i, m in enumerate(block)}
+             for j, block in enumerate(blocks)]
+    columns = [([(j, e) for j, e in enumerate(col) if not e.is_zero], delta)
+               for col, delta in zip(mod.relations, mod.column_degrees)]
+    for rel in alg.relations:
+        d = rel.weighted_degree(alg.degrees)
+        if d is not None:
+            columns += [([(j, rel)], d + m) for j, m in enumerate(mod.generator_degrees)]
+    rows = []
+    for entries, delta in columns:
+        if delta is None:
+            continue
+        for mono in monomials_by_total_exponent(alg, degree - delta):
+            shift = Polynomial.monomial(alg.field, alg.nvars, mono, alg.field.one)
+            row = [alg.field.zero] * total
+            for j, entry in entries:
+                for m, c in (shift * entry).terms():
+                    row[index[j][m]] = c
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return total
+    return total - matrix_rank(alg.field, rows)
+
+
+def random_homogeneous(rng, alg, degree):
+    """A random homogeneous polynomial of the degree with up to three terms
+    (zero when the degree has no monomials)."""
+    monomials = alg.monomials_of_degree(degree)
+    picked = rng.sample(monomials, min(len(monomials), rng.randint(1, 3)))
+    terms = {}
+    for mono in picked:
+        if alg.field.p:
+            terms[mono] = rng.randrange(1, alg.field.p)
+        else:
+            terms[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return Polynomial(alg.field, alg.nvars, terms)
+
+
+def random_presentation(rng, field):
+    """A random presentation with multi-term entries over a connected
+    algebra; some carry algebra relations, a zero algebra relation or an
+    all-zero relation column."""
+    degrees = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    base = algebra(field, degrees)
+    relations = [random_homogeneous(rng, base, rng.randint(2, 4))
+                 for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        relations.append(base.zero())
+    alg = GradedAlgebra(field, base.variables, degrees, tuple(relations))
+    gens = tuple(sorted(rng.randint(-1, 3) for _ in range(rng.randint(1, 4))))
+    columns = []
+    for _ in range(rng.randint(0, len(gens) + 1)):
+        delta = rng.randint(min(gens), max(gens) + 3)
+        col = tuple(random_homogeneous(rng, alg, delta - m) if rng.random() < 0.7
+                    else alg.zero() for m in gens)
+        columns.append(col)
+    if rng.random() < 0.3:
+        columns.append(tuple(alg.zero() for _ in gens))
+    return module(alg, gens, columns)
+
+
+class TestComponentDimensionAgainstReference:
+    @pytest.mark.parametrize("field", [QQ, F5, GF(2**31 - 1)], ids=["Q", "F5", "F2^31-1"])
+    def test_random_presentations(self, rng, field):
+        seen = {"algebra relation": 0, "zero algebra relation": 0, "all-zero column": 0}
+        for _ in range(30):
+            mod = random_presentation(rng, field)
+            alg_relations = mod.algebra.relations
+            seen["algebra relation"] += any(not r.is_zero for r in alg_relations)
+            seen["zero algebra relation"] += any(r.is_zero for r in alg_relations)
+            seen["all-zero column"] += None in mod.column_degrees
+            gens = mod.generator_degrees
+            for d in range(min(gens) - 2, max(gens) + 7):
+                assert mod.component_dimension(d) == ref_component_dimension(mod, d), (
+                    mod, d)
+        assert all(seen.values()), seen
+
+    def test_non_connected_rejected(self):
+        alg = algebra(QQ, (1, -1))
+        mod = module(alg, (0,), [(alg.var(0),)])
+        for enumerate_component in (mod.component_dimension,
+                                    lambda d: ref_component_dimension(mod, d)):
+            with pytest.raises(ValueError):
+                enumerate_component(0)
+
+
 class TestMonomialsOfDegree:
     def test_matches_total_exponent_enumeration(self, rng):
         weights = [(1,), (1, 2), (2, 1, 3), (1, 1, 1), (3, 2, 2, 1), (2, 5)]

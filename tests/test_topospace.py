@@ -313,9 +313,9 @@ def ref_monotone_maps(source_leq, target_leq):
                    for x in range(n) for y in range(n) if source_leq[x][y])]
 
 
-def ref_pro_clopen_check(leq, subset):
+def ref_pro_clopen_check(leq, subset, parts):
+    """`parts` are the components of `leq`, as ref_pi0 gives them."""
     subset = frozenset(subset)
-    parts = ref_pi0(leq)[0]
     union_of_components = all(part <= subset or not (part & subset) for part in parts)
     verdict = ref_is_closed(leq, subset) and union_of_components
     if verdict != ref_is_clopen(leq, subset):
@@ -336,7 +336,7 @@ def ref_lemma_b2_verify(leq):
     def image(sub_x):
         return frozenset(component_of[x] for x in sub_x)
 
-    pro_clopens = {s for s in ref_subsets(len(leq)) if ref_pro_clopen_check(leq, s)}
+    pro_clopens = {s for s in ref_subsets(len(leq)) if ref_pro_clopen_check(leq, s, parts)}
     closed_q = {s for s in ref_subsets(len(parts)) if ref_is_closed(quotient, s)}
     mapped = {preimage(s) for s in closed_q}
     if mapped != pro_clopens or len(mapped) != len(closed_q):
@@ -393,7 +393,7 @@ class TestAgainstReference:
         closure, generization = _union_table(poset.up), _union_table(poset.down)
         for subset in ref_subsets(poset.size):
             mask = as_mask(subset)
-            assert (mask in found) == ref_pro_clopen_check(leq, subset)
+            assert (mask in found) == ref_pro_clopen_check(leq, subset, components)
             closed = closure[mask] == mask
             assert closed == ref_is_closed(leq, subset)
             assert (closed and generization[mask] == mask) == ref_is_clopen(leq, subset)
