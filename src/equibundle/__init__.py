@@ -2,8 +2,8 @@
 
 Modules:
 
-* :mod:`equibundle.exact_core` -- rationals, prime fields, Laurent polynomials
-  and unit-determinant Laurent matrices.
+* :mod:`equibundle.exact_core` -- rationals, prime fields, Laurent and
+  multivariate polynomials, and unit-determinant Laurent matrices.
 * :mod:`equibundle.projline` -- bundles on the projective line, Birkhoff
   factorization, splitting types, and the section-count oracle.
 * :mod:`equibundle.graded` -- graded modules over graded polynomial algebras,
@@ -14,7 +14,8 @@ Modules:
   algebras and idempotent lifting.
 * :mod:`equibundle.topospace` -- finite posets as finite spectral spaces:
   connected components, clopen subsets, and the pi0 criteria.
-* :mod:`equibundle.cli` -- document formats and the command-line interface.
+* :mod:`equibundle.io` -- document formats: parsing and canonical printing.
+* :mod:`equibundle.cli` -- the command-line interface.
 """
 
 from equibundle.exact_core import (

@@ -1,4 +1,4 @@
-"""Exact scalar, Laurent-polynomial, and Laurent-matrix arithmetic.
+"""Exact scalar, polynomial, and Laurent-matrix arithmetic.
 
 Scalars are native Python numbers: over Q plain :class:`fractions.Fraction`
 (always reduced, positive denominator), over F_p plain ``int`` residues in
@@ -8,6 +8,9 @@ the other kind with FieldMismatchError, and ``field.p`` is the characteristic
 (None over Q).  Containers validate their coefficients on construction, which
 reduces them mod p, and are immutable afterwards, so values can be shared
 freely between threads.  Nothing here ever rounds.
+
+Laurent polynomials (``LaurentPoly``) and multivariate polynomials
+(``Polynomial``) share one sparse term-dict implementation of their arithmetic.
 
 Linear algebra over a field runs on one sparse elimination kernel: rows are
 reduced against a pivot list, added to it one at a time, or eliminated in
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -64,7 +68,6 @@ Scalar = Union[Fraction, int]
 class RationalField:
     """The field of arbitrary-precision rationals; scalars are Fractions."""
 
-    name = "Q"
     p = None
     zero = Fraction(0)
     one = Fraction(1)
@@ -101,10 +104,6 @@ class PrimeField:
         if self.p > 2**31 or not _is_prime(self.p):
             raise ValueError(f"{self.p} is not a prime <= 2**31")
 
-    @property
-    def name(self) -> str:
-        return f"F{self.p}"
-
     def __call__(self, value) -> int:
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
@@ -136,7 +135,70 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-class LaurentPoly:
+class _Terms:
+    """Sparse polynomial: a dict from key to nonzero, validated coefficient.
+
+    A subclass checks its keys on construction and supplies ``_new`` (a result
+    of its own shape), ``_times`` (the product of two keys) and ``_ring``
+    (what two operands must share: the field, and for Polynomial ``nvars``)."""
+
+    __slots__ = ("field", "_terms")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coeff(self, key) -> Scalar:
+        return self._terms.get(key, self.field.zero)
+
+    def _ring(self):
+        return self.field
+
+    def _check(self, other: "_Terms"):
+        if self._ring() != other._ring():
+            raise FieldMismatchError(f"cannot combine polynomials over {self._ring()!r} "
+                                     f"and {other._ring()!r}")
+
+    # The constructor reduces every coefficient and drops the zeros, so the
+    # operations below only accumulate.
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        times = self._times
+        terms: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = times(k1, k2)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return self._new(terms)
+
+    def scaled(self, c):
+        c = self.field(c)
+        return self._new({k: c * v for k, v in self._terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._ring() == other._ring() and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((self._ring(), frozenset(self._terms.items())))
+
+
+class LaurentPoly(_Terms):
     """Sparse Laurent polynomial: a finite map exponent -> nonzero coefficient.
 
     >>> f = LaurentPoly(QQ, {1: Fraction(1), -1: Fraction(1)})   # t + 1/t
@@ -145,7 +207,7 @@ class LaurentPoly:
     (-2, 2)
     """
 
-    __slots__ = ("field", "_terms")
+    __slots__ = ()
 
     def __init__(self, field: Field, terms: Mapping[int, Scalar]):
         cleaned = {}
@@ -155,6 +217,11 @@ class LaurentPoly:
                 cleaned[int(exp)] = coeff
         self.field = field
         self._terms = cleaned
+
+    def _new(self, terms: dict) -> "LaurentPoly":
+        return LaurentPoly(self.field, terms)
+
+    _times = staticmethod(add)  # t^a * t^b = t^(a + b)
 
     # -- constructors ------------------------------------------------------
 
@@ -167,25 +234,14 @@ class LaurentPoly:
         return cls(field, {0: field.one})
 
     @classmethod
-    def constant(cls, field: Field, value) -> "LaurentPoly":
-        return cls(field, {0: field(value)})
-
-    @classmethod
     def monomial(cls, field: Field, coeff, exp: int) -> "LaurentPoly":
         return cls(field, {exp: field(coeff)})
 
     # -- structure queries -------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
-
-    def coeff(self, exp: int) -> Scalar:
-        return self._terms.get(exp, self.field.zero)
 
     def terms(self) -> Iterable[tuple[int, Scalar]]:
         return sorted(self._terms.items())
@@ -212,63 +268,84 @@ class LaurentPoly:
         """True iff no positive exponent occurs (element of k[1/t])."""
         return self.is_zero or max(self._terms) <= 0
 
-    def is_constant(self) -> bool:
-        return self.is_zero or set(self._terms) == {0}
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_field(self, other: "LaurentPoly"):
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"cannot combine polynomials over {self.field!r} and {other.field!r}"
-            )
-
-    # The constructor reduces every coefficient and drops the zeros, so the
-    # operations below only accumulate.
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_field(other)
-        terms = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            terms[exp] = terms.get(exp, 0) + coeff
-        return LaurentPoly(self.field, terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.field, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_field(other)
-        terms: dict[int, Scalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(self.field, terms)
-
-    def scaled(self, c) -> "LaurentPoly":
-        c = self.field(c)
-        return LaurentPoly(self.field, {e: c * v for e, v in self._terms.items()})
-
     def shifted(self, exp: int) -> "LaurentPoly":
         """Multiply by t**exp."""
         return LaurentPoly(self.field, {e + exp: c for e, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.field == other.field and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:
             return "LaurentPoly(0)"
         body = " + ".join(f"({c})*t^{e}" for e, c in self.terms())
         return f"LaurentPoly({body})"
+
+
+Monomial = tuple[int, ...]
+
+
+class Polynomial(_Terms):
+    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient."""
+
+    __slots__ = ("nvars",)
+
+    def __init__(self, field: Field, nvars: int, terms: Mapping[Monomial, Scalar]):
+        cleaned = {}
+        for mono, coeff in terms.items():
+            mono = tuple(int(e) for e in mono)
+            if len(mono) != nvars or any(e < 0 for e in mono):
+                raise ValueError(f"bad monomial {mono} for {nvars} variables")
+            coeff = field.validate(coeff)
+            if coeff:
+                cleaned[mono] = coeff
+        self.field = field
+        self.nvars = nvars
+        self._terms = cleaned
+
+    def _new(self, terms: dict) -> "Polynomial":
+        return Polynomial(self.field, self.nvars, terms)
+
+    @staticmethod
+    def _times(m1: Monomial, m2: Monomial) -> Monomial:
+        return tuple(map(add, m1, m2))
+
+    def _ring(self):
+        return self.field, self.nvars
+
+    @classmethod
+    def zero(cls, field: Field, nvars: int) -> "Polynomial":
+        return cls(field, nvars, {})
+
+    @classmethod
+    def constant(cls, field: Field, nvars: int, value) -> "Polynomial":
+        return cls(field, nvars, {(0,) * nvars: field(value)})
+
+    @classmethod
+    def monomial(cls, field: Field, nvars: int, mono: Monomial, coeff) -> "Polynomial":
+        return cls(field, nvars, {tuple(mono): field(coeff)})
+
+    def terms(self):
+        return sorted(self._terms.items(), reverse=True)
+
+    @property
+    def constant_term(self) -> Scalar:
+        return self.coeff((0,) * self.nvars)
+
+    def is_constant(self) -> bool:
+        return all(all(e == 0 for e in mono) for mono in self._terms)
+
+    def weighted_degree(self, degrees: Sequence[int]) -> Optional[int]:
+        """Common weighted degree of all terms, or None if inhomogeneous/zero."""
+        seen = {sum(e * d for e, d in zip(mono, degrees)) for mono in self._terms}
+        if len(seen) != 1:
+            return None
+        return seen.pop()
+
+    def is_homogeneous(self, degrees: Sequence[int]) -> bool:
+        return self.is_zero or self.weighted_degree(degrees) is not None
+
+    def __repr__(self):
+        if self.is_zero:
+            return "Polynomial(0)"
+        return "Polynomial(" + " + ".join(f"({c})*x^{m}" for m, c in self.terms()) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -22,124 +22,12 @@ from typing import Optional, Sequence
 
 from equibundle.exact_core import (
     Field,
-    FieldMismatchError,
+    Polynomial,
     Scalar,
     _eliminate,
     matrix_rank,
     row_reduce,
 )
-
-Monomial = tuple[int, ...]
-
-
-class Polynomial:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient."""
-
-    __slots__ = ("field", "nvars", "_terms")
-
-    def __init__(self, field: Field, nvars: int, terms):
-        cleaned = {}
-        for mono, coeff in dict(terms).items():
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != nvars or any(e < 0 for e in mono):
-                raise ValueError(f"bad monomial {mono} for {nvars} variables")
-            coeff = field.validate(coeff)
-            if coeff:
-                cleaned[mono] = coeff
-        self.field = field
-        self.nvars = nvars
-        self._terms = cleaned
-
-    @classmethod
-    def zero(cls, field: Field, nvars: int) -> "Polynomial":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def constant(cls, field: Field, nvars: int, value) -> "Polynomial":
-        return cls(field, nvars, {(0,) * nvars: field(value)})
-
-    @classmethod
-    def variable(cls, field: Field, nvars: int, index: int) -> "Polynomial":
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, {mono: field.one})
-
-    @classmethod
-    def monomial(cls, field: Field, nvars: int, mono: Monomial, coeff) -> "Polynomial":
-        return cls(field, nvars, {tuple(mono): field(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self):
-        return sorted(self._terms.items(), reverse=True)
-
-    def coeff(self, mono: Monomial) -> Scalar:
-        return self._terms.get(tuple(mono), self.field.zero)
-
-    @property
-    def constant_term(self) -> Scalar:
-        return self._terms.get((0,) * self.nvars, self.field.zero)
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in mono) for mono in self._terms)
-
-    def _check(self, other: "Polynomial"):
-        if self.field != other.field or self.nvars != other.nvars:
-            raise FieldMismatchError("polynomials over different algebras")
-
-    # The constructor reduces every coefficient and drops the zeros, so the
-    # operations below only accumulate.
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return Polynomial(self.field, self.nvars, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, self.nvars, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Polynomial(self.field, self.nvars, terms)
-
-    def scaled(self, c) -> "Polynomial":
-        c = self.field(c)
-        return Polynomial(self.field, self.nvars, {m: c * v for m, v in self._terms.items()})
-
-    def weighted_degree(self, degrees: Sequence[int]) -> Optional[int]:
-        """Common weighted degree of all terms, or None if inhomogeneous/zero."""
-        seen = {sum(e * d for e, d in zip(mono, degrees)) for mono in self._terms}
-        if len(seen) != 1:
-            return None
-        return seen.pop()
-
-    def is_homogeneous(self, degrees: Sequence[int]) -> bool:
-        return self.is_zero or self.weighted_degree(degrees) is not None
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (self.field, self.nvars, self._terms) == (other.field, other.nvars, other._terms)
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self._terms.items())))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Polynomial(0)"
-        return "Polynomial(" + " + ".join(f"({c})*x^{m}" for m, c in self.terms()) + ")"
-
 
 @dataclass(frozen=True)
 class GradedAlgebra:
@@ -170,9 +58,6 @@ class GradedAlgebra:
 
     def one(self) -> Polynomial:
         return Polynomial.constant(self.field, self.nvars, 1)
-
-    def var(self, index: int) -> Polynomial:
-        return Polynomial.variable(self.field, self.nvars, index)
 
     def is_connected(self) -> bool:
         return all(d > 0 for d in self.degrees)

@@ -651,6 +651,11 @@ def _parse_algebra(fields: _Fields) -> GradedAlgebra:
         variables: tuple[str, ...] = ()
     else:
         variables = tuple(v.strip() for v in variables_text.split(","))
+        for i, name in enumerate(variables):
+            if not name.isidentifier():
+                raise ParseError(f"bad variable name {name!r}")
+            if name in variables[:i]:
+                raise ParseError(f"variable {name!r} repeats")
     degrees_text = fields.take("degrees", required=False)
     degrees = tuple(_int_list(degrees_text)) if degrees_text is not None else ()
     relations = tuple(

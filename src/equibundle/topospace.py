@@ -100,6 +100,8 @@ class FinitePoset:
     @classmethod
     def from_relations(cls, size: int, relations: Iterable[tuple[int, int]]) -> "FinitePoset":
         """Build from generating pairs (x, y) meaning x specializes to y."""
+        if size < 0:
+            raise ValueError(f"poset size {size} is negative")
         rows = [1 << i for i in range(size)]
         for x, y in relations:
             if not (0 <= x < size and 0 <= y < size):

@@ -5,9 +5,12 @@ package ``__init__`` aside), and every public method of a public class there,
 must be referenced somewhere that the product uses: elsewhere in its own module, in another module of the package, or in
 the acceptance criteria (``tests/test_acceptance.py``).  A name only unit
 tests reach is test-only API: move it into the tests or delete it.
-Checked on the syntax tree, so comments and strings do not count, and an
-attribute of a module imported from outside the package (``itertools.chain``)
-does not count as a reference to a method of the same name.
+Checked on the syntax tree, so comments and strings do not count.  A method
+counts as referenced only through an attribute (``obj.name``) or an import:
+a bare name read, such as a loop variable of the same name, does not keep it.
+An attribute of a module imported from outside the package
+(``itertools.chain``) does not count as a reference to a method of the same
+name.
 """
 
 import ast
@@ -54,14 +57,16 @@ def _foreign_modules(tree: ast.Module) -> set[str]:
     return out
 
 
-def _references(tree: ast.Module) -> set[str]:
+def _references(tree: ast.Module, methods: bool = False) -> set[str]:
     """Names read, attributes taken and names imported, anywhere in the tree;
-    an attribute of a foreign module is not a reference."""
+    an attribute of a foreign module is not a reference.  With ``methods``,
+    bare name reads do not count: a method is reached through an attribute."""
     foreign = _foreign_modules(tree)
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
+            if not methods:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
                 out.add(node.attr)
@@ -70,21 +75,27 @@ def _references(tree: ast.Module) -> set[str]:
     return out
 
 
-def unreferenced_public_names() -> list[str]:
-    trees = {name[:-3]: _tree(os.path.join(PACKAGE, name))
-             for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
-    acceptance = _references(_tree(ACCEPTANCE))
-    references = {module: _references(tree) for module, tree in trees.items()}
+def _unreferenced(trees: dict[str, ast.Module], acceptance: ast.Module) -> list[str]:
+    """The public names of the modules in `trees` (``__init__`` aside) that
+    no module and not `acceptance` references."""
+    users = [acceptance, *trees.values()]
+    names = set().union(*(_references(tree) for tree in users))
+    attributes = set().union(*(_references(tree, methods=True) for tree in users))
     unused = []
     for module, tree in trees.items():
         if module == "__init__":
             continue
         for qualified in sorted(_public_definitions(tree)):
             name = qualified.rsplit(".", 1)[-1]
-            if name in acceptance or any(name in refs for refs in references.values()):
-                continue
-            unused.append(f"{module}.{qualified}")
+            if name not in (attributes if "." in qualified else names):
+                unused.append(f"{module}.{qualified}")
     return unused
+
+
+def unreferenced_public_names() -> list[str]:
+    trees = {name[:-3]: _tree(os.path.join(PACKAGE, name))
+             for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
+    return _unreferenced(trees, _tree(ACCEPTANCE))
 
 
 def test_every_public_name_is_needed():
@@ -118,3 +129,14 @@ def test_guard_skips_attributes_of_foreign_modules():
     assert "chain" in _references(tree)
     tree = ast.parse("import equibundle.topospace as topo\ntopo.pi0(x)\n")
     assert "pi0" in _references(tree)
+
+
+def test_guard_sees_methods_only_through_attributes():
+    module = ast.parse(
+        "class C:\n    def var(self): pass\n"
+        "def _f(pairs):\n    return C, [var for var, _ in pairs]\n"
+    )
+    assert _unreferenced({"m": module}, ast.parse("var")) == ["m.C.var"]
+    assert _unreferenced({"m": module}, ast.parse("obj.var()")) == []
+    # a top-level name is still referenced by a bare read
+    assert _unreferenced({"m": ast.parse("def g(): pass\n")}, ast.parse("g()")) == []

@@ -53,11 +53,17 @@ class TestFieldOps:
             lp(F5, (1, 0)) + lp(F7, (1, 0))
         with pytest.raises(FieldMismatchError):
             lp(F5, (1, 0)) * lp(F7, (1, 0))
-        x5, x7 = Polynomial.variable(F5, 1, 0), Polynomial.variable(F7, 1, 0)
+        x5, x7 = Polynomial.monomial(F5, 1, (1,), 1), Polynomial.monomial(F7, 1, (1,), 1)
         with pytest.raises(FieldMismatchError):
             x5 + x7
         with pytest.raises(FieldMismatchError):
             x5 * x7
+        # the same field, but a different number of variables
+        x5_of_two = Polynomial.monomial(F5, 2, (1, 0), 1)
+        with pytest.raises(FieldMismatchError):
+            x5 + x5_of_two
+        with pytest.raises(FieldMismatchError):
+            x5 * x5_of_two
         # a Fraction into an F_p container, an int into a Q container
         with pytest.raises(FieldMismatchError):
             LaurentPoly(F5, {0: Fraction(1, 2)})
@@ -120,31 +126,46 @@ class TestLaurentPoly:
             lp(QQ, (1, 0)) + lp(F5, (1, 0))
 
 
-def poly_strategy(field, coeffs):
-    term = st.tuples(coeffs, st.integers(min_value=-4, max_value=4))
-    return st.lists(term, max_size=4).map(lambda ts: lp(field, *ts))
+def mp(field, *terms):
+    """Polynomial in two variables from (coeff, exponent pair) pairs."""
+    out = Polynomial.zero(field, 2)
+    for coeff, mono in terms:
+        out = out + Polynomial.monomial(field, 2, mono, coeff)
+    return out
 
 
-rational_polys = poly_strategy(
+def poly_triples(field, coeffs):
+    """Three polynomials of one kind: Laurent polynomials (int keys) or
+    polynomials in two variables (exponent-tuple keys)."""
+    exponent = st.integers(min_value=-4, max_value=4)
+    laurent = st.lists(st.tuples(coeffs, exponent), max_size=4).map(lambda ts: lp(field, *ts))
+    mono = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+    multi = st.lists(st.tuples(coeffs, mono), max_size=4).map(lambda ts: mp(field, *ts))
+    return st.one_of(*(st.tuples(kind, kind, kind) for kind in (laurent, multi)))
+
+
+rational_triples = poly_triples(
     QQ,
     st.builds(Fraction, st.integers(min_value=-9, max_value=9),
               st.integers(min_value=1, max_value=4)),
 )
-fp_polys = poly_strategy(F5, st.integers(min_value=0, max_value=4))
+fp_triples = poly_triples(F5, st.integers(min_value=0, max_value=4))
 
 
-@settings(max_examples=60, deadline=None)
-@given(rational_polys, rational_polys, rational_polys)
-def test_ring_axioms_rational(f, g, h):
+@settings(max_examples=120, deadline=None)
+@given(rational_triples)
+def test_ring_axioms_rational(triple):
+    f, g, h = triple
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert f + g == g + f
     assert f * g == g * f
 
 
-@settings(max_examples=60, deadline=None)
-@given(fp_polys, fp_polys, fp_polys)
-def test_ring_axioms_prime_field(f, g, h):
+@settings(max_examples=120, deadline=None)
+@given(fp_triples)
+def test_ring_axioms_prime_field(triple):
+    f, g, h = triple
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
 

@@ -70,6 +70,15 @@ ERROR_DOCUMENTS = {
     "monotone_map_not_discrete.txt": (
         "kind = monotone_map\nsource_n = 2\nsource_rel = 0<1\ntarget_n = 1\n"
         "map = 0, 0\n"),
+    "graded_variable_repeats.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x, x\ndegrees = 1, 2\n"
+        "generators = 0\nmodule_relation = [x^1]\n"),
+    "graded_variable_empty_name.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x, \ndegrees = 1, 2\n"
+        "generators = 0\n"),
+    "poset_negative_size.txt": "kind = poset\nn = -1\n",
+    "monotone_map_negative_target.txt": (
+        "kind = monotone_map\nsource_n = 1\ntarget_n = -2\nmap = 0\n"),
 }
 
 

@@ -74,7 +74,7 @@ def test_kernel_returns_residues(rng, field):
 def scalar_diagonal(rng, field, n):
     """diag(c_1, ..., c_n) with random units, so that determinants are not 1."""
     zero = LaurentPoly.zero(field)
-    return LaurentMatrix(field, [[LaurentPoly.constant(field, rng.randint(2, field.p - 1))
+    return LaurentMatrix(field, [[LaurentPoly.monomial(field, rng.randint(2, field.p - 1), 0)
                                   if i == j else zero for j in range(n)] for i in range(n)])
 
 
