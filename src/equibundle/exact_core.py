@@ -14,8 +14,11 @@ Laurent polynomials (``LaurentPoly``) and multivariate polynomials
 
 Linear algebra over a field runs on one sparse elimination kernel: rows are
 reduced against a pivot list, added to it one at a time, or eliminated in
-bulk.  ``row_reduce``, ``matrix_rank``, ``nullspace`` and ``invert_matrix``
-return the unique reduced echelon form and its derivatives.
+bulk.  Over F_p a pivot row is normalized at its column; over Q rows are
+primitive integer vectors updated fraction-free (Bareiss), and only the
+callers that read values normalize them.  ``row_reduce``, ``matrix_rank``,
+``nullspace`` and ``invert_matrix`` return the unique reduced echelon form and
+its derivatives.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -342,38 +345,76 @@ class Polynomial(_Terms):
     def is_homogeneous(self, degrees: Sequence[int]) -> bool:
         return self.is_zero or self.weighted_degree(degrees) is not None
 
-    def __repr__(self):
-        if self.is_zero:
-            return "Polynomial(0)"
-        return "Polynomial(" + " + ".join(f"({c})*x^{m}" for m, c in self.terms()) + ")"
-
 
 # ---------------------------------------------------------------------------
 # Sparse elimination over native scalars
 # ---------------------------------------------------------------------------
 #
-# A row is a dict {column: nonzero native scalar}; ``p`` is the characteristic,
-# None over Q.  Pivots are a list of (column, row normalized at column) in
-# which no row holds the column of an earlier pivot, so a further row reduces
-# against them in order.  ``_add_row`` grows such a list one row at a time;
-# ``_eliminate`` builds one from a whole system, picking pivots for sparsity.
+# A row is a dict {column: nonzero scalar}; ``p`` is the characteristic, None
+# over Q.  A pivot list holds (column, row) pairs in which no row holds the
+# column of an earlier pivot, so a further row reduces against them in order.
+# Over F_p a row holds residues and a pivot row is normalized at its column.
+# Over Q a row holds integers (``_primitive`` scales a rational row once, where
+# it is built), an update is fraction-free, other * (a/g) - (f/g) * pivot with
+# g = gcd(a, f), a scaled row is divided by its content, and a pivot row is
+# primitive.  Scaling by a nonzero integer keeps every zero pattern, so the
+# pivots and ranks are those of the rational rows; ``_normalized`` gives the
+# rational values where a caller reads them.  ``_add_row`` grows a pivot list
+# one row at a time; ``_eliminate`` builds one from a whole system, picking
+# pivots for sparsity.
+
+
+def _primitive(row: dict, p: Optional[int]) -> dict:
+    """Over Q, the row of rationals scaled by the lcm of its denominators and
+    divided by its content: primitive integers.  Over F_p, the row itself."""
+    if p:
+        return row
+    scale = lcm(*(c.denominator for c in row.values()))
+    return _content_free({v: c.numerator * (scale // c.denominator) for v, c in row.items()})
+
+
+def _content_free(row: dict) -> dict:
+    """The integer row divided, in place, by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        for v in row:
+            row[v] //= content
+    return row
+
+
+def _scaled(row: dict, lead: int, factor: int) -> tuple[int, int]:
+    """Multiply the row in place by s = lead / g, g = gcd(lead, factor) signed
+    like lead; return (s, factor / g), whose pivot multiple clears the column."""
+    g = gcd(lead, factor) if lead > 0 else -gcd(lead, factor)
+    if lead != g:
+        for v in row:
+            row[v] *= lead // g
+    return lead // g, factor // g
+
+
+def _as_pivot(row: dict, col: int, p: Optional[int]) -> dict:
+    """A reduced row as a pivot at col: normalized over F_p, primitive over Q."""
+    return _normalized(row, col, p) if p else _content_free(row)
 
 
 def _normalized(row: dict, col: int, p: Optional[int]) -> dict:
-    """The row scaled so that its entry at col is 1."""
+    """The row scaled so that its entry at col is 1: residues over F_p,
+    Fractions over Q."""
     if p:
         inv = pow(row[col], -1, p)
         return {v: inv * c % p for v, c in row.items()}
-    inv = Fraction(1) / row[col]
-    return {v: inv * c for v, c in row.items()}
+    lead = row[col]
+    return {v: Fraction(c, lead) for v, c in row.items()}
 
 
 def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict:
-    """What is left of the row after reducing it against the pivots in order."""
+    """What is left of the row after reducing it against the pivots in order;
+    over Q a nonzero integer multiple of it."""
     for var, pivot_row in pivots:
         factor = row.get(var)
         if factor is None:
             continue
+        scale, factor = (1, factor) if p else _scaled(row, pivot_row[var], factor)
         for v, c in pivot_row.items():
             acc = row.get(v, 0) - factor * c
             if p:
@@ -382,16 +423,18 @@ def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict
                 row[v] = acc
             else:
                 row.pop(v, None)
+        if scale != 1 and row:
+            _content_free(row)
     return row
 
 
 def _add_row(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> None:
-    """Reduce the row and append what is left, normalized at its leftmost
-    column, as a new pivot."""
+    """Reduce the row and append what is left, as a pivot at its leftmost
+    column."""
     row = _reduce(row, pivots, p)
     if row:
         col = min(row)
-        pivots.append((col, _normalized(row, col, p)))
+        pivots.append((col, _as_pivot(row, col, p)))
 
 
 def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
@@ -447,16 +490,17 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
         if not row:
             continue
         pivot = min(row, key=lambda v: (len(var_rows.get(v, ())), v))
-        row = _normalized(row, pivot, p)
+        row = _as_pivot(row, pivot, p)
         pivots.append((pivot, row))
+        lead, scale = row[pivot], 1
         for other_idx in var_rows.pop(pivot, ()):
             if other_idx not in active:
                 continue
             other = rows[other_idx]
-            factor = other.get(pivot)
-            if factor is None:
-                continue
+            factor = other[pivot]  # var_rows lists exactly the rows holding pivot
             before = len(other)
+            if not p:
+                scale, factor = _scaled(other, lead, factor)
             for v, c in row.items():
                 acc = other.get(v, 0) - factor * c
                 if p:
@@ -469,17 +513,19 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
                     del other[v]
                     if v != pivot:
                         var_rows[v].discard(other_idx)
+            if scale != 1 and other:
+                _content_free(other)
             if len(other) < before:
                 heappush(heap, (len(other), other_idx))
     return pivots
 
 
 def _sparse(row: Sequence[Scalar], p: Optional[int]) -> dict:
-    """A dense row of scalars as a sparse row, reduced mod p over F_p: a
-    pivot must never be a multiple of p."""
+    """A dense row of scalars as a sparse row, reduced mod p over F_p (a
+    pivot must never be a multiple of p), primitive integers over Q."""
     if p:
         return {c: r for c, v in enumerate(row) if (r := v % p)}
-    return {c: v for c, v in enumerate(row) if v}
+    return _primitive({c: v for c, v in enumerate(row) if v}, p)
 
 
 def _echelon(field: Field, rows) -> tuple[Optional[int], list[tuple[int, dict]]]:
@@ -503,7 +549,8 @@ def row_reduce(field: Field, rows: Sequence[Sequence[Scalar]]):
 
     The rows go through ``_add_row`` one at a time; back-substitution in
     reverse pivot order then clears each pivot column above its pivot.  The
-    RREF is unique, so it does not depend on the order of the work.
+    RREF is unique, so it does not depend on the order of the work.  Over Q
+    the rows stay integers until each is normalized at its pivot here.
     """
     if not rows:
         return [], []
@@ -514,9 +561,9 @@ def row_reduce(field: Field, rows: Sequence[Sequence[Scalar]]):
     pivots.sort(key=lambda pivot: pivot[0])
     zero = field.zero
     out = []
-    for _, row in pivots:
+    for col, row in pivots:
         dense = [zero] * ncols
-        for c, v in row.items():
+        for c, v in (row if p else _normalized(row, col, p)).items():
             dense[c] = v
         out.append(dense)
     out += [[zero] * ncols for _ in range(len(rows) - len(pivots))]

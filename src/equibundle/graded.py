@@ -25,6 +25,7 @@ from equibundle.exact_core import (
     Polynomial,
     Scalar,
     _eliminate,
+    _primitive,
     matrix_rank,
     row_reduce,
 )
@@ -47,7 +48,9 @@ class GradedAlgebra:
             if rel.nvars != len(self.variables) or rel.field != self.field:
                 raise ValueError("relation over the wrong polynomial ring")
             if not rel.is_homogeneous(self.degrees):
-                raise ValueError(f"relation {rel!r} is not homogeneous")
+                from equibundle.io import render_polynomial
+                raise ValueError(f"relation {render_polynomial(rel, self.variables)} "
+                                 "is not homogeneous")
 
     @property
     def nvars(self) -> int:
@@ -95,10 +98,10 @@ class GradedModulePresentation:
 
     def __post_init__(self):
         degs = []
-        for col in self.relations:
+        for k, col in enumerate(self.relations):
             if len(col) != len(self.generator_degrees):
                 raise ValueError("relation column length must match generator count")
-            degs.append(_column_degree(self.algebra, self.generator_degrees, col))
+            degs.append(_column_degree(self.algebra, self.generator_degrees, col, k))
         object.__setattr__(self, "_column_degrees", tuple(degs))
 
     @property
@@ -133,11 +136,12 @@ class GradedModulePresentation:
             return 0
         # The entries' coefficients are validated and nonzero, and distinct
         # terms of one entry land on distinct coordinates, so a row is its
-        # shifted terms as they stand.
-        rows = [{index[j][tuple(map(add, mono, m))]: c
-                 for j, entry in entries for m, c in entry._terms.items()}
+        # shifted terms as they stand, over Q scaled into primitive integers.
+        p = alg.field.p
+        rows = [_primitive({index[j][tuple(map(add, mono, m))]: c
+                            for j, entry in entries for m, c in entry._terms.items()}, p)
                 for entries, delta in columns for mono in basis[degree - delta]]
-        return total - len(_eliminate(rows, alg.field.p))
+        return total - len(_eliminate(rows, p))
 
     def default_degree_bound(self) -> int:
         """Enumeration window: max generator degree + 5 (CLI-overridable)."""
@@ -145,14 +149,17 @@ class GradedModulePresentation:
         return top + 5
 
 
-def _column_degree(algebra, generator_degrees, column):
+def _column_degree(algebra, generator_degrees, column, k):
+    """The degree of relation column k, None for an all-zero column."""
     degrees = set()
-    for entry, m in zip(column, generator_degrees):
+    for j, (entry, m) in enumerate(zip(column, generator_degrees)):
         if entry.is_zero:
             continue
         d = entry.weighted_degree(algebra.degrees)
         if d is None:
-            raise ValueError("relation entry is not homogeneous")
+            from equibundle.io import render_polynomial
+            raise ValueError(f"module_relation {k}, entry {j} "
+                             f"({render_polynomial(entry, algebra.variables)}) is not homogeneous")
         degrees.add(d + m)
     if len(degrees) > 1:
         raise ValueError(f"relation column mixes degrees {sorted(degrees)}")

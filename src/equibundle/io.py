@@ -85,8 +85,11 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         if not isinstance(field, PrimeField) or field.p != modulus:
             raise ParseError(f"scalar {text!r} does not match the field header")
         return field(residue)
+    # a plain ASCII integer skips Fraction's regular expression; int and
+    # Fraction agree on it, errors included
+    digits = text[1:] if text[:1] == "-" else text
     try:
-        return field(Fraction(text))
+        return field(int(text) if digits.isascii() and digits.isdigit() else Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from exc
 

@@ -22,8 +22,10 @@ from equibundle.exact_core import (
     LaurentPoly,
     QQ,
     _add_row,
+    _as_pivot,
     _eliminate,
     _normalized,
+    _primitive,
     _reduce,
 )
 
@@ -45,18 +47,11 @@ class SplittingType:
         object.__setattr__(self, "degrees", degrees)
 
     @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
-    @property
     def degree(self) -> int:
         return sum(self.degrees)
 
     def __iter__(self):
         return iter(self.degrees)
-
-    def __len__(self):
-        return len(self.degrees)
 
 
 class BundleOnP1:
@@ -74,14 +69,6 @@ class BundleOnP1:
     @property
     def field(self) -> Field:
         return self.matrix.field
-
-    def __eq__(self, other):
-        if not isinstance(other, BundleOnP1):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __repr__(self):
-        return f"BundleOnP1(rank={self.rank})"
 
 
 @dataclass(frozen=True)
@@ -131,8 +118,9 @@ def _column_reduce(g: LaurentMatrix):
     A step replaces one column, so the state carries over: the echelon holds
     the top-coefficient vectors of the leading independent columns, column
     j's with the tracking entry n + j = 1.  The first vector that reduces to
-    tracking entries alone gives the dependency lam, 1 at its own column.
-    The columns before the pivot do not change, so their echelon rows stay.
+    tracking entries alone gives the dependency lam, normalized to 1 at its
+    own column.  The columns before the pivot do not change, so their
+    echelon rows stay.
     """
     field = g.field
     p = field.p
@@ -149,14 +137,14 @@ def _column_reduce(g: LaurentMatrix):
         for j in range(len(echelon), n):
             vec = {i: c for i, entry in enumerate(cols[j]) if (c := entry.coeff(tops[j]))}
             vec[n + j] = field.one
-            vec = _reduce(vec, echelon, p)
+            vec = _reduce(_primitive(vec, p), echelon, p)
             col = min(vec)
             if col >= n:
                 break
-            echelon.append((col, _normalized(vec, col, p)))
+            echelon.append((col, _as_pivot(vec, col, p)))
         else:
             return cols, tops, w, w_det
-        lam = {var - n: c for var, c in vec.items()}
+        lam = {var - n: c for var, c in _normalized(vec, n + j, p).items()}
         pivot = max(lam, key=lambda j: (tops[j], j))
         # New pivot column: sum of lam_j * t^(top_pivot - top_j) * col_j, a
         # unimodular operation over k[t] that kills the t^top_pivot vector.
@@ -230,20 +218,22 @@ def splitting_type(bundle: BundleOnP1) -> SplittingType:
 def _coefficient_rows(g: LaurentMatrix, low: int, top: int) -> dict[int, tuple[dict, ...]]:
     """The sparse rows "t^e coefficient of g * f = 0" for every e > low, by e:
     one per output coordinate i, empty where no variable reaches t^e.  The
-    coefficient f[j, d], 0 <= d <= top, is variable j * (top + 1) + d."""
+    coefficient f[j, d], 0 <= d <= top, is variable j * (top + 1) + d.  Over
+    Q each row of g is scaled once into primitive integers."""
+    p = g.field.p
     width = top + 1
     span = g.exponent_range()[1] + top - low
     blocks = []
     for row in g.rows:
         # block[k] is the row of e = low + 1 + k
         block: list[dict] = [{} for _ in range(span)]
-        for j, entry in enumerate(row):
-            base = j * width
-            for exp, coeff in entry.terms():
-                # distinct exponents of one entry land in distinct variables
-                shift = exp - low - 1
-                for d in range(max(0, -shift), width):
-                    block[d + shift][base + d] = coeff
+        terms = _primitive({(j, exp): c for j, entry in enumerate(row)
+                            for exp, c in entry._terms.items()}, p)
+        for (j, exp), coeff in terms.items():
+            # distinct exponents of one entry land in distinct variables
+            base, shift = j * width, exp - low - 1
+            for d in range(max(0, -shift), width):
+                block[d + shift][base + d] = coeff
         blocks.append(block)
     return {low + 1 + k: rows for k, rows in enumerate(zip(*blocks))}
 
@@ -267,13 +257,12 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
     """
     p = g.field.p
     n, top = g.n, bound + 1
-    one = g.field.one
     rows = _coefficient_rows(g, low, top)
     above = [e for e in rows if e > high]
     pivots = _eliminate([row for i in range(n) for e in above if (row := rows[e][i])], p)
     size = n * (top + 1)
     recheck = size - len(pivots)
-    units = [_reduce({j * (top + 1) + top: one}, pivots, p) for j in range(n)]
+    units = [_reduce({j * (top + 1) + top: 1}, pivots, p) for j in range(n)]
     dim = recheck - len(_eliminate(units, p))
     if recheck != dim:
         raise ArithmeticError(

@@ -76,6 +76,13 @@ ERROR_DOCUMENTS = {
     "graded_variable_empty_name.txt": (
         "kind = graded_module\nfield = Q\nvariables = x, \ndegrees = 1, 2\n"
         "generators = 0\n"),
+    "graded_relation_inhomogeneous.txt": (
+        "kind = graded_module\nfield = Q\nvariables = a, b\ndegrees = 1, 1\n"
+        "generators = 0\nrelation = 1*a^1 + 1*b^2\n"),
+    "graded_module_relation_inhomogeneous.txt": (
+        "kind = graded_module\nfield = F5\nvariables = a, b\ndegrees = 1, 2\n"
+        "generators = 0, 1\nmodule_relation = [1*a^2, 1*a^1]\n"
+        "module_relation = [0, 1*a^1 + 1*b^1]\n"),
     "poset_negative_size.txt": "kind = poset\nn = -1\n",
     "monotone_map_negative_target.txt": (
         "kind = monotone_map\nsource_n = 1\ntarget_n = -2\nmap = 0\n"),

@@ -33,6 +33,18 @@ def var(alg, index):
     return Polynomial.monomial(alg.field, alg.nvars, mono, 1)
 
 
+class TestMessages:
+    def test_inhomogeneous_relations_in_document_names(self):
+        a, b = (Polynomial.monomial(QQ, 2, mono, 1) for mono in ((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match=r"^relation 1\*a\^1 \+ 1\*b\^2 is not homogeneous$"):
+            GradedAlgebra(QQ, ("a", "b"), (1, 1), (a + b * b,))
+        alg = GradedAlgebra(QQ, ("a", "b"), (1, 2))
+        columns = ((a * a, a), (alg.zero(), a + b))
+        with pytest.raises(ValueError, match=r"^module_relation 1, entry 1 \(1\*a\^1 \+ 1\*b\^1\) "
+                                             r"is not homogeneous$"):
+            module(alg, (0, 1), columns)
+
+
 class TestConnected:
     def test_single_positive(self):
         assert algebra(QQ, (1,)).is_connected()

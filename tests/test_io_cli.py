@@ -221,6 +221,29 @@ class TestScalars:
         with pytest.raises(ParseError):
             parse_scalar("pi", QQ)
 
+    def test_integer_path_matches_fraction(self, rng):
+        # every string gives Fraction(text)'s scalar, or its exact error
+        def reference(text, field):
+            text = text.strip()
+            try:
+                return field(Fraction(text))
+            except (ValueError, ZeroDivisionError) as exc:
+                return f"bad scalar {text!r}: {exc}"
+
+        texts = ["--3", "²", "٣", "-٣", "1_0", "+3", "1e3", "1.5", " 7", "7", "-7", "-0",
+                 "007", "-", "", "3/5", "1/0", "0x10", "9" * 4301, "-" + "9" * 4300]
+        alphabet = "0123456789-+/._ e²٣"
+        texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+                  for _ in range(400)]
+        for field in (QQ, GF(5), GF(2**31 - 1)):
+            for text in texts:
+                want = reference(text, field)
+                try:
+                    got = parse_scalar(text, field)
+                except ParseError as exc:
+                    got = str(exc)
+                assert got == want and type(got) is type(want), (field, text)
+
 
 class TestLaurentGrammar:
     def test_round_trip(self):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from equibundle.exact_core import GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, nullspace
+from equibundle.exact_core import (
+    GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, _normalized, _primitive, nullspace,
+)
 from equibundle.projline import (
     BundleOnP1,
     SplittingType,
@@ -199,21 +201,39 @@ class TestColumnReduce:
 class TestCoefficientRows:
     def test_matches_reference_rows(self, rng):
         # the rows of all e > twist are those of the one-twist builder, and
-        # the rows of one e are those it adds going from twist e to e - 1
+        # the rows of one e are those it adds going from twist e to e - 1;
+        # over Q the builder scales each row of g by its _primitive factor,
+        # so the reference is built from g with its rows scaled the same way
         def rows_of(block):
             return Counter(tuple(sorted(row.items())) for row in block if row)
+
+        def primitive_matrix(g):
+            rows = []
+            for row in g.rows:
+                terms = dict(enumerate(c for entry in row for _, c in entry.terms()))
+                scale = Fraction(_primitive(dict(terms), None)[0]) / terms[0]
+                rows.append([entry.scaled(scale) for entry in row])
+            return LaurentMatrix(g.field, rows)
 
         for k in range(60):
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
             g = random_bundle(rng, field, rng.randint(1, 4)).matrix
+            if field.p is None:
+                # rational rows with content, so that the scaling shows
+                scales = [Fraction(rng.choice([1, -2, 6]), rng.randint(1, 4)) for _ in g.rows]
+                g = LaurentMatrix(field, [[entry.scaled(s) for entry in row]
+                                          for row, s in zip(g.rows, scales)])
             twist = rng.randint(-3, 3)
             bound = rng.randint(0, 6)
             rows = _coefficient_rows(g, twist, bound)
+            assert all(type(c) is int for block in rows.values() for row in block
+                       for c in row.values()), k
+            ref = primitive_matrix(g) if field.p is None else g
             assert rows_of(row for block in rows.values() for row in block) == \
-                rows_of(_constraint_rows(g, twist, bound)), k
+                rows_of(_constraint_rows(ref, twist, bound)), k
             for e in range(twist + 1, max(rows, default=twist) + 2):
-                added = (rows_of(_constraint_rows(g, e - 1, bound))
-                         - rows_of(_constraint_rows(g, e, bound)))
+                added = (rows_of(_constraint_rows(ref, e - 1, bound))
+                         - rows_of(_constraint_rows(ref, e, bound)))
                 assert rows_of(rows.get(e, ())) == added, (k, e)
 
 
@@ -262,8 +282,11 @@ class TestPivotOrder:
             else:
                 nvars = rng.randint(2, 30)
                 rows = [random_sparse_row(rng, p, nvars) for _ in range(rng.randint(1, 40))]
+            # the kernel takes Q rows as primitive integers; each pivot it
+            # finds, normalized at its column, is the reference's pivot
             expected = _eliminate_linear_scan([dict(row) for row in rows], p)
-            assert _eliminate([dict(row) for row in rows], p) == expected, k
+            got = _eliminate([_primitive(dict(row), p) for row in rows], p)
+            assert [(col, _normalized(row, col, p)) for col, row in got] == expected, k
 
 
 class TestH0Table:
@@ -518,7 +541,8 @@ def _constraint_rows(g, twist, bound):
 def _sections_dimension(g, twist, bound):
     """Reference: the section space at one twist and bound, eliminated afresh."""
     p = g.field.p
-    return g.n * (bound + 1) - len(_eliminate(_constraint_rows(g, twist, bound), p))
+    rows = [_primitive(row, p) for row in _constraint_rows(g, twist, bound)]
+    return g.n * (bound + 1) - len(_eliminate(rows, p))
 
 
 def _eliminate_linear_scan(rows, p):
