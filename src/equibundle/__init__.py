@@ -17,37 +17,3 @@ Modules:
 * :mod:`equibundle.io` -- document formats: parsing and canonical printing.
 * :mod:`equibundle.cli` -- the command-line interface.
 """
-
-from equibundle.exact_core import (
-    GF,
-    QQ,
-    FieldMismatchError,
-    LaurentMatrix,
-    LaurentPoly,
-    UnitDeterminantError,
-)
-from equibundle.projline import (
-    BundleOnP1,
-    SplittingType,
-    birkhoff_factorize,
-    cocharacter_to_bundle,
-    h0_dimension,
-    splitting_type,
-)
-
-__all__ = [
-    "GF",
-    "QQ",
-    "FieldMismatchError",
-    "LaurentMatrix",
-    "LaurentPoly",
-    "UnitDeterminantError",
-    "BundleOnP1",
-    "SplittingType",
-    "birkhoff_factorize",
-    "cocharacter_to_bundle",
-    "h0_dimension",
-    "splitting_type",
-]
-
-__version__ = "0.1.0"

@@ -6,7 +6,8 @@ injection (injective with free cokernel); below the window everything is
 zero, above it T is an isomorphism.  The colimit E_inf = E_hi then carries a
 filtration by direct summands, the associated graded records the cokernel
 ranks, and a splitting is a grading of E_inf whose partial sums reproduce the
-filtration exactly.
+filtration exactly.  A datum whose ranks drop or whose transition is not a
+split injection raises ``ValueError("invalid filtered module: <reason>")``.
 
 Base rings are exact fields or truncated polynomial rings k[eps]/(eps^m); a
 field is the case m = 1.  Every decision is linear algebra over the residue
@@ -20,7 +21,6 @@ read through i -> -i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from equibundle.exact_core import (
     Field,
@@ -151,17 +151,9 @@ class FilteredModule:
         return self.ranks[index - self.lo]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    reason: Optional[str] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_filtered(f: FilteredModule) -> ValidationReport:
-    """Check the bundle conditions; failures are reported, not raised.
+def validate_filtered(f: FilteredModule) -> None:
+    """Check the bundle conditions; raise ``ValueError("invalid filtered
+    module: <reason>")`` at the first that fails.
 
     A transition is a split injection exactly when its residue matrix has
     full column rank, so the verdict is one rank over the residue field.
@@ -169,16 +161,13 @@ def validate_filtered(f: FilteredModule) -> ValidationReport:
     ring = f.ring
     for step in range(len(f.maps)):
         if f.ranks[step] > f.ranks[step + 1]:
-            return ValidationReport(False, f"rank drops at step {f.lo + step}")
+            raise ValueError(f"invalid filtered module: rank drops at step {f.lo + step}")
         if f.ranks[step] == 0:
             continue
         residues = [[v[0] for v in row] for row in f.maps[step]]
         if matrix_rank(ring.field, residues) < f.ranks[step]:
-            return ValidationReport(
-                False,
-                f"transition at index {f.lo + step} is not a split injection",
-            )
-    return ValidationReport(True)
+            raise ValueError(f"invalid filtered module: transition at index "
+                             f"{f.lo + step} is not a split injection")
 
 
 def colimit_module(f: FilteredModule):
@@ -187,9 +176,7 @@ def colimit_module(f: FilteredModule):
     The image of E_i in E_inf = E_hi is spanned by the columns of the
     composite of the transitions; each is a direct summand.
     """
-    report = validate_filtered(f)
-    if not report:
-        raise ValueError(f"invalid filtered module: {report.reason}")
+    validate_filtered(f)
     top_rank = f.ranks[-1]
     steps = []
     composite = mat_identity(f.ring, top_rank)
@@ -208,9 +195,7 @@ def associated_graded(f: FilteredModule) -> dict[int, int]:
     Degree i carries rank(E_i) - rank(E_{i-1}); only nonzero entries are kept.
     Total rank is preserved.
     """
-    report = validate_filtered(f)
-    if not report:
-        raise ValueError(f"invalid filtered module: {report.reason}")
+    validate_filtered(f)
     out: dict[int, int] = {}
     previous = 0
     for offset, rank in enumerate(f.ranks):

@@ -113,19 +113,11 @@ class FiniteDimAlgebra:
     def one(self) -> Vector:
         return self.unit_vector(0)
 
-    @property
-    def zero(self) -> Vector:
-        return (self.field.zero,) * self.dim
-
     def coerce(self, coords) -> Vector:
         vec = tuple(self.field(v) for v in coords)
         if len(vec) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates")
         return vec
-
-    def add(self, a: Vector, b: Vector) -> Vector:
-        p = self.field.p
-        return tuple((x + y) % p if p else x + y for x, y in zip(a, b))
 
     def sub(self, a: Vector, b: Vector) -> Vector:
         p = self.field.p

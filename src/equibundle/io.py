@@ -308,6 +308,13 @@ def _parse_lines(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {text!r}") from exc
+
+
 def _int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -582,10 +589,7 @@ def parse_document(text: str) -> Document:
     if kind == "filtered_module":
         field = parse_field(fields.take("field"))
         order_text = fields.take("epsilon_power", required=False)
-        try:
-            order = int(order_text) if order_text is not None else 1
-        except ValueError as exc:
-            raise ParseError(f"bad epsilon power {order_text!r}") from exc
+        order = _int(order_text, "epsilon power") if order_text is not None else 1
         ring = EpsRing(field, order)
         window = _int_list(fields.take("window"))
         if len(window) != 2:
@@ -617,25 +621,15 @@ def parse_document(text: str) -> Document:
         return FinDimAlgebraDoc(field=field, quotient=quotient, ideal=ideal,
                                 idempotent=idempotent)
     if kind == "poset":
-        size_text = fields.take("n")
-        try:
-            size = int(size_text)
-        except ValueError as exc:
-            raise ParseError(f"bad poset size {size_text!r}") from exc
+        size = _int(fields.take("n"), "poset size")
         generators = tuple(_parse_relation_pair(t) for t in fields.take_all("rel"))
         fields.finish()
         return PosetDoc(poset=FinitePoset.from_relations(size, generators),
                         generators=generators)
     if kind == "monotone_map":
-        try:
-            source_n = int(fields.take("source_n"))
-        except ValueError as exc:
-            raise ParseError(f"bad source size: {exc}") from exc
+        source_n = _int(fields.take("source_n"), "source size")
         source_rel = tuple(_parse_relation_pair(t) for t in fields.take_all("source_rel"))
-        try:
-            target_n = int(fields.take("target_n"))
-        except ValueError as exc:
-            raise ParseError(f"bad target size: {exc}") from exc
+        target_n = _int(fields.take("target_n"), "target size")
         target_rel = tuple(_parse_relation_pair(t) for t in fields.take_all("target_rel"))
         mapping = tuple(_int_list(fields.take("map")))
         fields.finish()

@@ -5,11 +5,13 @@ y), so closed points are maximal, closed sets are up-closed, and opens are
 the generization-closed (down-closed) sets.  Every finite poset satisfies the
 basis condition for spectral spaces, quotients by connected components are
 discrete, and pro-clopen coincides with clopen; the operations below verify
-these coincidences rather than assume them.  Subsets are ``int`` bitmasks
-(bit x for point x), and pi0 is computed once per poset, memoized on it.  Each
-2^n enumeration reads a union table, table[s] = the union of masks[i] over the
-bits i of s: of up-sets it maps s to its closure, of down-sets to its
-generization, of the fibers of a map to its preimage.
+these coincidences rather than assume them.  A poset is built from
+generating relations and closed transitively, so a cycle (two distinct points
+that specialize to each other) is the only invalid input.  Subsets are
+``int`` bitmasks (bit x for point x), and pi0 is computed once per poset,
+memoized on it.  Each 2^n enumeration reads a union table, table[s] = the
+union of masks[i] over the bits i of s: of up-sets it maps s to its closure,
+of down-sets to its generization, of the fibers of a map to its preimage.
 """
 
 from __future__ import annotations
@@ -61,31 +63,15 @@ def _union(masks, subset: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinitePoset:
+    """Built only by ``from_relations``, which closes the relations."""
+
     size: int
     leq: tuple[tuple[bool, ...], ...]  # leq[x][y]: x specializes to y
-    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _pi0: Pi0 | None = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        n = self.size
-        # from lists: a tuple grown from a generator is resized, fragmenting memory
-        matrix = tuple([tuple([bool(v) for v in row]) for row in self.leq])
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("specialization matrix must be n x n")
-        object.__setattr__(self, "leq", matrix)
-        up = [sum(1 << y for y, v in enumerate(row) if v) for row in matrix]
-        if any(not u >> x & 1 for x, u in enumerate(up)):
-            raise ValueError("specialization must be reflexive")
-        for x, u in enumerate(up):
-            for y in _bits(u):
-                if y != x and up[y] >> x & 1:
-                    raise ValueError("mutually specializing distinct points")
-                if up[y] & ~u:
-                    raise ValueError("specialization must be transitive")
-        self._set_masks(up)
+    up: tuple[int, ...] = field(repr=False, compare=False)
+    down: tuple[int, ...] = field(repr=False, compare=False)
+    _pi0: Pi0 | None = field(repr=False, compare=False, default=None)
 
     def _set_masks(self, up: list[int]) -> None:
         """Up- and down-sets from up-sets that are reflexive and transitive."""
@@ -290,9 +276,6 @@ class PropB3Report:
     @property
     def all_equivalent(self) -> bool:
         return self.clopen_bijection == self.pi0_bijective == self.pi0_homeomorphism
-
-    def __iter__(self):
-        return iter((self.clopen_bijection, self.pi0_bijective, self.pi0_homeomorphism))
 
 
 def prop_b3_check(f: MonotoneMap) -> PropB3Report:

@@ -1,11 +1,12 @@
 """Public-API guard: no public name in ``src/`` that nothing needs.
 
 Every public top-level name of a module ``src/equibundle/<name>.py`` (the
-package ``__init__`` aside), and every public method of a public class there,
-must be referenced somewhere that the product uses: elsewhere in its own module, in another module of the package, or in
-the acceptance criteria (``tests/test_acceptance.py``).  A name only unit
-tests reach is test-only API: move it into the tests or delete it.
-Checked on the syntax tree, so comments and strings do not count.  A method
+package ``__init__`` aside: it holds its docstring and binds nothing), and
+every public method of a public class there, must be referenced somewhere
+that the product uses: elsewhere in its own module, in another module of the
+package, or in the acceptance criteria (``tests/test_acceptance.py``).  A
+name only unit tests reach is test-only API: move it into the tests or delete
+it.  Checked on the syntax tree, so comments and strings do not count.  A method
 counts as referenced only through an attribute (``obj.name``) or an import:
 a bare name read, such as a loop variable of the same name, does not keep it.
 An attribute of a module imported from outside the package
@@ -100,6 +101,13 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_is_needed():
     assert unreferenced_public_names() == []
+
+
+def test_package_init_binds_no_public_name():
+    # every caller imports a submodule; a re-export would be a second way in,
+    # and the guard above sees no re-export, since an import defines nothing
+    tree = _tree(os.path.join(PACKAGE, "__init__.py"))
+    assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
 def test_guard_sees_definitions_and_references():

@@ -33,6 +33,18 @@ def fm(ring, lo, ranks, maps):
                           ranks=tuple(ranks), maps=tuple(maps))
 
 
+NOT_SPLIT_0 = "invalid filtered module: transition at index 0 is not a split injection"
+
+
+def rejection(f):
+    """The message validate_filtered raises on f, or None if it accepts f."""
+    try:
+        validate_filtered(f)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestEpsRing:
     # eps_inv serves the unit-pivot reference below; these tests check it
     def test_inverse(self):
@@ -52,28 +64,25 @@ class TestEpsRing:
 
 class TestValidate:
     def test_zero_bundle(self):
-        assert validate_filtered(fm(RQ, 0, [0, 0], [[]]))
+        assert rejection(fm(RQ, 0, [0, 0], [[]])) is None
 
     def test_constant_rank_identity(self):
-        assert validate_filtered(fm(RQ, 0, [1, 1], [[[1]]]))
+        assert rejection(fm(RQ, 0, [1, 1], [[[1]]])) is None
 
     def test_zero_map_rejected(self):
-        report = validate_filtered(fm(RQ, 0, [1, 1], [[[0]]]))
-        assert not report
-        assert "split injection" in report.reason
+        assert rejection(fm(RQ, 0, [1, 1], [[[0]]])) == NOT_SPLIT_0
 
     def test_rank_drop_rejected(self):
-        report = validate_filtered(fm(RQ, 0, [2, 1], [[[1, 0]]]))
-        assert not report
+        assert rejection(fm(RQ, 3, [2, 1], [[[1, 0]]])) == (
+            "invalid filtered module: rank drops at step 3")
 
     def test_eps_twisted_injection_is_split(self):
         # (1, eps): splits because the residue has full column rank
         t = [[RD.one], [eps(RD)]]
-        assert validate_filtered(fm(RD, 0, [1, 2], [t]))
+        assert rejection(fm(RD, 0, [1, 2], [t])) is None
 
     def test_eps_only_injection_is_not_split(self):
-        report = validate_filtered(fm(RD, 0, [1, 1], [[[eps(RD)]]]))
-        assert not report
+        assert rejection(fm(RD, 0, [1, 1], [[[eps(RD)]]])) == NOT_SPLIT_0
 
 
 class TestColimit:
@@ -161,7 +170,9 @@ class TestResidueVerdicts:
                     a = rng.randint(1, 3)
                     b = rng.randint(a, 4)
                     t = random_transition(rng, ring, a, b)
-                    verdict = bool(validate_filtered(fm(ring, 0, [a, b], [t])))
+                    message = rejection(fm(ring, 0, [a, b], [t]))
+                    assert message in (None, NOT_SPLIT_0)
+                    verdict = message is None
                     assert verdict == (_retraction_unit_pivots(ring, t) is not None)
                     seen.add(verdict)
         assert seen == {True, False}
@@ -180,7 +191,7 @@ class TestResidueVerdicts:
                     for row in t:
                         row[col] = ring.mul(eps(ring), row[col])
                     assert any(not ring.is_zero(row[col]) for row in t)
-                    assert not validate_filtered(fm(ring, 0, [a, b], [t]))
+                    assert rejection(fm(ring, 0, [a, b], [t])) == NOT_SPLIT_0
                     assert _retraction_unit_pivots(ring, t) is None
 
     def test_split_basis_matches_retraction_selection(self, rng):

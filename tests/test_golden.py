@@ -86,6 +86,14 @@ ERROR_DOCUMENTS = {
     "poset_negative_size.txt": "kind = poset\nn = -1\n",
     "monotone_map_negative_target.txt": (
         "kind = monotone_map\nsource_n = 1\ntarget_n = -2\nmap = 0\n"),
+    "filtered_bad_epsilon_power.txt": (
+        "kind = filtered_module\nfield = Q\nepsilon_power = two\nwindow = 0, 0\n"
+        "ranks = 1\n"),
+    "poset_bad_size.txt": "kind = poset\nn = 2.5\n",
+    "monotone_map_bad_source_size.txt": (
+        "kind = monotone_map\nsource_n = x\ntarget_n = 1\nmap = 0\n"),
+    "monotone_map_bad_target_size.txt": (
+        "kind = monotone_map\nsource_n = 1\ntarget_n = one\nmap = 0\n"),
 }
 
 
