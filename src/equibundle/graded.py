@@ -137,10 +137,16 @@ class GradedModulePresentation:
         # The entries' coefficients are validated and nonzero, and distinct
         # terms of one entry land on distinct coordinates, so a row is its
         # shifted terms as they stand, over Q scaled into primitive integers.
+        # Every row of a column carries that column's coefficients, so one
+        # scaling serves them all.
         p = alg.field.p
-        rows = [_primitive({index[j][tuple(map(add, mono, m))]: c
-                            for j, entry in entries for m, c in entry._terms.items()}, p)
-                for entries, delta in columns for mono in basis[degree - delta]]
+        rows = []
+        for entries, delta in columns:
+            terms = [(j, m, c) for j, entry in entries for m, c in entry._terms.items()]
+            scaled = _primitive(dict(enumerate(c for _, _, c in terms)), p)
+            rows += [{index[j][tuple(map(add, mono, m))]: scaled[k]
+                      for k, (j, m, _) in enumerate(terms)}
+                     for mono in basis[degree - delta]]
         return total - len(_eliminate(rows, p))
 
     def default_degree_bound(self) -> int:

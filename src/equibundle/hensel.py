@@ -1,19 +1,21 @@
 """Henselian-pair predicates for finite-dimensional commutative algebras.
 
-The decidable class: a commutative unital algebra given by structure
-constants over an exact field, with a distinguished ideal given by a spanning
-set.  For such (artinian) algebras "henselian pair" is equivalent to the
-ideal lying in the Jacobson radical (= nilradical), the executable face of
-which is idempotent lifting along nilpotent ideals.  Graded algebras that are
-concentrated in nonnegative or nonpositive degrees form trivially henselian
-pairs with their irrelevant ideal; that predicate is purely combinatorial.
+The decidable class: a quotient k[x]/(f) of the polynomial ring by a monic f
+over an exact field, given by f itself, with a distinguished ideal given by a
+spanning set.  A product is the polynomial product reduced mod f, and the
+trace of x^k is the k-th power sum of the roots of f, which Newton's
+identities give from f's coefficients.  For such (artinian) algebras
+"henselian pair" is equivalent to the ideal lying in the Jacobson radical
+(= nilradical), the executable face of which is idempotent lifting along
+nilpotent ideals.  Graded algebras that are concentrated in nonnegative or
+nonpositive degrees form trivially henselian pairs with their irrelevant
+ideal; that predicate is purely combinatorial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -41,67 +43,22 @@ def trivially_henselian(algebra: GradedAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class FiniteDimAlgebra:
-    """Commutative unital algebra by structure constants; basis vector 0 is 1.
+    """k[x]/(f) for a monic f of positive degree d, on the basis 1, x, ...,
+    x^(d-1); basis vector 0 is 1.
 
-    structure[i][j] is the coordinate vector of e_i * e_j.  Commutativity,
-    associativity, unitality, and closure of the distinguished ideal under
-    multiplication are all checked at construction, except for the
-    constructions that prove them (see `_trusted`).  Element operations
-    reduce mod p over F_p.
+    `modulus` lists f's coefficients as field elements, constant first and
+    ending with 1, and `ideal` spans the distinguished ideal.  Built by
+    `from_univariate_quotient`, whose construction proves the ideal closed
+    under multiplication.  Element operations reduce mod p over F_p.
     """
 
     field: Field
-    dim: int
-    structure: tuple[tuple[Vector, ...], ...]
+    modulus: Vector
     ideal: tuple[Vector, ...] = ()
 
-    def __post_init__(self):
-        d = self.dim
-        if d < 1:
-            raise ValueError("algebra dimension must be at least 1")
-        table = tuple(
-            tuple(tuple(self.field(v) for v in vec) for vec in row)
-            for row in self.structure
-        )
-        if len(table) != d or any(len(row) != d for row in table) or any(
-            len(vec) != d for row in table for vec in row
-        ):
-            raise ValueError("structure constants must form a d x d x d array")
-        object.__setattr__(self, "structure", table)
-        for i in range(d):
-            for j in range(i):
-                if table[i][j] != table[j][i]:
-                    raise ValueError(f"structure constants not commutative at ({i},{j})")
-        for j in range(d):
-            if table[0][j] != self.unit_vector(j):
-                raise ValueError("basis vector 0 does not act as the unit")
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    left = self.mul(table[i][j], self.unit_vector(l))
-                    right = self.mul(self.unit_vector(i), table[j][l])
-                    if left != right:
-                        raise ValueError(
-                            f"structure constants not associative at ({i},{j},{l})")
-        ideal = tuple(tuple(self.field(v) for v in vec) for vec in self.ideal)
-        object.__setattr__(self, "ideal", ideal)
-        in_ideal = span_test(self.field, ideal)
-        for vec in ideal:
-            for i in range(d):
-                if not in_ideal(self.mul(self.unit_vector(i), vec)):
-                    raise ValueError("ideal is not closed under multiplication")
-
-    @classmethod
-    def _trusted(cls, field: Field, dim: int, structure, ideal) -> "FiniteDimAlgebra":
-        """An algebra whose construction proves every check of __init__.
-
-        The table and the ideal must already hold field elements.
-        """
-        algebra = cls.__new__(cls)
-        for name, value in (("field", field), ("dim", dim), ("structure", structure),
-                            ("ideal", ideal)):
-            object.__setattr__(algebra, name, value)
-        return algebra
+    @property
+    def dim(self) -> int:
+        return len(self.modulus) - 1
 
     # -- element helpers -----------------------------------------------------
 
@@ -127,44 +84,43 @@ class FiniteDimAlgebra:
         c, p = self.field(c), self.field.p
         return tuple(c * x % p if p else c * x for x in a)
 
-    @cached_property
-    def _table(self):
-        """(den, table): e_i * e_j is the sum of n/den * e_l over the (l, n)
-        in table[i][j], with integer n and one common den (1 over F_p)."""
-        den = 1 if self.field.p else lcm(
-            *(v.denominator for row in self.structure for vec in row for v in vec))
-        return den, tuple(
-            tuple(tuple((l, n) for l, n in enumerate(self._numerators(vec, den)[1]) if n)
-                  for vec in row)
-            for row in self.structure)
-
-    def _numerators(self, vec: Vector, den: Optional[int] = None):
-        """(den, the integer numerators of vec over den).  den defaults to the
-        lcm of the denominators of vec over Q; over F_p it is 1."""
+    def _numerators(self, vec: Vector):
+        """(den, the integer numerators of vec over den): den is the lcm of
+        the denominators of vec over Q, and 1 over F_p."""
         if self.field.p:
             return 1, vec
-        if den is None:
-            den = lcm(*(x.denominator for x in vec))
+        den = lcm(*(x.denominator for x in vec))
         return den, [x.numerator * (den // x.denominator) for x in vec]
 
     def mul(self, a: Vector, b: Vector) -> Vector:
-        den, table = self._table
+        """The product of a and b in k[x] on integer numerators, reduced mod f
+        from the top coefficient down.  Over Q, f's numerators `lead * f`
+        end with lead = the lcm of f's denominators: each step that clears a
+        top coefficient scales the rest by lead and carries lead into the
+        denominator, so the reduction stays on integers."""
         da, na = self._numerators(a)
         db, nb = self._numerators(b)
-        out = [0] * self.dim
+        lead, f = self._numerators(self.modulus)
+        d, p = self.dim, self.field.p
+        tail = [(i, c) for i, c in enumerate(f[:d]) if c]
+        out = [0] * (2 * d - 1)
         right = [(j, y) for j, y in enumerate(nb) if y]
         for i, x in enumerate(na):
             if x:
-                row = table[i]
                 for j, y in right:
-                    coeff = x * y
-                    for l, n in row[j]:
-                        out[l] += coeff * n
-        p = self.field.p
+                    out[i + j] += x * y
+        den = da * db
+        for top in range(2 * d - 2, d - 1, -1):
+            q = out.pop() % p if p else out.pop()
+            if q:
+                if lead != 1:
+                    out = [lead * v for v in out]
+                    den *= lead
+                for i, c in tail:
+                    out[top - d + i] -= q * c
         if p:
             return tuple(v % p for v in out)
-        total = da * db * den
-        return tuple(Fraction(v, total) for v in out)
+        return tuple(Fraction(v, den) for v in out)
 
     def power(self, a: Vector, exponent: int) -> Vector:
         out = self.one
@@ -204,7 +160,7 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
     monic_coeffs lists f's coefficients from the constant up, ending with 1.
     Ideal generators are polynomials in x given the same way (any length).
     """
-    coeffs = [field(c) for c in monic_coeffs]
+    coeffs = tuple(field(c) for c in monic_coeffs)
     if not coeffs or coeffs[-1] != field.one:
         raise ValueError("quotient polynomial must be monic")
     d = len(coeffs) - 1
@@ -222,11 +178,6 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
         return tuple((s - top * a) % p if p else s - top * a
                      for s, a in zip(shifted, coeffs))
 
-    powers = [(field.one,) + (field.zero,) * (d - 1)]
-    for _ in range(2 * d - 2):
-        powers.append(step(powers[-1]))
-    structure = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
-
     ideal_vectors = []
     for gen in ideal_generators:
         shifted = (field.zero,) * d
@@ -239,13 +190,10 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
     if ideal_vectors:
         reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
         ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
-    # Every check of the public constructor holds by construction: e_i * e_j
-    # is x^(i+j) mod f, so the table is commutative, e_0 = 1 is the unit, and
-    # associativity is that of k[x] carried through the ring map mod f.  The
-    # span of x^s * g mod f for s < d is the whole ideal g * k[x]/(f), since
-    # x^s for s >= d reduces mod f to lower powers, so the ideal is closed.
-    return FiniteDimAlgebra._trusted(field, d, structure,
-                                     tuple(ideal_vectors))
+    # The span of x^s * g mod f for s < d is the whole ideal g * k[x]/(f),
+    # since x^s for s >= d reduces mod f to lower powers, so it is closed
+    # under multiplication.
+    return FiniteDimAlgebra(field, coeffs, tuple(ideal_vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +232,25 @@ def jacobson_radical(algebra: FiniteDimAlgebra) -> list[Vector]:
 
 
 def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
-    """Gram matrix of (u, v) -> trace of multiplication by u*v on the basis."""
-    d = algebra.dim
-    p = algebra.field.p
-    den, table = algebra._table
-    # den * trace of multiplication by each basis vector e_k
-    traces = [sum(n for j in range(d) for l, n in table[k][j] if l == j)
-              for k in range(d)]
-    gram = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            trace = sum(n * traces[l] for l, n in table[i][j])
-            row.append(trace % p if p else Fraction(trace, den * den))
-        gram.append(row)
-    return gram
+    """Gram matrix of (u, v) -> trace of multiplication by u*v on the basis.
+
+    The trace of x^k is the power sum s_k of the roots of f, so the matrix is
+    the Hankel matrix [s_(i+j)].  For f = sum a_i x^i of degree d, Newton's
+    identities give s_0 = d and s_k = -k a_(d-k) - sum_(0<i<k) a_(d-i) s_(k-i),
+    with a_(d-i) = 0 for i > d.  They are identities over Z, so they hold in
+    every characteristic.
+    """
+    field, f, d = algebra.field, algebra.modulus, algebra.dim
+    terms = [(i, f[d - i]) for i in range(1, d + 1) if f[d - i]]
+    sums = [field(d)]
+    for k in range(1, 2 * d - 1):
+        s = -k * f[d - k] if k <= d else 0
+        for i, a in terms:
+            if i >= k:
+                break
+            s -= a * sums[k - i]
+        sums.append(field(s))
+    return [sums[i:i + d] for i in range(d)]
 
 
 def is_henselian_pair(algebra: FiniteDimAlgebra,

@@ -31,13 +31,14 @@ from equibundle.exact_core import (
     GF,
     LaurentMatrix,
     LaurentPoly,
+    Polynomial,
     PrimeField,
     QQ,
     RationalField,
     Scalar,
 )
 from equibundle.filtered import EpsRing, FilteredModule
-from equibundle.graded import GradedAlgebra, GradedModulePresentation, Polynomial
+from equibundle.graded import GradedAlgebra, GradedModulePresentation
 from equibundle.hensel import FiniteDimAlgebra, from_univariate_quotient
 from equibundle.projline import SplittingType
 from equibundle.topospace import FinitePoset, MonotoneMap

@@ -19,7 +19,7 @@ from test_hensel import random_nilpotent_instance
 from test_projline import h0_formula, random_unimodular
 
 from equibundle.cli import main as cli_main
-from equibundle.exact_core import GF, QQ, LaurentMatrix
+from equibundle.exact_core import GF, QQ, LaurentMatrix, Polynomial
 from equibundle.filtered import (
     EpsRing,
     FilteredModule,
@@ -32,7 +32,6 @@ from equibundle.filtered import (
 )
 from equibundle.graded import (
     GradedAlgebra,
-    Polynomial,
     GradedModulePresentation,
     graded_iso_test,
     iso_class_graded_free,

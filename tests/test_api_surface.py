@@ -11,7 +11,7 @@ counts as referenced only through an attribute (``obj.name``) or an import:
 a bare name read, such as a loop variable of the same name, does not keep it.
 An attribute of a module imported from outside the package
 (``itertools.chain``) does not count as a reference to a method of the same
-name.
+name.  The package's modules also stay within a line budget.
 """
 
 import ast
@@ -20,6 +20,7 @@ import os
 HERE = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = os.path.join(HERE, "..", "src", "equibundle")
 ACCEPTANCE = os.path.join(HERE, "test_acceptance.py")
+LINE_BUDGET = 3700
 
 
 def _tree(path: str) -> ast.Module:
@@ -101,6 +102,17 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_is_needed():
     assert unreferenced_public_names() == []
+
+
+def test_src_within_line_budget():
+    # counted as `cat src/equibundle/*.py | wc -l` counts: newlines over every
+    # module of the package
+    total = 0
+    for name in os.listdir(PACKAGE):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), "rb") as handle:
+                total += handle.read().count(b"\n")
+    assert total <= LINE_BUDGET, total
 
 
 def test_package_init_binds_no_public_name():

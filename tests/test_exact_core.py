@@ -9,6 +9,7 @@ from equibundle.exact_core import (
     FieldMismatchError,
     LaurentMatrix,
     LaurentPoly,
+    Polynomial,
     UnitDeterminantError,
     _laurent_determinant,
     _poly_exact_div,
@@ -18,7 +19,6 @@ from equibundle.exact_core import (
     row_reduce,
     span_test,
 )
-from equibundle.graded import Polynomial
 
 F5 = GF(5)
 

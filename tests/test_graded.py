@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from equibundle.exact_core import GF, QQ, matrix_rank
+from equibundle.exact_core import GF, QQ, Polynomial, matrix_rank
 from equibundle.graded import (
     GradedAlgebra,
     GradedModulePresentation,
-    Polynomial,
     graded_iso_test,
     iso_class_graded_free,
     lift_graded_map,

@@ -1,13 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from equibundle import hensel
 from equibundle.cli import main
-from equibundle.exact_core import GF, QQ, nullspace, row_reduce
-from equibundle.graded import GradedAlgebra, Polynomial
+from equibundle.exact_core import GF, QQ, Polynomial, nullspace, row_reduce
+from equibundle.graded import GradedAlgebra
 from equibundle.hensel import (
-    FiniteDimAlgebra,
     from_univariate_quotient,
     is_henselian_pair,
     jacobson_radical,
@@ -103,40 +103,6 @@ class TestRadicalBranches:
         assert all(not v for row in hensel._trace_form(alg) for v in row)
 
 
-class TestTrustedQuotient:
-    def test_public_constructor_accepts_and_agrees(self, rng):
-        for field in (QQ, F5, GF(2**31 - 1)):
-            for d in range(1, 11):
-                quotient = random_quotient(rng, field, d)
-                gens = [[rng.randint(-3, 3) for _ in range(rng.randint(1, d + 2))]
-                        for _ in range(rng.randint(0, 2))]
-                alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
-                rebuilt = FiniteDimAlgebra(field=field, dim=alg.dim,
-                                           structure=alg.structure, ideal=alg.ideal)
-                assert rebuilt == alg
-
-
-    def test_table_is_x_to_the_i_plus_j_mod_f(self, rng):
-        # reference: each product x^i * x^j divided by f on its own
-        def x_power_mod(field, coeffs, k):
-            d = len(coeffs) - 1
-            vec = [field.zero] * k + [field.one]
-            for top in range(k, d - 1, -1):
-                lead = vec[top]
-                for i in range(d + 1):
-                    vec[top - d + i] = field(vec[top - d + i] - lead * coeffs[i])
-                vec.pop()
-            return tuple(vec) + (field.zero,) * (d - len(vec))
-
-        for field in (QQ, F5, GF(2**31 - 1)):
-            for d in range(1, 9):
-                quotient = [field(c) for c in random_quotient(rng, field, d)]
-                alg = from_univariate_quotient(field, quotient)
-                assert alg.structure == tuple(
-                    tuple(x_power_mod(field, quotient, i + j) for j in range(d))
-                    for i in range(d))
-
-
 class TestIsNilpotent:
     def test_matches_power_to_the_dimension(self, rng):
         for field in (QQ, F5, GF(2)):
@@ -185,8 +151,7 @@ class TestHenselianPair:
                 # coordinates are coefficients in x, so each vector generates
                 # an ideal, inside the radical when the vector is
                 ideal = from_univariate_quotient(field, quotient, ideal_generators=gens).ideal
-                alg = FiniteDimAlgebra(field=field, dim=base.dim, structure=base.structure,
-                                       ideal=[zero_vector(base)] * rng.randint(0, 1) + list(ideal))
+                alg = replace(base, ideal=(zero_vector(base),) * rng.randint(0, 1) + ideal)
                 expected = all(alg.in_span(vec, radical) for vec in alg.ideal)
                 assert is_henselian_pair(alg, radical=radical) == expected
                 assert is_henselian_pair(alg) == expected
@@ -196,10 +161,8 @@ class TestHenselianPair:
     def test_empty_radical(self):
         split = from_univariate_quotient(QQ, [0, -1, 1])
         assert jacobson_radical(split) == []
-        zero = FiniteDimAlgebra(field=QQ, dim=2, structure=split.structure,
-                                ideal=[zero_vector(split)])
-        whole = FiniteDimAlgebra(field=QQ, dim=2, structure=split.structure,
-                                 ideal=[zero_vector(split), split.one, split.unit_vector(1)])
+        zero = replace(split, ideal=(zero_vector(split),))
+        whole = replace(split, ideal=(zero_vector(split), split.one, split.unit_vector(1)))
         assert is_henselian_pair(zero, radical=[])
         assert not is_henselian_pair(whole, radical=[])
 
@@ -283,37 +246,39 @@ class TestIdempotentSearch:
 
 
 class TestMulAgainstReference:
-    def check_products(self, rng, alg):
-        vectors = [zero_vector(alg)] + [alg.unit_vector(i) for i in range(alg.dim)]
-        vectors += [alg.coerce(random_coords(rng, alg.dim)) for _ in range(6)]
-        for a in vectors:
-            for b in [a] + rng.sample(vectors, 4):
-                product = alg.mul(a, b)
-                assert product == _mul_reference(alg, a, b), (alg.field, alg.dim, a, b)
-                assert_field_elements(alg.field, product)
+    """The product and the trace form against the ones built from the
+    multiplication table of k[x]/(f), each x^i * x^j reduced mod f from
+    scratch: every pair of basis vectors, random vectors, and the Gram matrix,
+    at d <= 20 on integral and rational moduli."""
 
     def test_quotients(self, rng):
+        lead_above_one = 0
         for field in FIELDS:
-            for d in range(1, 13):
+            for d in range(1, 21):
                 for quotient in (random_quotient(rng, field, d), rational_quotient(rng, d)):
-                    self.check_products(rng, from_univariate_quotient(field, quotient))
-
-    def test_public_constructor_with_fractional_structure_constants(self, rng):
-        # basis e_i = c_i x^i of k[x]/(f): e_i * e_j = sum_l c_i c_j / c_l *
-        # (x^(i+j) mod f)_l e_l, and e_1 * e_1 = c_1^2 / c_2 e_2 with c_1 = 1/2
-        # is never integral, so the table's common denominator is not 1
-        for field in FIELDS:
-            for d in range(3, 11):
-                scales = [1, Fraction(1, 2)] + [
-                    rng.choice([Fraction(1, 2), Fraction(2, 3), 3]) for _ in range(d - 2)]
-                c = [field(s) for s in scales]
-                base = from_univariate_quotient(field, random_quotient(rng, field, d))
-                structure = [[[c[i] * c[j] * field.inv(c[l]) * base.structure[i][j][l]
-                               for l in range(d)] for j in range(d)] for i in range(d)]
-                alg = FiniteDimAlgebra(field=field, dim=d, structure=structure)
-                if field == QQ:
-                    assert alg._table[0] > 1
-                self.check_products(rng, alg)
+                    alg = from_univariate_quotient(field, quotient)
+                    table, _ = _quotient_reference(field, quotient, ())
+                    units = [alg.unit_vector(i) for i in range(d)]
+                    for i, a in enumerate(units):
+                        for j, b in enumerate(units):
+                            product = alg.mul(a, b)
+                            assert product == table[i][j], (field, quotient, i, j)
+                            assert_field_elements(field, product)
+                    vectors = [zero_vector(alg)] + [alg.coerce(random_coords(rng, d))
+                                                    for _ in range(4)]
+                    for a in vectors:
+                        for b in [a] + rng.sample(vectors, 2):
+                            product = alg.mul(a, b)
+                            assert product == _mul_reference(field, table, a, b), (
+                                field, quotient, a, b)
+                            assert_field_elements(field, product)
+                    gram = hensel._trace_form(alg)
+                    assert gram == _gram_reference(field, table), (field, quotient)
+                    for row in gram:
+                        assert_field_elements(field, row)
+                    lead_above_one += field == QQ and any(
+                        Fraction(c).denominator > 1 for c in quotient)
+        assert lead_above_one > 10
 
 
 class TestQuotientAgainstReference:
@@ -327,12 +292,15 @@ class TestQuotientAgainstReference:
                     for gens in ([high], [[]], [[0, 0, 0]], [list(quotient)], [constant],
                                  [high, [], list(quotient), random_coords(rng, d)]):
                         alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
-                        structure, ideal = _quotient_reference(field, quotient, gens)
-                        assert alg.structure == structure, (field, quotient)
+                        table, ideal = _quotient_reference(field, quotient, gens)
+                        assert alg.modulus == tuple(field(c) for c in quotient)
+                        assert_field_elements(field, alg.modulus)
+                        assert [[alg.mul(alg.unit_vector(i), alg.unit_vector(j))
+                                 for j in range(d)] for i in range(d)] == [
+                            list(row) for row in table], (field, quotient)
                         assert alg.ideal == ideal, (field, quotient, gens)
-                        for row in alg.structure:
-                            for vec in row:
-                                assert_field_elements(field, vec)
+                        for vec in alg.ideal:
+                            assert_field_elements(field, vec)
 
 
 class TestPlantedLargeDimension:
@@ -363,6 +331,25 @@ class TestPlantedLargeDimension:
         assert len(e) == dim
         assert poly_mod(poly_mul(e, e), quotient) == poly_mod(e, quotient)
         assert [poly_eval(e, a) for a in roots] == chosen
+
+
+class TestTotality:
+    """hensel-check on x^d - x^2 = x^2 (x^(d-2) - 1), whose radical is
+    spanned by x^(d-1) - x when the characteristic does not divide d - 2.
+    The product and the trace form take O(d^2) steps, so d = 400 ends."""
+
+    @pytest.mark.parametrize("field, dim, ideal, verdict", [
+        ("F2147483647", 400, "1*x^399 - 1*x^1", "yes"),
+        ("Q", 200, "1*x^1", "no"),
+    ], ids=["F2^31-1-400", "Q-200"])
+    def test_hensel_check(self, tmp_path, capsys, field, dim, ideal, verdict):
+        path = tmp_path / "algebra.txt"
+        path.write_text(f"kind = findim_algebra\nfield = {field}\n"
+                        f"quotient = 1*x^{dim} - 1*x^2\nideal = [{ideal}]\n")
+        assert main(["hensel-check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "report = hensel-check", f"dimension = {dim}", "radical dimension = 1",
+            f"henselian pair = {verdict}"]
 
 
 def zero_vector(alg):
@@ -544,9 +531,10 @@ def run_findim(tmp_path, capsys, command, quotient, radical, idempotent=None):
     return dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
 
 
-def _mul_reference(alg, a, b):
-    """The product as one loop over field elements, straight from the table."""
-    out = [alg.field.zero] * alg.dim
+def _mul_reference(field, table, a, b):
+    """The product as one loop over field elements, straight from the table
+    (table[i][j] is e_i * e_j)."""
+    out = [field.zero] * len(a)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -554,16 +542,25 @@ def _mul_reference(alg, a, b):
             if not y:
                 continue
             coeff = x * y
-            for l, s in enumerate(alg.structure[i][j]):
+            for l, s in enumerate(table[i][j]):
                 if s:
                     out[l] += coeff * s
-    p = alg.field.p
+    p = field.p
     return tuple(v % p for v in out) if p else tuple(out)
 
 
+def _gram_reference(field, table):
+    """The trace form from the table: Tr(e_k) is the sum of the diagonal
+    coordinates of e_k * e_j, and (e_i, e_j) -> Tr(e_i * e_j) is linear."""
+    d = len(table)
+    traces = [field(sum(table[k][j][j] for j in range(d))) for k in range(d)]
+    return [[field(sum(c * t for c, t in zip(table[i][j], traces) if c)) for j in range(d)]
+            for i in range(d)]
+
+
 def _quotient_reference(field, monic_coeffs, ideal_generators):
-    """(structure, ideal) of k[x]/(f), each x^k and each x^s * g reduced mod f
-    from scratch."""
+    """(table, ideal) of k[x]/(f), table[i][j] = x^(i+j) mod f: each x^k and
+    each x^s * g reduced mod f from scratch."""
     coeffs = [field(c) for c in monic_coeffs]
     d = len(coeffs) - 1
 
@@ -578,7 +575,7 @@ def _quotient_reference(field, monic_coeffs, ideal_generators):
         return tuple(field(v) for v in vec) + (field.zero,) * (d - len(vec))
 
     powers = [reduce_poly([field.zero] * k + [field.one]) for k in range(2 * d - 1)]
-    structure = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
+    table = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
     ideal_vectors = []
     for gen in ideal_generators:
         base = reduce_poly([field(c) for c in gen])
@@ -589,4 +586,4 @@ def _quotient_reference(field, monic_coeffs, ideal_generators):
     if ideal_vectors:
         reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
         ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
-    return structure, tuple(ideal_vectors)
+    return table, tuple(ideal_vectors)

@@ -6,9 +6,8 @@ import pytest
 from fractions import Fraction
 
 from equibundle.cli import COMMANDS, build_parser, main
-from equibundle.exact_core import GF, QQ, LaurentPoly
+from equibundle.exact_core import GF, QQ, LaurentPoly, Polynomial
 from equibundle.filtered import EpsRing
-from equibundle.graded import Polynomial
 from equibundle.io import (
     ParseError,
     parse_document,

@@ -10,6 +10,7 @@ from equibundle.exact_core import (
     GF,
     LaurentMatrix,
     LaurentPoly,
+    Polynomial,
     invert_matrix,
     nullspace,
     row_reduce,
@@ -18,7 +19,6 @@ from equibundle.filtered import EpsRing, split_filtration
 from equibundle.graded import (
     GradedAlgebra,
     GradedModulePresentation,
-    Polynomial,
     nakayama_zero_test,
 )
 from equibundle.hensel import from_univariate_quotient, jacobson_radical, lift_idempotent
@@ -98,7 +98,9 @@ def test_birkhoff_factors_are_residues(rng, field):
 def test_radical_and_idempotent_are_residues(rng, field):
     for d in range(1, 8):
         algebra = from_univariate_quotient(field, random_quotient(rng, field, d))
-        assert_residues((v for row in algebra.structure for vec in row for v in vec), field.p)
+        assert assert_residues(algebra.modulus, field.p) == d + 1
+        units = [algebra.unit_vector(i) for i in range(d)]
+        assert_residues((v for a in units for b in units for v in algebra.mul(a, b)), field.p)
         assert_residues((v for vec in jacobson_radical(algebra) for v in vec), field.p)
     for _ in range(8):
         algebra, candidate = random_nilpotent_instance(rng, field)
