@@ -8,6 +8,7 @@ from equibundle.cli import main
 from equibundle.exact_core import GF, QQ, Polynomial, nullspace, row_reduce
 from equibundle.graded import GradedAlgebra
 from equibundle.hensel import (
+    FiniteDimAlgebra,
     from_univariate_quotient,
     is_henselian_pair,
     jacobson_radical,
@@ -101,6 +102,43 @@ class TestRadicalBranches:
         # so the trace form cannot see the radical when p <= dim.
         alg = from_univariate_quotient(GF(2), [1, 0, 1])
         assert all(not v for row in hensel._trace_form(alg) for v in row)
+
+
+class TestTrustedQuotient:
+    def test_public_constructor_accepts_and_agrees(self, rng):
+        # the frozen triple (field, modulus, ideal) built directly is the
+        # algebra the quotient constructor returns, and multiplies the same
+        for field in (QQ, F5, GF(2**31 - 1)):
+            for d in range(1, 11):
+                quotient = random_quotient(rng, field, d)
+                gens = [[rng.randint(-3, 3) for _ in range(rng.randint(1, d + 2))]
+                        for _ in range(rng.randint(0, 2))]
+                alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
+                rebuilt = FiniteDimAlgebra(field=field, modulus=alg.modulus, ideal=alg.ideal)
+                assert rebuilt == alg
+                a, b = (alg.coerce(random_coords(rng, d)) for _ in range(2))
+                assert rebuilt.mul(a, b) == alg.mul(a, b)
+
+    def test_table_is_x_to_the_i_plus_j_mod_f(self, rng):
+        # reference: each product x^i * x^j divided by f on its own
+        def x_power_mod(field, coeffs, k):
+            d = len(coeffs) - 1
+            vec = [field.zero] * k + [field.one]
+            for top in range(k, d - 1, -1):
+                lead = vec[top]
+                for i in range(d + 1):
+                    vec[top - d + i] = field(vec[top - d + i] - lead * coeffs[i])
+                vec.pop()
+            return tuple(vec) + (field.zero,) * (d - len(vec))
+
+        for field in (QQ, F5, GF(2**31 - 1)):
+            for d in range(1, 9):
+                quotient = [field(c) for c in random_quotient(rng, field, d)]
+                alg = from_univariate_quotient(field, quotient)
+                assert tuple(tuple(alg.mul(alg.unit_vector(i), alg.unit_vector(j))
+                                   for j in range(d)) for i in range(d)) == tuple(
+                    tuple(x_power_mod(field, quotient, i + j) for j in range(d))
+                    for i in range(d))
 
 
 class TestIsNilpotent:
