@@ -108,6 +108,8 @@ class PrimeField:
             raise ValueError(f"{self.p} is not a prime <= 2**31")
 
     def __call__(self, value) -> int:
+        if type(value) is int:  # ahead of the ABC check that Fraction costs
+            return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")

@@ -15,7 +15,9 @@ field k: a map is a split injection when its residue matrix has full column
 rank (Nakayama), and a splitting is verified in R^n = k^(n*m), where the
 R-span of some columns is the k-span of their eps-shifts.  Degrees increase
 along the window; the classical decreasing-filtration picture is this one
-read through i -> -i.
+read through i -> -i.  The document reader reduces each entry of a map where
+it reads it, and the module keeps the entries as read; a module built
+directly converts every entry into its ring.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class EpsRing:
         if isinstance(value, tuple):
             if len(value) != self.order:
                 raise ValueError(f"expected {self.order} coefficients, got {len(value)}")
-            return tuple(self.field(v) for v in value)
+            return tuple(map(self.field, value))
         return (self.field(value),) + (self.field.zero,) * (self.order - 1)
 
     @property
@@ -126,6 +128,22 @@ class FilteredModule:
     maps: tuple[tuple[tuple, ...], ...]
 
     def __post_init__(self):
+        self._check_and_freeze(self.ring)
+
+    @classmethod
+    def _of_ring_elements(cls, ring, lo, hi, ranks, maps) -> "FilteredModule":
+        """A module whose map entries are ring elements already, as the
+        document reader builds them: every shape is checked, and no entry is
+        converted again."""
+        module = cls.__new__(cls)
+        for name, value in zip(("ring", "lo", "hi", "ranks", "maps"), (ring, lo, hi, ranks, maps)):
+            object.__setattr__(module, name, value)
+        module._check_and_freeze(None)
+        return module
+
+    def _check_and_freeze(self, convert) -> None:
+        """Check the window and every map's shape, and store the maps as
+        tuples, each entry passed through `convert` unless it is None."""
         if self.hi < self.lo:
             raise ValueError("window must satisfy lo <= hi")
         if len(self.ranks) != self.hi - self.lo + 1:
@@ -140,7 +158,8 @@ class FilteredModule:
             if len(mat) != b or any(len(row) != a for row in mat):
                 raise ValueError(
                     f"map {step} must be {b} x {a} (target rank x source rank)")
-            frozen.append(tuple(tuple(self.ring(v) for v in row) for row in mat))
+            frozen.append(tuple(tuple(row if convert is None else map(convert, row))
+                                for row in mat))
         object.__setattr__(self, "maps", tuple(frozen))
 
     def rank(self, index: int) -> int:

@@ -10,11 +10,13 @@ standalone form `p mod N` is accepted on parse).  One writer serves both
 kinds: an int has a numerator and a denominator too, and a residue is never
 negative.  Laurent, multivariate and truncated polynomials share one
 term-list grammar, read by `_parse_terms` and printed by `_render_terms`;
-each kind supplies only its term: `c*t^e` with the
-exponent always written, `c` or `c*x^a*y^b` with the variables in declared
-order, and `c` or `c*e^j` with ascending j.  Signs live in the ` + ` / ` - `
-joiners, and a sign with no term after it is a parse error.  Posets are
-given by their size and generating specialization pairs `i<j`.
+each kind supplies only its term: `c*t^e` with the exponent always written,
+`c` or `c*x^a*y^b` with the variables in declared order, and `c` or `c*e^j`
+with ascending j.  Signs live in the ` + ` / ` - ` joiners, and a sign with
+no term after it is a parse error.  Each coefficient is reduced once, where
+the reader builds it.  A list with a trailing comma is an error, however it
+is spaced.  Posets are given by their size and generating specialization
+pairs `i<j`.
 
 parse(render(doc)) == doc and render(parse(text)) is a fixed point: the
 grammar round-trips byte-exactly after one normalization pass.
@@ -22,6 +24,7 @@ grammar round-trips byte-exactly after one normalization pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -46,6 +49,10 @@ from equibundle.topospace import FinitePoset, MonotoneMap
 
 class ParseError(ValueError):
     """Malformed document text (reserved exit code 2 in the CLI)."""
+
+
+_SIGN = re.compile(r"([+-])")
+_GROUP_BRACKET_OR_COMMA = re.compile(r"\[[^\[\]]*\]|[\[\],]")
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +95,7 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         return field(residue)
     # a plain ASCII integer skips Fraction's regular expression; int and
     # Fraction agree on it, errors included
-    digits = text[1:] if text[:1] == "-" else text
+    digits = text.removeprefix("-")
     try:
         return field(int(text) if digits.isascii() and digits.isdigit() else Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -101,69 +108,69 @@ def parse_scalar(text: str, field: Field) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _split_terms(text: str) -> list[tuple[bool, str]]:
-    """Split on top-level + and - into (negative?, unsigned term) pairs; a
-    sign directly after '^', '*' or '/' belongs to the term."""
-    terms = []
-    negative = False
-    start = 0
-    last = ""  # last non-space character of the current term
-    for idx, ch in enumerate(text):
-        if ch in "+-":
-            if last and last not in "^*/":
-                terms.append((negative, text[start:idx].strip()))
-                negative, start, last = ch == "-", idx + 1, ""
-                continue
-            if idx == 0:
-                negative, start = ch == "-", 1
-                continue
-        if not ch.isspace():
-            last = ch
-    if not last:
-        raise ParseError(f"dangling sign at the end of {text!r}" if terms
-                         else f"empty term list in {text!r}")
-    terms.append((negative, text[start:].strip()))
-    return terms
-
-
-def _parse_terms(text: str, field: Field, read_term, *context) -> dict:
+def _parse_terms(text: str, field: Field, read_term, context) -> dict:
     """Sum the signed terms of `text` into {key: coefficient}; read_term(term,
-    field, *context) reads one unsigned term into (key, coefficient)."""
+    field, context) reads one unsigned term into (key, field element), and a
+    sign or a repeated key is field arithmetic, so every value is reduced.
+    The text is split on its top-level + and - before any term is read; a
+    sign after '^', '*', '/' or a sign that did not split is in the term."""
     text = text.strip()
     terms: dict = {}
     if text == "0":
         return terms
-    for negative, term in _split_terms(text):
-        key, coeff = read_term(term, field, *context)
+    pieces = _SIGN.split(text)  # the text between the signs, and each sign
+    signed = []
+    negative, head = False, pieces[0]
+    for k in range(1, len(pieces), 2):
+        sign, after = pieces[k], pieces[k + 1]
+        term = head.strip()
+        if term and term[-1] not in "^*/":  # a joiner
+            signed.append((negative, term))
+            negative, head = sign == "-", after
+        elif k == 1 and not head:  # a sign that opens the text
+            negative, head = sign == "-", after
+        else:  # a sign inside a term, as in 1*t^-2
+            head += sign + after
+    tail = head.strip()
+    if not tail:
+        raise ParseError(f"dangling sign at the end of {text!r}" if signed
+                         else f"empty term list in {text!r}")
+    signed.append((negative, tail))
+    p = field.p
+    for negative, term in signed:
+        key, coeff = read_term(term, field, context)
         if negative:
-            coeff = -coeff
+            coeff = -coeff % p if p else -coeff
         old = terms.get(key)
-        terms[key] = coeff if old is None else old + coeff
+        if old is not None:
+            coeff = (old + coeff) % p if p else old + coeff
+        terms[key] = coeff
     return terms
 
 
-def _read_power(term: str, field: Field, letter: str, bad_exponent: str,
-                order: Optional[int]) -> tuple[int, Scalar]:
-    """`c*t^k`, `t^k` or `c` (exponent 0); `order` bounds an eps exponent."""
-    marker = f"*{letter}^"
-    if marker in term:
-        coeff_text, exp_text = term.split(marker, 1)
-    elif term.startswith(marker[1:]):
+def _read_power(term: str, field: Field, order: Optional[int]) -> tuple[int, Scalar]:
+    """`c*t^k`, `t^k` or `c` (exponent 0) in a Laurent entry (order None), or
+    `c*e^j`, `e^j` or `c` with 0 <= j < order in a truncated one."""
+    marker = "*t^" if order is None else "*e^"
+    coeff_text, found, exp_text = term.partition(marker)
+    if not found:
+        if not term.startswith(marker[1:]):
+            return 0, parse_scalar(term, field)
         coeff_text, exp_text = "1", term[2:]
-    else:
-        coeff_text, exp_text = term, "0"
     try:
         exp = int(exp_text)
     except ValueError as exc:
-        raise ParseError(bad_exponent.format(term)) from exc
+        raise ParseError(f"bad exponent in term {term!r}" if order is None
+                         else f"bad eps exponent in {term!r}") from exc
     if order is not None and not 0 <= exp < order:
         raise ParseError(f"eps exponent {exp} outside truncation order {order}")
     return exp, parse_scalar(coeff_text, field)
 
 
-def _read_monomial(term: str, field: Field, index: dict,
-                   nvars: int) -> tuple[tuple[int, ...], Scalar]:
-    """`c*x^a*y^b`, `x^a*y^b` (coefficient 1) or `c`."""
+def _read_monomial(term: str, field: Field, context) -> tuple[tuple[int, ...], Scalar]:
+    """`c*x^a*y^b`, `x^a*y^b` (coefficient 1) or `c`; context is the variable
+    index and the number of variables."""
+    index, nvars = context
     factors = term.split("*")
     coeff_text, start = factors[0], 1
     if "^" in coeff_text:  # a term like x^2 has the implicit coefficient 1
@@ -213,8 +220,7 @@ def render_laurent(poly: LaurentPoly) -> str:
 
 
 def parse_laurent(text: str, field: Field) -> LaurentPoly:
-    return LaurentPoly(field, _parse_terms(
-        text, field, _read_power, "t", "bad exponent in term {!r}", None))
+    return LaurentPoly(field, _parse_terms(text, field, _read_power, None))
 
 
 def render_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
@@ -224,7 +230,7 @@ def render_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
 def parse_polynomial(text: str, field: Field, variables: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(variables)}
     return Polynomial(field, len(variables), _parse_terms(
-        text, field, _read_monomial, index, len(variables)))
+        text, field, _read_monomial, (index, len(variables))))
 
 
 def render_eps(value: tuple, ring: EpsRing) -> str:
@@ -232,9 +238,13 @@ def render_eps(value: tuple, ring: EpsRing) -> str:
 
 
 def parse_eps(text: str, ring: EpsRing) -> tuple:
-    terms = _parse_terms(text, ring.field, _read_power, "e",
-                         "bad eps exponent in {!r}", ring.order)
-    return ring(tuple(terms.get(j, 0) for j in range(ring.order)))
+    """Each coefficient is reduced where it is read; the tuple is not converted."""
+    if text == "0":
+        return ring.zero
+    coeffs = [ring.field.zero] * ring.order
+    for j, coeff in _parse_terms(text, ring.field, _read_power, ring.order).items():
+        coeffs[j] = coeff
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,32 +253,38 @@ def parse_eps(text: str, ring: EpsRing) -> tuple:
 
 
 def _split_bracket_list(text: str) -> list[str]:
+    """The stripped top-level items of `[a, b, ...]`.  A flat list is split at
+    its commas; a nested one is scanned at its brackets and commas, passing
+    over whole each group with no bracket inside (balanced, no top comma)."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"expected a bracketed list, got {text!r}")
     inner = text[1:-1]
-    items = []
-    depth = 0
-    current = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if ch == "," and depth == 0:
-            items.append(current)
-            current = ""
-        else:
-            current += ch
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    if current.strip():
-        items.append(current)
-    elif current and items:
+    if "[" not in inner and "]" not in inner:
+        items = inner.split(",")
+    else:
+        items, depth, start = [], 0, 0
+        for mark in _GROUP_BRACKET_OR_COMMA.finditer(inner):
+            token = mark.group()
+            if token == ",":
+                if not depth:
+                    items.append(inner[start:mark.start()])
+                    start = mark.end()
+            elif token == "[":
+                depth += 1
+            elif token == "]":
+                depth -= 1
+                if depth < 0:
+                    raise ParseError(f"unbalanced brackets in {text!r}")
+        if depth:
+            raise ParseError(f"unbalanced brackets in {text!r}")
+        items.append(inner[start:])
+    items = [item.strip() for item in items]
+    if items[-1]:
+        return items
+    if len(items) > 1:
         raise ParseError(f"trailing comma in {text!r}")
-    return [item.strip() for item in items]
+    return []  # `[]`
 
 
 def render_matrix(rows, render_entry) -> str:
@@ -278,11 +294,8 @@ def render_matrix(rows, render_entry) -> str:
 
 
 def parse_matrix(text: str, parse_entry) -> list[list]:
-    rows = []
-    for row_text in _split_bracket_list(text):
-        entries = _split_bracket_list(row_text) if row_text.strip() != "[]" else []
-        rows.append([parse_entry(e) for e in entries])
-    return rows
+    return [[parse_entry(entry) for entry in _split_bracket_list(row)]
+            for row in _split_bracket_list(text)]
 
 
 def render_laurent_matrix(matrix: LaurentMatrix) -> str:
@@ -580,12 +593,8 @@ def parse_document(text: str) -> Document:
         target = tuple(_int_list(target_text)) if target_text is not None else None
         matrix = None
         if matrix_text is not None:
-            matrix = tuple(
-                tuple(row) for row in parse_matrix(
-                    matrix_text,
-                    lambda t: parse_polynomial(t, algebra.field, algebra.variables),
-                )
-            )
+            matrix = tuple(tuple(row) for row in parse_matrix(
+                matrix_text, lambda t: parse_polynomial(t, algebra.field, algebra.variables)))
         return GradedModuleDoc(module=module, target_degrees=target, matrix=matrix)
     if kind == "filtered_module":
         field = parse_field(fields.take("field"))
@@ -597,17 +606,12 @@ def parse_document(text: str) -> Document:
             raise ParseError("window must be 'lo, hi'")
         lo, hi = window
         ranks = tuple(_int_list(fields.take("ranks")))
-        maps = []
-        for index in range(lo, hi):
-            text_map = fields.take(f"map {index}")
-            maps.append(tuple(
-                tuple(row) for row in parse_matrix(
-                    text_map, lambda t: parse_eps(t, ring))
-            ))
+        maps = [parse_matrix(fields.take(f"map {index}"), lambda t: parse_eps(t, ring))
+                for index in range(lo, hi)]
         fields.finish()
-        # shape/validation problems are object-level errors, not parse errors
-        module = FilteredModule(ring=ring, lo=lo, hi=hi, ranks=ranks,
-                                maps=tuple(maps))
+        # shape/validation problems are object-level errors, not parse errors;
+        # parse_eps has made every entry a ring element
+        module = FilteredModule._of_ring_elements(ring, lo, hi, ranks, maps)
         return FilteredModuleDoc(module=module)
     if kind == "findim_algebra":
         field = parse_field(fields.take("field"))

@@ -200,7 +200,10 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
     # det B is constant by construction; this tests sum(tops) == w(g).
     if A.det_unit_exponent()[0] != 0:
         raise AssertionError("outer factor determinant is not constant")
-    if (A @ D) @ B != g:
+    # D = diag(t^tops), so A * D shifts column j of the printed A by t^tops[j]
+    a_exp, a_coeff = A.det_unit_exponent()
+    a_times_d = [[entry.shifted(top) for entry, top in zip(row, tops)] for row in A.rows]
+    if LaurentMatrix._with_det(field, a_times_d, a_exp + sum(tops), a_coeff) @ B != g:
         raise AssertionError("factorization residual is nonzero")
     return BirkhoffFactorization(A=A, D=D, B=B, exponents=tuple(tops))
 

@@ -94,6 +94,37 @@ ERROR_DOCUMENTS = {
         "kind = monotone_map\nsource_n = x\ntarget_n = 1\nmap = 0\n"),
     "monotone_map_bad_target_size.txt": (
         "kind = monotone_map\nsource_n = 1\ntarget_n = one\nmap = 0\n"),
+    # the bracket-list reader's messages: a missing ']', an extra ']', a row
+    # that is not bracketed and a trailing comma, in either map kind
+    "laurent_missing_bracket.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0, 0], [0, 1*t^0]\n"),
+    "laurent_extra_bracket.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0, 0]], [0, 1*t^0]]\n"),
+    "laurent_unbracketed_row.txt": (
+        "kind = laurent_matrix\nfield = F5\nmatrix = [[1*t^0, 0], 0, 1*t^0]\n"),
+    "laurent_trailing_comma_spaced.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0, 0], [0, 1*t^0], ]\n"),
+    "filtered_missing_bracket.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 2, 2\nmap 0 = [[1, 0], [0, 1]\n"),
+    "filtered_extra_bracket.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 2, 2\nmap 0 = [[1, 0]], [0, 1]]\n"),
+    "filtered_unbracketed_row.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1\nranks = 2, 2\n"
+        "map 0 = [[1, 0], 0, 1]\n"),
+    "filtered_trailing_comma_spaced.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 2, 2\nmap 0 = [[1, 0], [1*e^1, 1], ]\n"),
+    # a trailing comma with no space before the closing bracket
+    "laurent_trailing_comma.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0, 0], [0, 1*t^0],]\n"),
+    "filtered_trailing_comma.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1\nranks = 2, 2\n"
+        "map 0 = [[1, 0,], [0, 1]]\n"),
+    "filtered_eps_exponent_over_order.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 2, 2\nmap 0 = [[1, 0], [1*e^2, 1]]\n"),
 }
 
 
