@@ -47,9 +47,9 @@ class CommandError(Exception):
 
 def _load(path: str, expected_kinds) -> Document:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode()  # parsing splits lines as text mode would
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     try:
         doc = parse_document(text)
@@ -352,6 +352,10 @@ COMMANDS = {
 }
 
 
+# command -> its subparser, recorded by build_parser
+_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args keeps no state."""
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, flags) in COMMANDS.items():
-        cmd = sub.add_parser(name)
+        cmd = _SUBPARSERS[name] = sub.add_parser(name)
         cmd.add_argument("file", help="input document")
         for flag in flags:
             cmd.add_argument(flag, **_VALUE_FLAGS[flag])
@@ -371,8 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """parse_args in one pass: a command's own subparser reads its arguments,
+    and the top-level parser reports what is left over, as parse_args would.
+    The top-level parser parses only an argv that starts with no command."""
+    parser = build_parser()
+    if not argv or argv[0] not in _SUBPARSERS:
+        return parser.parse_args(argv)
+    args, extra = _SUBPARSERS[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     handler, kinds, _ = COMMANDS[args.command]
     try:
         lines = handler(_load(args.file, kinds), args)

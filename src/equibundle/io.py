@@ -82,6 +82,14 @@ def render_scalar(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_scalar(text: str, field: Field) -> Scalar:
     text = text.strip()
     if " mod " in text:
@@ -94,10 +102,16 @@ def parse_scalar(text: str, field: Field) -> Scalar:
             raise ParseError(f"scalar {text!r} does not match the field header")
         return field(residue)
     # a plain ASCII integer skips Fraction's regular expression; int and
-    # Fraction agree on it, errors included
+    # Fraction agree on it, errors included.  Fraction computes the power of
+    # exponent notation (1e10000000 takes seconds): a text with an e that float
+    # reads, as float reads that notation without the power, is rejected
     digits = text.removeprefix("-")
     try:
-        return field(int(text) if digits.isascii() and digits.isdigit() else Fraction(text))
+        if digits.isascii() and digits.isdigit():
+            return field(int(text))
+        if ("e" in text or "E" in text) and _is_float(text):
+            raise ValueError("exponent notation is not accepted")
+        return field(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from exc
 

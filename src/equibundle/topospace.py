@@ -1,17 +1,17 @@
 """Finite spectral spaces as finite posets under specialization.
 
-Convention: leq[x][y] means y lies in the closure of {x} (x specializes to
-y), so closed points are maximal, closed sets are up-closed, and opens are
-the generization-closed (down-closed) sets.  Every finite poset satisfies the
-basis condition for spectral spaces, quotients by connected components are
-discrete, and pro-clopen coincides with clopen; the operations below verify
-these coincidences rather than assume them.  A poset is built from
-generating relations and closed transitively, so a cycle (two distinct points
-that specialize to each other) is the only invalid input.  Subsets are
-``int`` bitmasks (bit x for point x), and pi0 is computed once per poset,
-memoized on it.  Each 2^n enumeration reads a union table, table[s] = the
-union of masks[i] over the bits i of s: of up-sets it maps s to its closure,
-of down-sets to its generization, of the fibers of a map to its preimage.
+Subsets are ``int`` bitmasks (bit x for point x), and the relation is stored
+once, as up-set masks: bit y of leq[x] is set iff y lies in the closure of {x}
+(x specializes to y).  So closed points are maximal, closed sets are
+up-closed, and opens are the generization-closed (down-closed) sets.  Every
+finite poset satisfies the basis condition for spectral spaces, quotients by
+connected components are discrete, and pro-clopen coincides with clopen; the
+operations below verify these coincidences rather than assume them.  A poset
+is built from generating relations and closed transitively; a cycle (distinct
+points that specialize to each other) is the only invalid input.  pi0 is
+memoized on its poset.  Each 2^n enumeration reads a union table, table[s] =
+the union of masks[i] over the bits i of s: of up-sets it maps s to its
+closure, of down-sets to its generization, of a map's fibers to its preimage.
 """
 
 from __future__ import annotations
@@ -65,23 +65,18 @@ def _union(masks, subset: int) -> int:
 
 @dataclass(frozen=True, init=False)
 class FinitePoset:
-    """Built only by ``from_relations``, which closes the relations."""
+    """Built by ``from_relations``, which closes the relations, or ``antichain``."""
 
     size: int
-    leq: tuple[tuple[bool, ...], ...]  # leq[x][y]: x specializes to y
-    up: tuple[int, ...] = field(repr=False, compare=False)
+    leq: tuple[int, ...]  # up-set masks: bit y of leq[x] iff x specializes to y
+    up: tuple[int, ...] = field(repr=False, compare=False)  # the same tuple as leq
     down: tuple[int, ...] = field(repr=False, compare=False)
     _pi0: Pi0 | None = field(repr=False, compare=False, default=None)
 
-    def _set_masks(self, up: list[int]) -> None:
-        """Up- and down-sets from up-sets that are reflexive and transitive."""
-        down = [0] * len(up)
-        for x, u in enumerate(up):
-            for y in _bits(u):
-                down[y] |= 1 << x
-        if any(u & d != 1 << x for x, (u, d) in enumerate(zip(up, down))):
-            raise ValueError("mutually specializing distinct points")
-        self.__dict__.update(up=tuple(up), down=tuple(down))
+    @classmethod
+    def _of_masks(cls, up: tuple[int, ...], down: tuple[int, ...]) -> "FinitePoset":
+        (poset := object.__new__(cls)).__dict__.update(size=len(up), leq=up, up=up, down=down)
+        return poset  # _pi0 reads the class default, None, until pi0 sets it
 
     @classmethod
     def from_relations(cls, size: int, relations: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -93,19 +88,24 @@ class FinitePoset:
             if not (0 <= x < size and 0 <= y < size):
                 raise ValueError(f"relation ({x},{y}) out of range")
             rows[x] |= 1 << y
-        for k in range(size):  # Warshall: close through k
+        for k, row in enumerate(rows):  # Warshall: close through k
             for i in range(size):
                 if rows[i] >> k & 1:
-                    rows[i] |= rows[k]
-        poset = object.__new__(cls)  # Warshall masks: only antisymmetry is checked
-        poset.__dict__.update(size=size, _pi0=None, leq=tuple(
-            [tuple([bool(r >> j & 1) for j in range(size)]) for r in rows]))
-        poset._set_masks(rows)
-        return poset
+                    rows[i] |= row
+        down = [0] * size
+        for x, u in enumerate(rows):  # antisymmetry: down[x] has each z < x below x
+            if u & down[x] & ((1 << x) - 1):
+                raise ValueError("mutually specializing distinct points")
+            for y in _bits(u):
+                down[y] |= 1 << x
+        return cls._of_masks(tuple(rows), tuple(down))
 
     @classmethod
     def antichain(cls, size: int) -> "FinitePoset":
-        return cls.from_relations(size, [])
+        if size < 0:
+            raise ValueError(f"poset size {size} is negative")
+        masks = tuple([1 << i for i in range(size)])
+        return cls._of_masks(masks, masks)
 
     def is_discrete(self) -> bool:
         return all(u == 1 << x for x, u in enumerate(self.up))
@@ -116,16 +116,22 @@ class FinitePoset:
 
 @dataclass(frozen=True)
 class Pi0:
-    """Connected-component data: partition, index map, discrete quotient."""
+    """Connected-component data: the components as subsets and the index map."""
 
-    components: tuple[frozenset[int], ...]
-    component_of: tuple[int, ...]
-    quotient: FinitePoset
     masks: tuple[int, ...]  # the components as subsets
+    component_of: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        return len(self.components)
+        return len(self.masks)
+
+    @property
+    def components(self) -> tuple[frozenset[int], ...]:
+        return tuple([frozenset(_bits(m)) for m in self.masks])
+
+    @cached_property
+    def quotient(self) -> FinitePoset:
+        return FinitePoset.antichain(len(self.masks))
 
     @cached_property
     def _unions(self) -> list[int]:
@@ -157,11 +163,7 @@ def pi0(space: FinitePoset) -> Pi0:
         masks = _components(space)
         owner = {x: i for i, m in enumerate(masks) for x in _bits(m)}
         object.__setattr__(space, "_pi0", Pi0(
-            components=tuple([frozenset(_bits(m)) for m in masks]),
-            component_of=tuple([owner[x] for x in range(space.size)]),
-            quotient=FinitePoset.antichain(len(masks)),
-            masks=tuple(masks),
-        ))
+            tuple(masks), tuple([owner[x] for x in range(space.size)])))
     return space._pi0
 
 
@@ -171,8 +173,7 @@ def clopen_sets(space: FinitePoset) -> list[tuple[int, ...]]:
     data = pi0(space)
     _check_limit("clopen", data.count, "unions of components")
     sets: list[tuple[int, ...]] = [()]
-    for part in data.components:
-        points = tuple(sorted(part))
+    for points in [tuple(_bits(part)) for part in data.masks]:
         sets += [tuple(sorted(s + points)) for s in sets]
     sets.sort()
     sets.sort(key=len)  # stable: by size, then by points
@@ -249,9 +250,8 @@ class MonotoneMap:
         if any(not (0 <= v < self.target.size) for v in mapping):
             raise ValueError("mapping value out of range")
         object.__setattr__(self, "mapping", mapping)
-        source, up = self.source, self.target.up
-        if not all(up[mapping[x]] >> mapping[y] & 1
-                   for x in range(source.size) for y in _bits(source.up[x])):
+        images, up = [1 << v for v in mapping], self.target.up  # f(up[x]) <= up[f(x)]
+        if any(_union(images, u) & ~up[v] for u, v in zip(self.source.up, mapping)):
             raise ValueError("map does not preserve specialization")
         # continuity = openness of preimages, equivalent to monotonicity here;
         # verified directly so the equivalence is exercised, not assumed

@@ -2,10 +2,11 @@
 
 * Every command on every corpus document, plain and with ``--verify``, must
   give the recorded exit code and stdout digest (``golden_reports.json``).
-* Every command on every invalid document below, plain and with
-  ``--verify``, must give the recorded exit code, stdout digest and stderr
-  digest (``golden_errors.json``).  The documents live here, not in
-  ``corpus/``, because every corpus file must round-trip through the parser.
+* Every command on every invalid document below (text, written as UTF-8, or
+  bytes), plain and with ``--verify``, must give the recorded exit code,
+  stdout digest and stderr digest (``golden_errors.json``).  The documents
+  live here, not in ``corpus/``, because every corpus file must round-trip
+  through the parser.
 
 To record both files afresh (only when a report or an error message is
 meant to change), run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -125,6 +126,14 @@ ERROR_DOCUMENTS = {
     "filtered_eps_exponent_over_order.txt": (
         "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
         "ranks = 2, 2\nmap 0 = [[1, 0], [1*e^2, 1]]\n"),
+    # exponent notation is a bad scalar, however large the power
+    "laurent_exponent_notation.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1e4301*t^0]]\n"),
+    "filtered_exponent_notation.txt": (
+        "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
+        "ranks = 1, 1\nmap 0 = [[2E1 + 1*e^1]]\n"),
+    # a document that is not UTF-8 cannot be read
+    "poset_not_utf8.txt": b"kind = poset\nn = 2\nrel = 0<1\n# \xff\n",
 }
 
 
@@ -173,8 +182,8 @@ def _record_errors() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
         for name, text in ERROR_DOCUMENTS.items():
-            with open(name, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with open(name, "wb") as handle:
+                handle.write(text if isinstance(text, bytes) else text.encode())
         for name in sorted(ERROR_DOCUMENTS):
             for command in COMMANDS:
                 for extra in ((), ("--verify",)):

@@ -1,10 +1,12 @@
 import glob
 import os
+import time
 
 import pytest
 
 from fractions import Fraction
 
+from equibundle import cli
 from equibundle.cli import COMMANDS, build_parser, main
 from equibundle.exact_core import GF, QQ, LaurentPoly, Polynomial
 from equibundle.filtered import EpsRing
@@ -221,11 +223,15 @@ class TestScalars:
             parse_scalar("pi", QQ)
 
     def test_integer_path_matches_fraction(self, rng):
-        # every string gives Fraction(text)'s scalar, or its exact error
+        # every string gives Fraction(text)'s scalar, or its exact error; a
+        # string that Fraction reads in exponent notation is rejected
         def reference(text, field):
             text = text.strip()
             try:
-                return field(Fraction(text))
+                value = Fraction(text)
+                if "e" in text.lower():
+                    return f"bad scalar {text!r}: exponent notation is not accepted"
+                return field(value)
             except (ValueError, ZeroDivisionError) as exc:
                 return f"bad scalar {text!r}: {exc}"
 
@@ -505,6 +511,47 @@ class TestFuzzRoundTrip:
             assert reparsed.render() == text
 
 
+def parsed(capsys, parse, argv):
+    """(exit code, stdout, stderr, namespace) of one parse; the code is None
+    when the parse returns."""
+    try:
+        code, namespace = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, namespace = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+class TestArgvInOnePass:
+    # each argv is parsed by main's one pass and by the top-level parser's
+    # parse_args, which reads it twice: at the top level and in the subparser
+    ARGVS = [
+        [], ["-h"], ["--help"], ["frobnicate", "doc.txt"], ["Pi0", "doc.txt"],
+        ["classify-p1"], ["classify-p1", "doc.txt"],
+        ["classify-p1", "doc.txt", "--twist", "5"],
+        ["classify-p1", "doc.txt", "--twist-window="],
+        ["classify-p1", "--twist-window=2", "doc.txt", "--verify"],
+        ["pi0", "doc.txt", "--field", "F5"], ["pi0", "doc.txt", "extra.txt"],
+        ["pi0", "--", "doc.txt"], ["pi0", "--", "--verify"],
+        ["pi0", "doc.txt", "--", "--verify"], ["--verify", "pi0", "doc.txt"],
+        ["pi0", "-h"], ["h0", "doc.txt", "--he"], ["h0", "doc.txt", "--ver"],
+        ["h0", "doc.txt", "-x", "--verify"], ["nakayama", "doc.txt", "--degree-bound", "-1"],
+        ["nakayama", "doc.txt", "--degree-bound", "x"],
+        ["cochar-to-bundle", "doc.txt", "--field", "F7", "--verify", "--verify"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) or "empty" for a in ARGVS])
+    def test_parses_as_parse_args(self, capsys, argv):
+        reference = parsed(capsys, build_parser().parse_args, list(argv))
+        assert parsed(capsys, cli._parse, list(argv)) == reference
+        if reference[0] is not None:  # main exits where parse_args does
+            assert parsed(capsys, main, list(argv))[:3] == reference[:3]
+
+    def test_every_outcome_is_reached(self, capsys):
+        codes = {parsed(capsys, build_parser().parse_args, argv)[0] for argv in self.ARGVS}
+        assert codes == {None, 0, 2}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -604,6 +651,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "dangling sign at the end of" in captured.err
+
+    def test_document_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"kind = poset\nn = 2\nrel = 0<1 \xff\n")
+        code = main(["pi0", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+    def test_crlf_document_reads_as_text_mode(self, tmp_path, capsys):
+        # bytes are decoded without newline translation; the reader's
+        # splitlines sees \r\n and \r as the line ends text mode would give
+        path = corpus_path("poset_vee.txt")
+        expected = run_cli(capsys, "pi0", path)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for newline in ("\r\n", "\r"):
+            crlf = tmp_path / "crlf.txt"
+            crlf.write_bytes(text.replace("\n", newline).encode())
+            assert run_cli(capsys, "pi0", str(crlf)) == expected
+
+    def test_exponent_notation_exits_2_without_computing_the_power(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        for scalar in ("1e4301", "1e10000000", "2.5E99999999999"):
+            bad.write_text(f"kind = laurent_matrix\nfield = Q\nmatrix = [[{scalar}*t^0]]\n")
+            start = time.perf_counter()
+            code = main(["classify-p1", str(bad)])
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"bad scalar '{scalar}': exponent notation is not accepted" in captured.err
 
     def test_wrong_kind_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify-p1", corpus_path("poset_vee.txt"))

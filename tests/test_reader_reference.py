@@ -5,15 +5,18 @@ at a time and converted every coefficient again after reading it.  On seeded
 bracket lists, Laurent, polynomial and truncated-polynomial matrices, scalars
 and whole filtered-module documents, the two must give the same values, of
 the same types, or raise the same exception class with the same message.
-The one intended difference: a list whose last comma is directly followed by
-its closing bracket (``[1, 2,]``) is a trailing comma, which the reference
-read as if the comma were not there.
+Two differences are intended.  A list whose last comma is directly followed
+by its closing bracket (``[1, 2,]``) is a trailing comma, which the reference
+read as if the comma were not there.  A scalar in exponent notation (``1e3``)
+is a bad scalar, which the reference read with ``Fraction``.
 """
 
 import ast
 import importlib.util
 import os
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +69,22 @@ def is_trailing_comma(new, old, text):
     quoted = message[len("trailing comma in "):]
     listed = ast.literal_eval(quoted)  # the list text, as repr() quoted it
     return listed.endswith(",]") and listed in text and new != old
+
+
+def is_exponent_notation(new, old, text):
+    """The other intended difference: the new reader rejects a scalar that
+    Fraction reads in exponent notation, where the reference read on."""
+    if new[0] != "raised" or new[1] is not io.ParseError or new == old:
+        return False
+    match = re.fullmatch(r"bad scalar (.*): exponent notation is not accepted", new[2])
+    if not match:
+        return False
+    scalar = ast.literal_eval(match[1])
+    try:
+        Fraction(scalar)
+    except ValueError:
+        return False
+    return "e" in scalar.lower() and scalar in text
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +253,7 @@ class TestMatrices:
             text = random_matrix_text(rng, letter, exponents)
             new = outcome(io.parse_matrix, text, new_entry)
             old = outcome(ref.parse_matrix, text, old_entry)
-            if is_trailing_comma(new, old, text):
+            if is_trailing_comma(new, old, text) or is_exponent_notation(new, old, text):
                 continue
             assert new == old, (name, text)
             seen[new[0]] += 1
@@ -271,13 +290,20 @@ class TestScalars:
                  "3 mod 2147483647", "-1 mod 2147483647", "1 mod 5 mod 5",
                  "9" * 4300, "9" * 4301, "-" + "9" * 4300, "-" + "9" * 4301,
                  "1/" + "9" * 4301, "0", "-0", "1/5", "-2/10", "1/0", "", "-", "--1"]
-        for text in texts:
-            assert outcome(io.parse_scalar, text, field) == \
-                outcome(ref.parse_scalar, text, field), text
+        exponents = ["1e3", "-2E-1", "1.5e2", ".5e1", "1_0e1_0", "1e4301", "0e0", "2e+1"]
+        ring = EpsRing(field, 2)
+        for text in texts + exponents + ["3e", "e", "1e 5", "1e_5", "1/2e3", "1e3e3"]:
             entry = f"{text}*e^1 - 1"
-            ring = EpsRing(field, 2)
-            assert outcome(io.parse_eps, entry, ring) == \
-                outcome(ref.parse_eps, entry, ring), entry
+            # in an entry, a sign after the e splits the term
+            for new, old, read, rejected in [
+                    (outcome(io.parse_scalar, text, field),
+                     outcome(ref.parse_scalar, text, field), text, text in exponents),
+                    (outcome(io.parse_eps, entry, ring), outcome(ref.parse_eps, entry, ring),
+                     entry, text in exponents and not re.search("[eE][-+]", text))]:
+                if rejected:
+                    assert is_exponent_notation(new, old, read), read
+                else:
+                    assert new == old, read
 
 
 # ---------------------------------------------------------------------------

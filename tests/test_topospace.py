@@ -24,6 +24,12 @@ from equibundle.topospace import (
 from equibundle.topospace import _is_homeomorphism, _pro_clopens, _union_table
 
 
+def matrix(poset):
+    """The relation as a bool matrix, read off the up-set masks: [x][y] iff x
+    specializes to y."""
+    return tuple(tuple(bool(u >> y & 1) for y in range(poset.size)) for u in poset.leq)
+
+
 def chain(size):
     """0 specializes to 1, 1 to 2, and so on."""
     return FinitePoset.from_relations(size, [(i, i + 1) for i in range(size - 1)])
@@ -42,7 +48,33 @@ class TestPoset:
 
     def test_closure_builder(self):
         poset = FinitePoset.from_relations(3, [(0, 1), (1, 2)])
-        assert poset.leq[0][2]
+        assert matrix(poset)[0][2]
+        assert poset.leq == poset.up == (0b111, 0b110, 0b100)
+        assert poset.down == (0b001, 0b011, 0b111)
+
+    def test_antichain_is_the_poset_with_no_relations(self, rng):
+        for size in [*range(0, 12), rng.randint(12, 40)]:
+            built, closed = FinitePoset.antichain(size), FinitePoset.from_relations(size, ())
+            assert built == closed and hash(built) == hash(closed)
+            assert built.leq == closed.leq == built.down == closed.down
+            assert built.leq == tuple(1 << i for i in range(size))
+        for build in (FinitePoset.antichain, lambda size: FinitePoset.from_relations(size, ())):
+            with pytest.raises(ValueError, match="poset size -1 is negative"):
+                build(-1)
+
+    def test_equal_posets_compare_and_hash_equal(self, rng):
+        for n, pairs in random_relabelled_posets(rng, 100):
+            poset = FinitePoset.from_relations(n, pairs)
+            # the same order from its whole relation, listed in another order
+            relation = [(x, y) for x, row in enumerate(matrix(poset))
+                        for y, below in enumerate(row) if below]
+            rng.shuffle(relation)
+            again = FinitePoset.from_relations(n, relation)
+            assert again == poset and hash(again) == hash(poset)
+            assert again.down == poset.down
+            if any(x != y for x, y in relation):  # posets differ where their relations do
+                smaller = FinitePoset.from_relations(n, [p for p in pairs if p != pairs[0]])
+                assert (smaller == poset) == (matrix(smaller) == matrix(poset))
 
     def test_opens_are_generization_closed(self):
         poset = chain(2)  # 0 specializes to 1; closed point is 1
@@ -188,7 +220,8 @@ class TestEnumeration:
                     random_relabelled_posets(rng, 2, sizes=(4, 5)))
             pairs.append((x, y))
         for x, y in pairs:
-            assert [f.mapping for f in all_monotone_maps(x, y)] == ref_monotone_maps(x.leq, y.leq)
+            assert [f.mapping for f in all_monotone_maps(x, y)] == \
+                ref_monotone_maps(matrix(x), matrix(y))
 
     def test_monotone_map_count_over_criterion_08_posets(self):
         posets = [p for n in range(0, 5) for p in all_posets(n)]
@@ -379,12 +412,17 @@ def first_error(build):
 
 class TestAgainstReference:
     def check(self, poset):
-        leq = poset.leq
+        leq = matrix(poset)
+        assert all(bool(poset.down[y] >> x & 1) == leq[x][y]
+                   for x in range(poset.size) for y in range(poset.size))
         components, component_of = ref_pi0(leq)
         data = pi0(poset)
         assert data.components == components
         assert data.component_of == component_of
         assert data.masks == tuple(as_mask(c) for c in components)
+        assert matrix(data.quotient) == tuple(
+            tuple(i == j for j in range(len(components))) for i in range(len(components)))
+        assert data.quotient is pi0(poset).quotient
         assert [frozenset(s) for s in clopen_sets(poset)] == ref_clopen_sets(leq)
         found = pro_clopens(poset)
         closure, generization = _union_table(poset.up), _union_table(poset.down)
@@ -405,7 +443,7 @@ class TestAgainstReference:
     def test_random_relabelled_posets(self, rng):
         for n, pairs in random_relabelled_posets(rng, 200):
             poset = FinitePoset.from_relations(n, pairs)
-            assert poset.leq == ref_closure(n, pairs)
+            assert matrix(poset) == ref_closure(n, pairs)
             self.check(poset)
 
     def test_from_relations_matches_closure_or_error(self, rng):
@@ -417,7 +455,7 @@ class TestAgainstReference:
             expected = first_error(lambda: ref_validate(n, leq))
             assert first_error(lambda: FinitePoset.from_relations(n, pairs)) == expected
             if expected is None:
-                assert FinitePoset.from_relations(n, pairs).leq == leq
+                assert matrix(FinitePoset.from_relations(n, pairs)) == leq
 
     def test_pi0_is_memoized_per_poset(self):
         first, second = chain(3), FinitePoset.antichain(3)
@@ -447,12 +485,18 @@ class TestContinuity:
         caught = 0
         for x in posets:
             for y in posets:
+                leq_x, leq_y = matrix(x), matrix(y)
                 for values in product(range(y.size), repeat=x.size):
-                    monotone = all(y.leq[values[a]][values[b]]
+                    monotone = all(leq_y[values[a]][values[b]]
                                    for a in range(x.size) for b in range(x.size)
-                                   if x.leq[a][b])
+                                   if leq_x[a][b])
                     found = non_open_preimage(x, y, values)
                     assert (found is None) == monotone
+                    if monotone:
+                        assert MonotoneMap(x, y, values).mapping == values
+                    else:
+                        with pytest.raises(ValueError, match="does not preserve specialization"):
+                            MonotoneMap(x, y, values)
                     caught += found is not None
         assert caught > 100
 
