@@ -251,7 +251,7 @@ def cmd_hensel_check(doc, args) -> list[str]:
     return [
         "report = hensel-check",
         f"dimension = {algebra.dim}",
-        f"radical dimension = {len(radical)}",
+        f"radical dimension = {algebra.dim + 1 - len(radical)}",
         f"henselian pair = {_yesno(verdict)}",
     ]
 

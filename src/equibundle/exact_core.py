@@ -16,9 +16,9 @@ Linear algebra over a field runs on one sparse elimination kernel: rows are
 reduced against a pivot list, added to it one at a time, or eliminated in
 bulk.  Over F_p a pivot row is normalized at its column; over Q rows are
 primitive integer vectors updated fraction-free (Bareiss), and only the
-callers that read values normalize them.  ``row_reduce``, ``matrix_rank``,
-``nullspace`` and ``invert_matrix`` return the unique reduced echelon form and
-its derivatives.
+callers that read values normalize them.  ``row_reduce``, ``matrix_rank``
+and ``invert_matrix`` return the unique reduced echelon form and its
+derivatives.
 """
 
 from __future__ import annotations
@@ -574,22 +574,6 @@ def row_reduce(field: Field, rows: Sequence[Sequence[Scalar]]):
 
 def matrix_rank(field: Field, rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_echelon(field, rows)[1])
-
-
-def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
-    """Basis of the right kernel, as a list of coefficient tuples."""
-    rref, pivots = row_reduce(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    p = field.p
-    basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for r, col in enumerate(pivots):
-            vec[col] = -rref[r][f] % p if p else -rref[r][f]
-        basis.append(tuple(vec))
-    return basis
 
 
 def invert_matrix(field: Field, rows):

@@ -1,15 +1,16 @@
 """Henselian-pair predicates for finite-dimensional commutative algebras.
 
 The decidable class: a quotient k[x]/(f) of the polynomial ring by a monic f
-over an exact field, given by f itself, with a distinguished ideal given by a
-spanning set.  A product is the polynomial product reduced mod f, and the
-trace of x^k is the k-th power sum of the roots of f, which Newton's
-identities give from f's coefficients.  For such (artinian) algebras
+over an exact field, with a distinguished ideal.  k[x]/(f) is a principal
+ideal ring: the ideal generated by g_1, ..., g_k is (h)/(f) for the monic
+h = gcd(f, g_1, ..., g_k), which holds it.  For such (artinian) algebras
 "henselian pair" is equivalent to the ideal lying in the Jacobson radical
-(= nilradical), the executable face of which is idempotent lifting along
-nilpotent ideals.  Graded algebras that are concentrated in nonnegative or
-nonpositive degrees form trivially henselian pairs with their irrelevant
-ideal; that predicate is purely combinatorial.
+(= nilradical), which is (r)/(f) for r the squarefree part of f; so the pair
+is henselian iff r divides h.  Everything is decided by univariate gcds and
+divisions; the executable face is idempotent lifting along nilpotent ideals.
+Graded algebras that are concentrated in nonnegative or nonpositive degrees
+form trivially henselian pairs with their irrelevant ideal; that predicate
+is purely combinatorial.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from typing import Optional, Sequence
 from equibundle.exact_core import (
     Field,
     Scalar,
-    nullspace,
-    row_reduce,
+    _as_pivot,
+    _normalized,
+    _reduce,
+    _sparse,
     span_test,
 )
 from equibundle.graded import GradedAlgebra
@@ -47,18 +50,25 @@ class FiniteDimAlgebra:
     x^(d-1); basis vector 0 is 1.
 
     `modulus` lists f's coefficients as field elements, constant first and
-    ending with 1, and `ideal` spans the distinguished ideal.  Built by
-    `from_univariate_quotient`, whose construction proves the ideal closed
-    under multiplication.  Element operations reduce mod p over F_p.
+    ending with 1, and the distinguished ideal is (h)/(f) for the monic
+    divisor h of f that `generator` lists the same way.  Built by
+    `from_univariate_quotient`.  Element operations reduce mod p over F_p.
     """
 
     field: Field
     modulus: Vector
-    ideal: tuple[Vector, ...] = ()
+    generator: Vector
 
     @property
     def dim(self) -> int:
         return len(self.modulus) - 1
+
+    @property
+    def ideal(self) -> tuple[Vector, ...]:
+        """The basis h, x*h, ..., x^(d - deg h - 1)*h of the ideal."""
+        h, zero = self.generator, self.field.zero
+        n = self.dim + 1 - len(h)
+        return tuple((zero,) * i + h + (zero,) * (n - 1 - i) for i in range(n))
 
     # -- element helpers -----------------------------------------------------
 
@@ -122,30 +132,81 @@ class FiniteDimAlgebra:
             return tuple(v % p for v in out)
         return tuple(Fraction(v, den) for v in out)
 
-    def power(self, a: Vector, exponent: int) -> Vector:
-        out = self.one
-        base = a
-        e = exponent
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def is_nilpotent(self, a: Vector) -> bool:
-        """Nilpotency test: a is nilpotent iff a^(2^k) = 0 once 2^k >= dim.
-        Squares a until then, stopping early at zero."""
-        exponent = 1
-        while any(a):
-            if exponent >= self.dim:
-                return False
-            a = self.mul(a, a)
-            exponent *= 2
-        return True
-
     def in_span(self, vec: Vector, spanning: Sequence[Vector]) -> bool:
         return span_test(self.field, spanning)(vec)
+
+
+# ---------------------------------------------------------------------------
+# Univariate polynomials: lists of field elements, constant first
+# ---------------------------------------------------------------------------
+
+
+def _divmod(num, den, field: Field) -> tuple[list, list]:
+    """(quotient, remainder) of num by den, whose top coefficient is
+    nonzero; the remainder has deg den coefficients."""
+    top = len(den) - 1
+    inv = field.inv(den[-1])
+    tail = [(j, a) for j, a in enumerate(den[:top]) if a]
+    rem = list(num)
+    quot = [field.zero] * max(len(num) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = field(rem.pop() * inv)
+        if c:
+            for j, a in tail:
+                rem[k + j] = field(rem[k + j] - c * a)
+    return quot, rem
+
+
+def _gcd(a, b, field: Field) -> list:
+    """The monic gcd of a nonzero a and b by Euclid's algorithm, on the
+    elimination kernel's sparse rows {degree: coefficient}: a mod b is a
+    reduced against the shifts x^k * b.  Over Q each remainder is then a
+    primitive integer polynomial (the primitive remainder sequence), so the
+    coefficients do not grow as Euclid's do over Fractions."""
+    p = field.p
+    a, b = _sparse(a, p), _sparse(b, p)
+    while b:
+        top = max(b)
+        b = _as_pivot(b, top, p)
+        shifts = [(top + k, {c + k: v for c, v in b.items()})
+                  for k in range(max(a) - top, -1, -1)]
+        a, b = b, _reduce(a, shifts, p)
+    top = max(a)
+    monic = _normalized(a, top, p)
+    return [monic.get(c, field.zero) for c in range(top + 1)]
+
+
+def _derivative(a, field: Field) -> list:
+    return [field(i * c) for i, c in enumerate(a) if i]
+
+
+def _squarefree_part(f, field: Field) -> list:
+    """The product r of the distinct monic irreducible factors of a monic f.
+
+    With g = gcd(f, f'), f / g is the product of the factors whose
+    multiplicity the characteristic does not divide, so it is r over Q.
+    Over F_p, g without those factors is s(x)^p = s(x^p) for the s whose
+    factors are the others, read off every p-th coefficient (a p-th root;
+    F_p is perfect).  Then f / r = g / (the squarefree part of s).
+    """
+    g = _gcd(f, _derivative(f, field), field)
+    r, rest = _divmod(f, g, field)[0], g
+    if field.p:
+        while len(common := _gcd(rest, r, field)) > 1:
+            rest = _divmod(rest, common, field)[0]
+        if len(rest) > 1:
+            g = _divmod(g, _squarefree_part(rest[::field.p], field), field)[0]
+            r = _divmod(f, g, field)[0]
+    return r
+
+
+def _nilpotent_modulo(f, h, field: Field) -> bool:
+    """True iff every irreducible factor of f divides h, that is, iff
+    (h)/(f) is nilpotent: f_0 = f, f_(i+1) = f_i / gcd(f_i, h) reaches 1
+    with every gcd nontrivial."""
+    while len(f) > 1 and len(common := _gcd(f, h, field)) > 1:
+        f = _divmod(f, common, field)[0]
+    return len(f) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,41 +220,18 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
 
     monic_coeffs lists f's coefficients from the constant up, ending with 1.
     Ideal generators are polynomials in x given the same way (any length).
+    They generate (h)/(f) for h = gcd(f, g_1, ..., g_k); with none, h = f
+    and the ideal is zero.
     """
     coeffs = tuple(field(c) for c in monic_coeffs)
     if not coeffs or coeffs[-1] != field.one:
         raise ValueError("quotient polynomial must be monic")
-    d = len(coeffs) - 1
-    if d < 1:
+    if len(coeffs) < 2:
         raise ValueError("quotient polynomial must have positive degree")
-
-    p = field.p
-
-    def step(vec, c=field.zero):
-        """x * vec + c mod f, for vec in the basis 1, x, ..., x^(d-1)."""
-        top = vec[-1]
-        shifted = (c,) + vec[:-1]
-        if not top:
-            return shifted
-        return tuple((s - top * a) % p if p else s - top * a
-                     for s, a in zip(shifted, coeffs))
-
-    ideal_vectors = []
+    h = coeffs
     for gen in ideal_generators:
-        shifted = (field.zero,) * d
-        for c in reversed(gen):  # Horner's rule
-            shifted = step(shifted, field(c))
-        for _ in range(d):
-            if any(shifted):
-                ideal_vectors.append(shifted)
-            shifted = step(shifted)
-    if ideal_vectors:
-        reduced, pivots = row_reduce(field, [list(v) for v in ideal_vectors])
-        ideal_vectors = [tuple(reduced[r]) for r in range(len(pivots))]
-    # The span of x^s * g mod f for s < d is the whole ideal g * k[x]/(f),
-    # since x^s for s >= d reduces mod f to lower powers, so it is closed
-    # under multiplication.
-    return FiniteDimAlgebra(field, coeffs, tuple(ideal_vectors))
+        h = _gcd(h, [field(c) for c in gen], field)
+    return FiniteDimAlgebra(field, coeffs, tuple(h))
 
 
 # ---------------------------------------------------------------------------
@@ -201,72 +239,40 @@ def from_univariate_quotient(field: Field, monic_coeffs: Sequence,
 # ---------------------------------------------------------------------------
 
 
-def jacobson_radical(algebra: FiniteDimAlgebra) -> list[Vector]:
-    """Basis of the nilradical (= Jacobson radical in the artinian case).
+def jacobson_radical(algebra: FiniteDimAlgebra) -> Vector:
+    """The monic r with (r)/(f) the nilradical (= Jacobson radical in the
+    artinian case), listed as f is; the radical has dimension d - deg r.
 
-    Write A as a product of local factors A_i of length l_i with residue
-    fields k_i.  Then Tr_A(x) = sum_i l_i * Tr_{k_i/k}(x mod m_i), and each
-    k_i/k is separable (k is Q or a prime field), so the kernel of the trace
-    form (u, v) -> Tr_A(uv) is the nilradical whenever no l_i is divisible by
-    the characteristic.  That holds over Q, and over F_p whenever p > dim,
-    since every l_i <= dim.  For p <= dim the trace form can degenerate (it
-    vanishes on F_2[x]/(x^2 + 1)), and the radical is the kernel of the
-    (linear) iterated Frobenius x -> x^(p^e) with p^e >= dim.  Every basis
-    vector of the result is certified nilpotent by explicit powering.
+    r is the squarefree part of f, and it is certified however it was found:
+    r divides f; (a) every irreducible factor of f divides r, so (r)/(f) is
+    nilpotent; and (b) gcd(r, r') = 1, so k[x]/(r) is reduced (k is
+    perfect) and every nilpotent lies in (r)/(f).  If r' = 0 the gcd is r,
+    and (b) rejects it.
     """
-    d = algebra.dim
-    field = algebra.field
-    if field.p is None or field.p > d:
-        basis = nullspace(field, _trace_form(algebra), d)
-    else:
-        e = 1
-        while field.p**e < d:
-            e += 1
-        images = [algebra.power(algebra.unit_vector(i), field.p**e) for i in range(d)]
-        rows = [[images[j][i] for j in range(d)] for i in range(d)]
-        basis = nullspace(field, rows, d)
-    for vec in basis:
-        if not algebra.is_nilpotent(vec):
-            raise AssertionError("radical computation produced a non-nilpotent element")
-    return [tuple(v) for v in basis]
-
-
-def _trace_form(algebra: FiniteDimAlgebra) -> list[list[Scalar]]:
-    """Gram matrix of (u, v) -> trace of multiplication by u*v on the basis.
-
-    The trace of x^k is the power sum s_k of the roots of f, so the matrix is
-    the Hankel matrix [s_(i+j)].  For f = sum a_i x^i of degree d, Newton's
-    identities give s_0 = d and s_k = -k a_(d-k) - sum_(0<i<k) a_(d-i) s_(k-i),
-    with a_(d-i) = 0 for i > d.  They are identities over Z, so they hold in
-    every characteristic.
-    """
-    field, f, d = algebra.field, algebra.modulus, algebra.dim
-    terms = [(i, f[d - i]) for i in range(1, d + 1) if f[d - i]]
-    sums = [field(d)]
-    for k in range(1, 2 * d - 1):
-        s = -k * f[d - k] if k <= d else 0
-        for i, a in terms:
-            if i >= k:
-                break
-            s -= a * sums[k - i]
-        sums.append(field(s))
-    return [sums[i:i + d] for i in range(d)]
+    field, f = algebra.field, algebra.modulus
+    r = _squarefree_part(f, field)
+    if any(_divmod(f, r, field)[1]):
+        raise AssertionError(f"radical of degree {len(r) - 1} does not divide the modulus")
+    if not _nilpotent_modulo(f, r, field):
+        raise AssertionError(f"radical of degree {len(r) - 1} misses a factor of the modulus")
+    if len(_gcd(r, _derivative(r, field), field)) > 1:
+        raise AssertionError(f"radical of degree {len(r) - 1} is not squarefree")
+    return tuple(r)
 
 
 def is_henselian_pair(algebra: FiniteDimAlgebra,
-                      radical: Optional[Sequence[Vector]] = None) -> bool:
-    """True iff the ideal lies in the Jacobson radical.
+                      radical: Optional[Vector] = None) -> bool:
+    """True iff the ideal (h)/(f) lies in the Jacobson radical (r)/(f), that
+    is, iff r divides h.
 
     For artinian commutative algebras this characterizes henselian pairs (a
     finite product of henselian local rings), and it matches the topological
     criterion on the finite spectrum.  A caller that already holds
-    `jacobson_radical(algebra)` passes it as `radical`, which is eliminated
-    once; each spanning vector of the ideal is then reduced against it.
+    `jacobson_radical(algebra)` passes it as `radical`.
     """
     if radical is None:
         radical = jacobson_radical(algebra)
-    in_radical = span_test(algebra.field, radical)
-    return all(in_radical(vec) for vec in algebra.ideal)
+    return not any(_divmod(algebra.generator, radical, algebra.field)[1])
 
 
 @dataclass(frozen=True)
@@ -278,21 +284,22 @@ class IdempotentLift:
 def lift_idempotent(algebra: FiniteDimAlgebra, candidate) -> IdempotentLift:
     """Lift an idempotent of A/I along the algebra's nilpotent ideal I, exactly.
 
-    `candidate` is any representative with candidate^2 - candidate in I.  In
-    a commutative ring an ideal generated by nilpotent elements is nilpotent,
-    so I is nilpotent iff each spanning vector is.  Its nilpotency index s is
-    at most dim A, since I > I^2 > ... > I^s = 0 strictly decreases from
+    `candidate` is any representative with candidate^2 - candidate in I.  I
+    is (h)/(f), nilpotent iff every irreducible factor of f divides h, which
+    the gcd chain of `jacobson_radical`'s check (a) decides, and a vector
+    lies in I iff h divides it.  The nilpotency index s of I is at most
+    dim A, since I > I^2 > ... > I^s = 0 strictly decreases from
     dim I < dim A.  The iteration e <- 3e^2 - 2e^3 squares the defect ideal
     each round, so it reaches an exact idempotent in at most
     ceil(log2 s) <= bit_length(dim A) steps; both e^2 = e and
     e = candidate mod I are verified before returning.
     """
     candidate = algebra.coerce(candidate)
-    if not all(algebra.is_nilpotent(v) for v in algebra.ideal):
+    field, h = algebra.field, algebra.generator
+    if not _nilpotent_modulo(algebra.modulus, h, field):
         raise ValueError("ideal is not nilpotent")
-    in_ideal = span_test(algebra.field, algebra.ideal)
     defect = algebra.sub(algebra.mul(candidate, candidate), candidate)
-    if not in_ideal(defect):
+    if any(_divmod(defect, h, field)[1]):
         raise ValueError("candidate is not idempotent modulo the ideal")
 
     e = candidate
@@ -307,7 +314,6 @@ def lift_idempotent(algebra: FiniteDimAlgebra, candidate) -> IdempotentLift:
         cube = algebra.mul(square, e)
         e = algebra.sub(algebra.scale(3, square), algebra.scale(2, cube))
         iterations += 1
-    if not in_ideal(algebra.sub(e, candidate)):
+    if any(_divmod(algebra.sub(e, candidate), h, field)[1]):
         raise AssertionError("lift drifted away from its residue class")
     return IdempotentLift(element=e, iterations=iterations)
-

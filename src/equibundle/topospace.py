@@ -89,6 +89,8 @@ class FinitePoset:
                 raise ValueError(f"relation ({x},{y}) out of range")
             rows[x] |= 1 << y
         for k, row in enumerate(rows):  # Warshall: close through k
+            if row == 1 << k:  # nothing above k: the step changes no row
+                continue
             for i in range(size):
                 if rows[i] >> k & 1:
                     rows[i] |= row

@@ -15,10 +15,10 @@ from equibundle.exact_core import (
     _poly_exact_div,
     invert_matrix,
     matrix_rank,
-    nullspace,
     row_reduce,
     span_test,
 )
+from fraction_kernel import nullspace
 
 F5 = GF(5)
 

@@ -1,11 +1,14 @@
+import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import radical_reference
 from equibundle import hensel
 from equibundle.cli import main
-from equibundle.exact_core import GF, QQ, Polynomial, nullspace, row_reduce
+from equibundle.exact_core import GF, QQ, Polynomial, row_reduce
 from equibundle.graded import GradedAlgebra
 from equibundle.hensel import (
     FiniteDimAlgebra,
@@ -16,9 +19,11 @@ from equibundle.hensel import (
     trivially_henselian,
 )
 from equibundle.io import render_polynomial
+from radical_reference import frobenius_kernel, is_nilpotent, power, radical_basis, trace_form
 
 F5 = GF(5)
-FIELDS = (QQ, F5, GF(2**31 - 1))
+P_LARGE = 2**31 - 1
+FIELDS = (QQ, F5, GF(P_LARGE))
 
 
 def graded(field, degrees):
@@ -40,46 +45,53 @@ class TestTriviallyHenselian:
 class TestJacobsonRadical:
     def test_product_of_fields(self):
         alg = from_univariate_quotient(QQ, [0, -1, 1])  # x^2 - x
-        assert jacobson_radical(alg) == []
+        assert jacobson_radical(alg) == alg.modulus  # (f)/(f) = 0
+        assert radical_ideal(alg) == ()
 
     def test_dual_numbers(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1])  # x^2
-        rad = jacobson_radical(alg)
+        rad = radical_ideal(alg)
         assert len(rad) == 1
-        assert alg.is_nilpotent(rad[0])
+        assert is_nilpotent(alg, rad[0])
 
     def test_cusp_quotient(self):
         # Q[x]/(x^3 - x^2): radical is spanned by x^2 - x (dimension 1)
         alg = from_univariate_quotient(QQ, [0, 0, -1, 1])
-        rad = jacobson_radical(alg)
+        assert jacobson_radical(alg) == (0, -1, 1)
+        rad = radical_ideal(alg)
         assert len(rad) == 1
         target = (Fraction(0), Fraction(-1), Fraction(1))  # x^2 - x
         assert alg.in_span(target, rad)
-        assert alg.is_nilpotent(target)
+        assert is_nilpotent(alg, target)
 
     def test_prime_field_radical(self):
         alg = from_univariate_quotient(F5, [0, 0, 1])  # x^2 over F5
-        rad = jacobson_radical(alg)
+        rad = radical_ideal(alg)
         assert len(rad) == 1
 
     def test_frobenius_handles_etale_case(self):
         # F5[x]/(x^2 - x) is split etale; radical must be zero even though
         # trace arguments degenerate in small characteristic
         alg = from_univariate_quotient(F5, [0, -1, 1])
-        assert jacobson_radical(alg) == []
+        assert radical_ideal(alg) == ()
 
 
 class TestRadicalBranches:
+    """The reference takes the trace form where every local length is prime
+    to the characteristic and the Frobenius kernel elsewhere; the gcd
+    radical takes neither."""
+
     def test_trace_form_matches_frobenius_reference(self, rng, monkeypatch):
-        calls = count_calls(monkeypatch, "_trace_form")
+        calls = count_calls(monkeypatch, radical_reference, "trace_form")
         nonzero = 0
         for p in (7, 11, 2**31 - 1):
             field = GF(p)
             for _ in range(4):
                 alg = from_univariate_quotient(
                     field, random_quotient(rng, field, rng.randint(1, min(p - 1, 8))))
-                radical = jacobson_radical(alg)
-                assert radical == frobenius_radical(alg)
+                radical = radical_basis(alg)
+                assert radical == frobenius_kernel(alg)
+                assert rref(field, radical_ideal(alg)) == rref(field, radical)
                 nonzero += bool(radical)
         assert calls == [None] * 12
         assert nonzero > 0
@@ -92,21 +104,85 @@ class TestRadicalBranches:
     ])
     def test_small_characteristic_takes_frobenius(self, monkeypatch, p, quotient,
                                                    radical_dim):
-        calls = count_calls(monkeypatch, "_trace_form")
-        alg = from_univariate_quotient(GF(p), quotient)
-        assert len(jacobson_radical(alg)) == radical_dim
+        calls = count_calls(monkeypatch, radical_reference, "trace_form")
+        field = GF(p)
+        alg = from_univariate_quotient(field, quotient)
+        reference = radical_basis(alg)
+        assert len(radical_ideal(alg)) == len(reference) == radical_dim
+        assert rref(field, radical_ideal(alg)) == rref(field, reference)
         assert calls == []
 
     def test_trace_form_vanishes_in_characteristic_two(self):
         # F2[x]/(x^2 + 1) is local of length 2: every trace is 2 * (...) = 0,
         # so the trace form cannot see the radical when p <= dim.
         alg = from_univariate_quotient(GF(2), [1, 0, 1])
-        assert all(not v for row in hensel._trace_form(alg) for v in row)
+        assert all(not v for row in trace_form(alg) for v in row)
+
+
+class TestRadicalAgainstReference:
+    """The gcd radical against the trace-form and Frobenius radical of
+    `radical_reference`: the same dimension, d - deg r, and the same span,
+    on random quotients with repeated factors.  Over F2 and F3 most
+    quotients have p <= dim, where the reference takes the Frobenius kernel,
+    and some have a factor whose multiplicity p divides, which only the
+    p-th-root step of the squarefree part finds."""
+
+    @pytest.mark.parametrize("p", [None, 5, P_LARGE, 2, 3],
+                             ids=["Q", "F5", "F2^31-1", "F2", "F3"])
+    def test_random_quotients(self, rng, p):
+        field = QQ if p is None else GF(p)
+        frobenius = pth_roots = 0
+        for k in range(40):
+            d = rng.randint(1, 10)
+            quotient = random_quotient(rng, field, d)
+            if p is None and k % 2:
+                quotient = rational_quotient(rng, d)
+            alg = from_univariate_quotient(field, quotient)
+            reference = radical_basis(alg)
+            radical = jacobson_radical(alg)
+            assert radical[-1] == field.one
+            assert_field_elements(field, radical)
+            assert d + 1 - len(radical) == len(reference), (quotient, radical)
+            assert rref(field, radical_ideal(alg)) == rref(field, reference), quotient
+            frobenius += bool(p and p <= d)
+            f = list(alg.modulus)
+            separable = hensel._divmod(f, hensel._gcd(f, hensel._derivative(f, field), field),
+                                       field)[0]
+            pth_roots += len(separable) < len(radical)
+        if p in (2, 3):
+            assert frobenius > 20 and pth_roots > 5, (frobenius, pth_roots)
+
+
+class TestRadicalCertificate:
+    """Each check of `jacobson_radical`'s certificate rejects, on its own, a
+    wrong candidate for the squarefree part: one that misses a factor of f,
+    one that is not squarefree (r' = 0 among them) and one that f does not
+    divide.  The true radical passes."""
+
+    @pytest.mark.parametrize("p, quotient, candidate, message", [
+        (None, [0, 0, -1, 1], [0, 1], "misses a factor"),           # x for x^2 (x - 1)
+        (5, [0, 0, -1, 1], [-1, 1], "misses a factor"),             # x - 1
+        (2, [0, 1, 0, 1], [1, 1], "misses a factor"),               # x + 1 for x (x + 1)^2
+        (None, [0, 0, -1, 1], [0, 0, -1, 1], "not squarefree"),     # f itself
+        (2, [1, 0, 1], [1, 0, 1], "not squarefree"),                # (x + 1)^2, r' = 0
+        (3, [0, 0, 0, 1], [0, 0, 0, 1], "not squarefree"),          # x^3, r' = 0
+        (None, [0, 0, -1, 1], [0, -1, 0, 1], "does not divide"),    # x (x - 1)(x + 1)
+    ])
+    def test_rejects_a_wrong_candidate(self, monkeypatch, p, quotient, candidate, message):
+        field = QQ if p is None else GF(p)
+        alg = from_univariate_quotient(field, quotient)
+        true_radical = jacobson_radical(alg)
+        monkeypatch.setattr(hensel, "_squarefree_part",
+                            lambda f, field: [field(c) for c in candidate])
+        with pytest.raises(AssertionError, match=message):
+            jacobson_radical(alg)
+        monkeypatch.setattr(hensel, "_squarefree_part", lambda f, field: list(true_radical))
+        assert jacobson_radical(alg) == true_radical
 
 
 class TestTrustedQuotient:
     def test_public_constructor_accepts_and_agrees(self, rng):
-        # the frozen triple (field, modulus, ideal) built directly is the
+        # the frozen triple (field, modulus, generator) built directly is the
         # algebra the quotient constructor returns, and multiplies the same
         for field in (QQ, F5, GF(2**31 - 1)):
             for d in range(1, 11):
@@ -114,7 +190,8 @@ class TestTrustedQuotient:
                 gens = [[rng.randint(-3, 3) for _ in range(rng.randint(1, d + 2))]
                         for _ in range(rng.randint(0, 2))]
                 alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
-                rebuilt = FiniteDimAlgebra(field=field, modulus=alg.modulus, ideal=alg.ideal)
+                rebuilt = FiniteDimAlgebra(field=field, modulus=alg.modulus,
+                                           generator=alg.generator)
                 assert rebuilt == alg
                 a, b = (alg.coerce(random_coords(rng, d)) for _ in range(2))
                 assert rebuilt.mul(a, b) == alg.mul(a, b)
@@ -146,12 +223,14 @@ class TestIsNilpotent:
         for field in (QQ, F5, GF(2)):
             for d in range(1, 9):
                 alg = from_univariate_quotient(field, random_quotient(rng, field, d))
-                radical = jacobson_radical(alg)
+                radical = radical_ideal(alg)
                 for _ in range(6):
                     a = alg.coerce([rng.randint(-2, 2) for _ in range(d)])
                     if radical and rng.random() < 0.5:
                         a = radical[rng.randrange(len(radical))]
-                    assert alg.is_nilpotent(a) == (not any(alg.power(a, d))), (field, d, a)
+                    nilpotent = is_nilpotent(alg, a)
+                    assert nilpotent == (not any(power(alg, a, d))), (field, d, a)
+                    assert nilpotent == alg.in_span(a, radical), (field, d, a)
 
 class TestHenselianPair:
     def test_nilpotent_ideal(self):
@@ -169,15 +248,16 @@ class TestHenselianPair:
         assert is_henselian_pair(alg)
 
     def test_span_test_agrees_with_per_vector_span(self, rng):
-        # eliminating the radical once must give the verdict of testing every
-        # spanning vector of the ideal on its own, zero vectors included
+        # the divisibility verdict must be the verdict of testing every
+        # spanning vector of the ideal on its own against the reference
+        # radical, zero generators included
         verdicts = []
         for field in (QQ, GF(7), GF(2**31 - 1)):
             for _ in range(20):
                 quotient = random_quotient(rng, field, rng.randint(1, 6))
                 base = from_univariate_quotient(field, quotient)
-                radical = jacobson_radical(base)
-                gens = []
+                radical = radical_basis(base)
+                gens = [zero_vector(base)] * rng.randint(0, 1)
                 for _ in range(rng.randint(0, 3)):
                     if radical and rng.random() < 0.6:
                         vec = zero_vector(base)
@@ -188,21 +268,22 @@ class TestHenselianPair:
                     gens.append(vec)
                 # coordinates are coefficients in x, so each vector generates
                 # an ideal, inside the radical when the vector is
-                ideal = from_univariate_quotient(field, quotient, ideal_generators=gens).ideal
-                alg = replace(base, ideal=(zero_vector(base),) * rng.randint(0, 1) + ideal)
+                alg = from_univariate_quotient(field, quotient, ideal_generators=gens)
                 expected = all(alg.in_span(vec, radical) for vec in alg.ideal)
-                assert is_henselian_pair(alg, radical=radical) == expected
+                assert is_henselian_pair(alg, radical=jacobson_radical(base)) == expected
                 assert is_henselian_pair(alg) == expected
                 verdicts.append(expected)
         assert True in verdicts and False in verdicts
 
     def test_empty_radical(self):
         split = from_univariate_quotient(QQ, [0, -1, 1])
-        assert jacobson_radical(split) == []
-        zero = replace(split, ideal=(zero_vector(split),))
-        whole = replace(split, ideal=(zero_vector(split), split.one, split.unit_vector(1)))
-        assert is_henselian_pair(zero, radical=[])
-        assert not is_henselian_pair(whole, radical=[])
+        radical = jacobson_radical(split)
+        assert radical == split.modulus and radical_ideal(split) == ()
+        zero = from_univariate_quotient(QQ, [0, -1, 1], ideal_generators=[[0, 0, 0]])
+        whole = from_univariate_quotient(QQ, [0, -1, 1], ideal_generators=[[0], [1], [0, 1]])
+        assert zero.generator == split.modulus and whole.generator == (1,)
+        assert is_henselian_pair(zero, radical=radical)
+        assert not is_henselian_pair(whole, radical=radical)
 
 
 class TestLiftIdempotent:
@@ -235,10 +316,10 @@ class TestLiftIdempotent:
         alg = from_univariate_quotient(QQ, [0, -1, 1], ideal_generators=[[0, 1]])
         with pytest.raises(ValueError):
             lift_idempotent(alg, alg.one)
-        # (x - 1) in Q[x]/(x^2 (x - 1)) is spanned by 1 - x^2, not nilpotent,
-        # and x - x^2, nilpotent: one nilpotent spanning vector is not enough
+        # (x - 1) in Q[x]/(x^2 (x - 1)) is spanned by x - 1, not nilpotent,
+        # and x^2 - x, nilpotent: one nilpotent spanning vector is not enough
         alg = from_univariate_quotient(QQ, [0, 0, -1, 1], ideal_generators=[[-1, 1]])
-        assert [alg.is_nilpotent(v) for v in alg.ideal] == [False, True]
+        assert [is_nilpotent(alg, v) for v in alg.ideal] == [False, True]
         with pytest.raises(ValueError, match="not nilpotent"):
             lift_idempotent(alg, alg.one)
 
@@ -284,10 +365,10 @@ class TestIdempotentSearch:
 
 
 class TestMulAgainstReference:
-    """The product and the trace form against the ones built from the
-    multiplication table of k[x]/(f), each x^i * x^j reduced mod f from
-    scratch: every pair of basis vectors, random vectors, and the Gram matrix,
-    at d <= 20 on integral and rational moduli."""
+    """The product, and the reference's trace form, against the ones built
+    from the multiplication table of k[x]/(f), each x^i * x^j reduced mod f
+    from scratch: every pair of basis vectors, random vectors, and the Gram
+    matrix, at d <= 20 on integral and rational moduli."""
 
     def test_quotients(self, rng):
         lead_above_one = 0
@@ -310,7 +391,7 @@ class TestMulAgainstReference:
                             assert product == _mul_reference(field, table, a, b), (
                                 field, quotient, a, b)
                             assert_field_elements(field, product)
-                    gram = hensel._trace_form(alg)
+                    gram = trace_form(alg)
                     assert gram == _gram_reference(field, table), (field, quotient)
                     for row in gram:
                         assert_field_elements(field, row)
@@ -336,7 +417,14 @@ class TestQuotientAgainstReference:
                         assert [[alg.mul(alg.unit_vector(i), alg.unit_vector(j))
                                  for j in range(d)] for i in range(d)] == [
                             list(row) for row in table], (field, quotient)
-                        assert alg.ideal == ideal, (field, quotient, gens)
+                        # a basis (one vector per dimension) of the reference span
+                        assert len(alg.ideal) == len(ideal), (field, quotient, gens)
+                        assert rref(field, alg.ideal) == ideal, (field, quotient, gens)
+                        h = alg.generator
+                        assert h[-1] == field.one
+                        remainder = poly_mod(list(alg.modulus), list(h))
+                        assert not any(field(v) for v in remainder), (field, quotient, gens)
+                        assert_field_elements(field, h)
                         for vec in alg.ideal:
                             assert_field_elements(field, vec)
 
@@ -374,7 +462,9 @@ class TestPlantedLargeDimension:
 class TestTotality:
     """hensel-check on x^d - x^2 = x^2 (x^(d-2) - 1), whose radical is
     spanned by x^(d-1) - x when the characteristic does not divide d - 2.
-    The product and the trace form take O(d^2) steps, so d = 400 ends."""
+    The product and the gcds take O(d^2) steps, so d = 400 ends.  And both
+    commands on the dense (x - 1)^40 (x + 2)^40 over Q, whose radical took
+    seconds to certify by powering its 78 basis vectors."""
 
     @pytest.mark.parametrize("field, dim, ideal, verdict", [
         ("F2147483647", 400, "1*x^399 - 1*x^1", "yes"),
@@ -388,6 +478,41 @@ class TestTotality:
         assert capsys.readouterr().out.splitlines() == [
             "report = hensel-check", f"dimension = {dim}", "radical dimension = 1",
             f"henselian pair = {verdict}"]
+
+    def test_dense_squarefree_quotient(self, tmp_path, capsys):
+        # a fixed squarefree f of degree 120 with small integer coefficients:
+        # its remainder sequence runs through every degree, and over
+        # Fractions its coefficients grew for seconds
+        coefficients = random.Random(1)
+        quotient = [coefficients.randint(-9, 9) for _ in range(120)] + [1]
+        start = time.perf_counter()
+        report = run_findim(tmp_path, capsys, "hensel-check", quotient, [1, 1])
+        assert time.perf_counter() - start < 1.0
+        assert report == {"report": "hensel-check", "dimension": "120",
+                          "radical dimension": "0", "henselian pair": "no"}
+
+    def test_dense_probe_hensel_check(self, tmp_path, capsys):
+        start = time.perf_counter()
+        report = run_findim(tmp_path, capsys, "hensel-check", DENSE_PROBE, [-2, 1, 1])
+        assert time.perf_counter() - start < 1.0
+        assert report == {"report": "hensel-check", "dimension": "80",
+                          "radical dimension": "78", "henselian pair": "yes"}
+
+    def test_dense_probe_lift_idempotent(self, tmp_path, capsys):
+        # (x + 2) / 3 is 1 at the root 1 and 0 at the root -2, so it is
+        # idempotent mod the ideal ((x - 1)(x + 2)); the one idempotent it
+        # lifts to is 1 mod (x - 1)^40 and 0 mod (x + 2)^40
+        candidate = [Fraction(2, 3), Fraction(1, 3)]
+        start = time.perf_counter()
+        report = run_findim(tmp_path, capsys, "lift-idempotent", DENSE_PROBE, [-2, 1, 1],
+                            idempotent=candidate)
+        assert time.perf_counter() - start < 1.0
+        assert report["exact"] == "yes" and int(report["iterations"]) <= 6
+        e = [Fraction(t) for t in report["idempotent"].strip("[]").split(", ")]
+        assert len(e) == 80
+        assert poly_mod(poly_mul(e, e), DENSE_PROBE) == poly_mod(e, DENSE_PROBE)
+        assert (poly_eval(e, 1), poly_eval(e, -2)) == (1, 0)
+        assert not any(poly_mod([a - b for a, b in zip(e, candidate + [0] * 78)], [-2, 1, 1]))
 
 
 def zero_vector(alg):
@@ -455,17 +580,28 @@ def crt_idempotent(field, roots, mults, subset, dim):
     return tuple(coeffs)
 
 
-def count_calls(monkeypatch, name):
-    """Record each call of hensel.<name> in the returned list."""
+def count_calls(monkeypatch, module, name):
+    """Record each call of module.<name> in the returned list."""
     calls = []
-    original = getattr(hensel, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(hensel, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def radical_ideal(alg):
+    """The basis of the nilradical (r)/(f) that `jacobson_radical` gives."""
+    return replace(alg, generator=jacobson_radical(alg)).ideal
+
+
+def rref(field, vectors):
+    """The nonzero rows of the reduced echelon form of the span of vectors."""
+    reduced, pivots = row_reduce(field, [list(v) for v in vectors])
+    return tuple(tuple(reduced[r]) for r in range(len(pivots)))
 
 
 def random_quotient(rng, field, d):
@@ -480,17 +616,6 @@ def random_quotient(rng, field, d):
             quotient = poly_mul(quotient, factor)
             left -= degree
     return quotient
-
-
-def frobenius_radical(alg):
-    """Kernel of x -> x^(p^e) with p^e >= dim: the radical in any characteristic p."""
-    p = alg.field.p
-    q = p
-    while q < alg.dim:
-        q *= p
-    images = [alg.power(alg.unit_vector(i), q) for i in range(alg.dim)]
-    rows = [[images[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-    return [tuple(v) for v in nullspace(alg.field, rows, alg.dim)]
 
 
 def rational_quotient(rng, d):
@@ -536,6 +661,17 @@ def poly_mod(a, monic):
 
 def poly_eval(a, x):
     return sum(c * x**k for k, c in enumerate(a))
+
+
+def dense_probe():
+    """(x - 1)^40 (x + 2)^40, constant first."""
+    quotient = [1]
+    for _ in range(40):
+        quotient = poly_mul(poly_mul(quotient, [-1, 1]), [2, 1])
+    return quotient
+
+
+DENSE_PROBE = dense_probe()
 
 
 def planted_quotient(rng, dim):

@@ -683,6 +683,19 @@ class TestCli:
             assert code == 2 and captured.out == ""
             assert f"bad scalar '{scalar}': exponent notation is not accepted" in captured.err
 
+    def test_large_antichain_closes_in_linear_time(self, tmp_path, capsys):
+        # the closure skips each point with nothing above it, so an
+        # antichain of 4,000 points takes no n^2 steps
+        path = tmp_path / "antichain.txt"
+        path.write_text("kind = poset\nn = 4000\n")
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "pi0", str(path))
+        assert time.perf_counter() - start < 1.0
+        lines = out.splitlines()
+        assert code == 0 and lines[:3] == ["report = pi0", "components = 4000",
+                                           "component 0 = {0}"]
+        assert lines[-1] == "component 3999 = {3999}" and len(lines) == 4002
+
     def test_wrong_kind_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify-p1", corpus_path("poset_vee.txt"))
         assert code == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from equibundle.exact_core import (
-    GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, _normalized, _primitive, nullspace,
+    GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, _normalized, _primitive,
 )
 from equibundle.projline import (
     BundleOnP1,
@@ -17,6 +17,7 @@ from equibundle.projline import (
     h0_dimension,
     splitting_type,
 )
+from fraction_kernel import nullspace
 
 
 def lp(field, *terms):

@@ -12,7 +12,6 @@ from equibundle.exact_core import (
     LaurentPoly,
     Polynomial,
     invert_matrix,
-    nullspace,
     row_reduce,
 )
 from equibundle.filtered import EpsRing, split_filtration
@@ -23,6 +22,7 @@ from equibundle.graded import (
 )
 from equibundle.hensel import from_univariate_quotient, jacobson_radical, lift_idempotent
 from equibundle.projline import BundleOnP1, birkhoff_factorize
+from fraction_kernel import nullspace
 from test_exact_core import random_scalar_matrix
 from test_filtered import random_filtered
 from test_hensel import random_nilpotent_instance, random_quotient
@@ -101,9 +101,11 @@ def test_radical_and_idempotent_are_residues(rng, field):
         assert assert_residues(algebra.modulus, field.p) == d + 1
         units = [algebra.unit_vector(i) for i in range(d)]
         assert_residues((v for a in units for b in units for v in algebra.mul(a, b)), field.p)
-        assert_residues((v for vec in jacobson_radical(algebra) for v in vec), field.p)
+        assert_residues(jacobson_radical(algebra), field.p)
     for _ in range(8):
         algebra, candidate = random_nilpotent_instance(rng, field)
+        assert assert_residues(algebra.generator, field.p)
+        assert_residues((v for vec in algebra.ideal for v in vec), field.p)
         lift = lift_idempotent(algebra, candidate)
         assert_residues(lift.element, field.p)
 
