@@ -73,15 +73,15 @@ def _yesno(flag: bool) -> str:
 
 
 def cmd_classify_p1(doc, args) -> list[str]:
-    bundle = projline.BundleOnP1(doc.matrix)
-    factorization = projline.birkhoff_factorize(bundle)
+    g = doc.matrix
+    factorization = projline.birkhoff_factorize(g)
     stype = factorization.splitting_type
-    w, c = doc.matrix.det_unit_exponent()
+    w, c = g.det_unit_exponent()
     window = args.twist_window
     lines = [
         "report = classify-p1",
-        f"rank = {bundle.rank}",
-        f"field = {render_field(bundle.field)}",
+        f"rank = {g.n}",
+        f"field = {render_field(g.field)}",
         f"splitting type = ({', '.join(str(d) for d in stype)})",
         f"determinant = {render_scalar(c)} * t^{w}",
         f"degree check = {_yesno(stype.degree == -w)}",
@@ -90,7 +90,7 @@ def cmd_classify_p1(doc, args) -> list[str]:
         f"birkhoff B = {render_laurent_matrix(factorization.B)}",
         "factorization exact = yes",
     ]
-    h0 = projline.h0_table(bundle, window)
+    h0 = projline.h0_table(g, window)
     lines += [f"h0 twist {m} = {dim}" for m, dim in h0.items()]
     if args.verify:
         agree = all(dim == sum(max(0, d + m + 1) for d in stype)
@@ -103,7 +103,7 @@ def cmd_classify_p1(doc, args) -> list[str]:
 
 
 def cmd_birkhoff(doc, args) -> list[str]:
-    factorization = projline.birkhoff_factorize(projline.BundleOnP1(doc.matrix))
+    factorization = projline.birkhoff_factorize(doc.matrix)
     return [
         "report = birkhoff",
         f"A = {render_laurent_matrix(factorization.A)}",
@@ -116,14 +116,14 @@ def cmd_birkhoff(doc, args) -> list[str]:
 
 def cmd_cochar_to_bundle(doc, args) -> list[str]:
     field = parse_field(args.field)
-    bundle = projline.cocharacter_to_bundle(doc.degrees, field)
-    return [LaurentMatrixDoc(field=field, matrix=bundle.matrix).render().rstrip("\n")]
+    g = projline.cocharacter_to_bundle(doc.degrees, field)
+    return [LaurentMatrixDoc(field=field, matrix=g).render().rstrip("\n")]
 
 
 def cmd_h0(doc, args) -> list[str]:
-    bundle = projline.BundleOnP1(doc.matrix)
-    h0 = projline.h0_table(bundle, args.twist_window)
-    return ["report = h0", f"rank = {bundle.rank}"] + [
+    g = doc.matrix
+    h0 = projline.h0_table(g, args.twist_window)
+    return ["report = h0", f"rank = {g.n}"] + [
         f"h0 twist {m} = {dim}" for m, dim in h0.items()]
 
 

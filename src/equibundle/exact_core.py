@@ -739,9 +739,6 @@ class LaurentMatrix:
 
     # -- queries -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
-
     def det_unit_exponent(self) -> tuple[int, Scalar]:
         """The pair (w, c) with det = c * t^w exactly."""
         return self._det_exp, self._det_coeff

@@ -83,9 +83,6 @@ class EpsRing:
         p = self.field.p
         return tuple(v % p for v in out) if p else tuple(out)
 
-    def is_zero(self, a) -> bool:
-        return not any(a)
-
 
 Matrix = list  # list of rows; rows are lists of ring elements
 
@@ -105,7 +102,7 @@ def mat_mul(ring: EpsRing, a: Matrix, b: Matrix) -> Matrix:
         for j in range(cols):
             acc = ring.zero
             for l in range(inner):
-                if not ring.is_zero(row[l]) and not ring.is_zero(b[l][j]):
+                if any(row[l]) and any(b[l][j]):
                     acc = ring.add(acc, ring.mul(row[l], b[l][j]))
             new_row.append(acc)
         out.append(new_row)

@@ -72,14 +72,6 @@ class FiniteDimAlgebra:
 
     # -- element helpers -----------------------------------------------------
 
-    def unit_vector(self, index: int) -> Vector:
-        return tuple(self.field.one if i == index else self.field.zero
-                     for i in range(self.dim))
-
-    @property
-    def one(self) -> Vector:
-        return self.unit_vector(0)
-
     def coerce(self, coords) -> Vector:
         vec = tuple(self.field(v) for v in coords)
         if len(vec) != self.dim:

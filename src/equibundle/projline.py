@@ -3,7 +3,8 @@
 Conventions, fixed once for the whole package:
 
 * charts U0 = Spec k[t] and Uinf = Spec k[s] with s = 1/t;
-* a bundle is an invertible Laurent matrix g on the chart overlap;
+* a bundle is an invertible Laurent matrix g on the chart overlap, and
+  every function here takes that ``LaurentMatrix`` g itself;
 * a global section is a pair (f, h) with f a polynomial vector in t,
   h a polynomial vector in s, and h = g*f on the overlap;
 * the line bundle O(d) is the 1x1 matrix t^(-d).
@@ -54,23 +55,6 @@ class SplittingType:
         return iter(self.degrees)
 
 
-class BundleOnP1:
-    """A rank-n bundle presented by its transition matrix on the overlap."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: LaurentMatrix):
-        self.matrix = matrix
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.n
-
-    @property
-    def field(self) -> Field:
-        return self.matrix.field
-
-
 @dataclass(frozen=True)
 class BirkhoffFactorization:
     """Exact factorization g = A * D * B.
@@ -92,9 +76,9 @@ class BirkhoffFactorization:
         return SplittingType(tuple(sorted((-k for k in self.exponents), reverse=True)))
 
 
-def cocharacter_to_bundle(d: SplittingType, field: Field = QQ) -> BundleOnP1:
+def cocharacter_to_bundle(d: SplittingType, field: Field = QQ) -> LaurentMatrix:
     """Transition matrix diag(t^-d_1, ..., t^-d_n) of O(d_1)+...+O(d_n)."""
-    return BundleOnP1(LaurentMatrix.monomial_diagonal(field, [-di for di in d.degrees]))
+    return LaurentMatrix.monomial_diagonal(field, [-di for di in d.degrees])
 
 
 def _minus_shifted(a: LaurentPoly, factor, b: LaurentPoly, shift: int) -> LaurentPoly:
@@ -125,7 +109,7 @@ def _column_reduce(g: LaurentMatrix):
     field = g.field
     p = field.p
     n = g.n
-    cols = [[g.entry(i, j) for i in range(n)] for j in range(n)]
+    cols = [list(col) for col in zip(*g.rows)]
     tops = [max(entry.max_exp() for entry in col if not entry.is_zero) for col in cols]
     one = LaurentPoly.one(field)
     zero = LaurentPoly.zero(field)
@@ -171,8 +155,8 @@ def _column_reduce(g: LaurentMatrix):
         del echelon[pivot:]
 
 
-def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
-    """Factor the transition matrix as A * D * B with D = diag(t^k_i).
+def birkhoff_factorize(g: LaurentMatrix) -> BirkhoffFactorization:
+    """Factor the transition matrix g as A * D * B with D = diag(t^k_i).
 
     The factorization is verified by exact multiplication before returning.
     No factor's determinant is recomputed: det B is the product of the
@@ -180,7 +164,6 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
     (det D * det B).  The residual check A * D * B == g is what makes the
     carried determinant of A exact.
     """
-    g = bundle.matrix
     field = g.field
     n = g.n
     cols, tops, w, w_det = _column_reduce(g)
@@ -208,9 +191,9 @@ def birkhoff_factorize(bundle: BundleOnP1) -> BirkhoffFactorization:
     return BirkhoffFactorization(A=A, D=D, B=B, exponents=tuple(tops))
 
 
-def splitting_type(bundle: BundleOnP1) -> SplittingType:
-    """Splitting type of the bundle: d_i = -k_i, weakly decreasing."""
-    return birkhoff_factorize(bundle).splitting_type
+def splitting_type(g: LaurentMatrix) -> SplittingType:
+    """Splitting type of the bundle g: d_i = -k_i, weakly decreasing."""
+    return birkhoff_factorize(g).splitting_type
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +279,7 @@ def _bound(g: LaurentMatrix, twist: int) -> int:
     return max(0, twist - g.det_unit_exponent()[0] + cofactor_top)
 
 
-def h0_table(bundle: BundleOnP1, window: int) -> dict[int, int]:
+def h0_table(g: LaurentMatrix, window: int) -> dict[int, int]:
     """``h0_dimension`` of every twist in -window..window, ascending.
 
     One elimination serves the whole table.  It is taken at twist +window
@@ -309,13 +292,12 @@ def h0_table(bundle: BundleOnP1, window: int) -> dict[int, int]:
     """
     if window < 0:
         return {}
-    g = bundle.matrix
     table = _stable_sections_table(g, window, -window, _bound(g, window))
     return dict(sorted(table.items()))
 
 
-def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
-    """Dimension of the space of global sections of the twisted bundle.
+def h0_dimension(g: LaurentMatrix, twist: int = 0) -> int:
+    """Dimension of the space of global sections of g twisted by O(twist).
 
     Computed by exact linear algebra on Laurent coefficients with the degree
     bound max(0, m - w + min(R - min(rowtop), C - min(coltop))) at twist m,
@@ -327,5 +309,4 @@ def h0_dimension(bundle: BundleOnP1, twist: int = 0) -> int:
     m to m - 1 only adds the rows "t^m coefficient of g * f = 0" to the same
     system, so one elimination serves every twist below.
     """
-    g = bundle.matrix
     return _stable_sections_table(g, twist, twist, _bound(g, twist))[twist]

@@ -226,7 +226,7 @@ def _column_reduce(g):
     field = g.field
     p = field.p
     n = g.n
-    cols = [[g.entry(i, j) for i in range(n)] for j in range(n)]
+    cols = [[g.rows[i][j] for i in range(n)] for j in range(n)]
     tops = [max(entry.max_exp() for entry in col if not entry.is_zero) for col in cols]
     one = LaurentPoly.one(field)
     zero = LaurentPoly.zero(field)
@@ -333,9 +333,8 @@ def _stable_sections_table(g, high: int, low: int, bound: int):
     return table
 
 
-def h0_table(bundle, window: int) -> dict[int, int]:
+def h0_table(g, window: int) -> dict[int, int]:
     """``projline.h0_table`` on this kernel: the same bound, the same walk."""
     if window < 0:
         return {}
-    g = bundle.matrix
     return dict(sorted(_stable_sections_table(g, window, -window, _bound(g, window)).items()))

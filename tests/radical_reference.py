@@ -6,15 +6,26 @@ part of f, it was found by linear algebra: as the kernel of the trace form
 iterated Frobenius x -> x^(p^e), p^e >= dim, over F_p with p <= dim.  Every
 basis vector was then certified nilpotent by repeated squaring.  This module
 keeps that computation, on the algebra's product and the Fraction kernel,
-so that tests can compare the gcd radical against it.  Nothing in the
-package imports it.
+so that tests can compare the gcd radical against it, together with the
+element helpers that only tests need.  Nothing in the package imports it.
 """
 
 from fraction_kernel import nullspace
 
 
+def unit_vector(algebra, index: int):
+    """The basis vector x^index of k[x]/(f)."""
+    field = algebra.field
+    return tuple(field.one if i == index else field.zero for i in range(algebra.dim))
+
+
+def one(algebra):
+    """The unit 1 = x^0 of k[x]/(f)."""
+    return unit_vector(algebra, 0)
+
+
 def power(algebra, a, exponent: int):
-    out, base = algebra.one, a
+    out, base = one(algebra), a
     while exponent:
         if exponent & 1:
             out = algebra.mul(out, base)
@@ -64,7 +75,7 @@ def frobenius_kernel(algebra):
     q = p
     while q < d:
         q *= p
-    images = [power(algebra, algebra.unit_vector(i), q) for i in range(d)]
+    images = [power(algebra, unit_vector(algebra, i), q) for i in range(d)]
     rows = [[images[j][i] for j in range(d)] for i in range(d)]
     return [tuple(v) for v in nullspace(algebra.field, rows, d)]
 

@@ -42,7 +42,6 @@ from equibundle.graded import (
 from equibundle.hensel import from_univariate_quotient, is_henselian_pair, lift_idempotent
 from equibundle.io import parse_document
 from equibundle.projline import (
-    BundleOnP1,
     SplittingType,
     birkhoff_factorize,
     cocharacter_to_bundle,
@@ -86,7 +85,7 @@ def theorem31_family():
         a = random_unimodular(rng, QQ, n, negative=True)
         b = random_unimodular(rng, QQ, n, negative=False)
         expected = SplittingType(tuple(sorted((-k for k in exponents), reverse=True)))
-        randoms.append((BundleOnP1((a @ d) @ b), expected))
+        randoms.append(((a @ d) @ b, expected))
     return exhaustive, randoms
 
 
@@ -99,7 +98,7 @@ def test_criterion_01_theorem31_bijection(theorem31_family):
     for bundle, expected in randoms:
         assert splitting_type(bundle) == expected
         factorization = birkhoff_factorize(bundle)
-        assert (factorization.A @ factorization.D) @ factorization.B == bundle.matrix
+        assert (factorization.A @ factorization.D) @ factorization.B == bundle
     report(1, "splitting-type bijection at GL_n")
 
 
@@ -116,7 +115,7 @@ def test_criterion_02_h0_oracle_agreement(theorem31_family):
 def test_criterion_03_degree_invariant(theorem31_family):
     exhaustive, randoms = theorem31_family
     for bundle, _ in itertools.chain(exhaustive, randoms):
-        w, _ = bundle.matrix.det_unit_exponent()
+        w, _ = bundle.det_unit_exponent()
         assert splitting_type(bundle).degree == -w
     report(3, "degree invariant")
 

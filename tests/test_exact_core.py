@@ -385,7 +385,7 @@ class TestCarriedDeterminant:
     def test_derived_matrices_carry_the_determinant(self, rng):
         from test_projline import random_unimodular
 
-        from equibundle.projline import BundleOnP1, birkhoff_factorize
+        from equibundle.projline import birkhoff_factorize
 
         def check(m):
             det = _laurent_determinant(m.rows, m.field)
@@ -404,7 +404,7 @@ class TestCarriedDeterminant:
                 b = random_unimodular(rng, field, n, negative=False, factors=2 * n)
                 ad = a @ d
                 g = (ad @ s) @ b
-                f = birkhoff_factorize(BundleOnP1(g))
+                f = birkhoff_factorize(g)
                 for m in (a, d, b, ad, ad @ s, g, f.A, f.D, f.B,
                           LaurentMatrix.monomial_diagonal(field, [0] * n)):
                     check(m)

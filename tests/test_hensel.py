@@ -19,7 +19,15 @@ from equibundle.hensel import (
     trivially_henselian,
 )
 from equibundle.io import render_polynomial
-from radical_reference import frobenius_kernel, is_nilpotent, power, radical_basis, trace_form
+from radical_reference import (
+    frobenius_kernel,
+    is_nilpotent,
+    one,
+    power,
+    radical_basis,
+    trace_form,
+    unit_vector,
+)
 
 F5 = GF(5)
 P_LARGE = 2**31 - 1
@@ -212,7 +220,7 @@ class TestTrustedQuotient:
             for d in range(1, 9):
                 quotient = [field(c) for c in random_quotient(rng, field, d)]
                 alg = from_univariate_quotient(field, quotient)
-                assert tuple(tuple(alg.mul(alg.unit_vector(i), alg.unit_vector(j))
+                assert tuple(tuple(alg.mul(unit_vector(alg, i), unit_vector(alg, j))
                                    for j in range(d)) for i in range(d)) == tuple(
                     tuple(x_power_mod(field, quotient, i + j) for j in range(d))
                     for i in range(d))
@@ -289,8 +297,8 @@ class TestHenselianPair:
 class TestLiftIdempotent:
     def test_one_lifts_to_one(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])
-        lift = lift_idempotent(alg, alg.one)
-        assert lift.element == alg.one
+        lift = lift_idempotent(alg, one(alg))
+        assert lift.element == one(alg)
 
     def test_zero_lifts_to_zero(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])
@@ -315,13 +323,13 @@ class TestLiftIdempotent:
     def test_non_nilpotent_ideal_rejected(self):
         alg = from_univariate_quotient(QQ, [0, -1, 1], ideal_generators=[[0, 1]])
         with pytest.raises(ValueError):
-            lift_idempotent(alg, alg.one)
+            lift_idempotent(alg, one(alg))
         # (x - 1) in Q[x]/(x^2 (x - 1)) is spanned by x - 1, not nilpotent,
         # and x^2 - x, nilpotent: one nilpotent spanning vector is not enough
         alg = from_univariate_quotient(QQ, [0, 0, -1, 1], ideal_generators=[[-1, 1]])
         assert [is_nilpotent(alg, v) for v in alg.ideal] == [False, True]
         with pytest.raises(ValueError, match="not nilpotent"):
-            lift_idempotent(alg, alg.one)
+            lift_idempotent(alg, one(alg))
 
     def test_non_idempotent_candidate_rejected(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])
@@ -342,7 +350,7 @@ class TestIdempotentSearch:
     def test_henselian_implies_liftable(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])
         assert is_henselian_pair(alg)
-        space = [zero_vector(alg), alg.one, (Fraction(1), Fraction(2))]
+        space = [zero_vector(alg), one(alg), (Fraction(1), Fraction(2))]
         for vec in [v for v in space if is_idempotent_mod_ideal(alg, v)]:
             lift = lift_idempotent(alg, vec)
             assert alg.mul(lift.element, lift.element) == lift.element
@@ -377,7 +385,7 @@ class TestMulAgainstReference:
                 for quotient in (random_quotient(rng, field, d), rational_quotient(rng, d)):
                     alg = from_univariate_quotient(field, quotient)
                     table, _ = _quotient_reference(field, quotient, ())
-                    units = [alg.unit_vector(i) for i in range(d)]
+                    units = [unit_vector(alg, i) for i in range(d)]
                     for i, a in enumerate(units):
                         for j, b in enumerate(units):
                             product = alg.mul(a, b)
@@ -414,7 +422,7 @@ class TestQuotientAgainstReference:
                         table, ideal = _quotient_reference(field, quotient, gens)
                         assert alg.modulus == tuple(field(c) for c in quotient)
                         assert_field_elements(field, alg.modulus)
-                        assert [[alg.mul(alg.unit_vector(i), alg.unit_vector(j))
+                        assert [[alg.mul(unit_vector(alg, i), unit_vector(alg, j))
                                  for j in range(d)] for i in range(d)] == [
                             list(row) for row in table], (field, quotient)
                         # a basis (one vector per dimension) of the reference span

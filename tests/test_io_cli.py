@@ -1,5 +1,6 @@
 import glob
 import os
+import shlex
 import time
 
 import pytest
@@ -453,7 +454,7 @@ class TestFuzzRoundTrip:
         for _ in range(20):
             field = QQ if rng.random() < 0.5 else GF(5)
             doc = LaurentMatrixDoc(field=field,
-                                   matrix=random_bundle(rng, field, rng.randint(1, 3)).matrix)
+                                   matrix=random_bundle(rng, field, rng.randint(1, 3)))
             text = doc.render()
             reparsed = parse_document(text)
             assert reparsed.matrix == doc.matrix
@@ -703,7 +704,7 @@ class TestCli:
     def test_arithmetic_error_exit_1(self, capsys, monkeypatch):
         from equibundle import projline
 
-        def unstable(bundle, window):
+        def unstable(g, window):
             raise ArithmeticError("section space not stable at degree bound 3")
 
         monkeypatch.setattr(projline, "h0_table", unstable)
@@ -837,3 +838,29 @@ class TestCli:
         for command, name in pairs:
             code, out = run_cli(capsys, command, corpus_path(name))
             assert code == 0, (command, name, out)
+
+
+def readme_cli_examples():
+    """The `equibundle ...` lines of the first sh block of README's
+    command-line section, each split into argv."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as handle:
+        section = handle.read().split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("equibundle ")]
+
+
+class TestReadmeExamples:
+    def test_every_example_runs_from_the_repo_root(self, capsys, monkeypatch):
+        monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+        examples = readme_cli_examples()
+        for argv in examples:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 0 and not captured.err, (argv, captured.err)
+            # cochar-to-bundle prints a document; every other command a report
+            first = captured.out.splitlines()[0]
+            expected = ("kind = laurent_matrix" if argv[0] == "cochar-to-bundle"
+                        else f"report = {argv[0]}")
+            assert first == expected, (argv, captured.out)
+        assert sorted(argv[0] for argv in examples) == sorted(COMMANDS)

@@ -7,7 +7,6 @@ from equibundle.exact_core import (
     GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, _normalized, _primitive,
 )
 from equibundle.projline import (
-    BundleOnP1,
     SplittingType,
     _bound,
     _coefficient_rows,
@@ -30,7 +29,7 @@ def lp(field, *terms):
 def bundle(field, grid):
     rows = [[lp(field, *entry) if entry else LaurentPoly.zero(field) for entry in row]
             for row in grid]
-    return BundleOnP1(LaurentMatrix(field, rows))
+    return LaurentMatrix(field, rows)
 
 
 def h0_formula(degrees, twist):
@@ -42,14 +41,14 @@ NILPOTENT_UPPER = [[((1, 1),), ((1, 0),)], [(), ((1, -1),)]]  # [[t, 1], [0, 1/t
 
 class TestBirkhoff:
     def test_identity_already_factored(self):
-        b = BundleOnP1(LaurentMatrix.monomial_diagonal(QQ, [0] * 2))
+        b = LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
         f = birkhoff_factorize(b)
         eye = LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
         assert (f.A, f.D, f.B) == (eye, eye, eye)
 
     def test_monomial_diagonal_already_factored(self):
         g = LaurentMatrix.monomial_diagonal(QQ, [2, -1])
-        f = birkhoff_factorize(BundleOnP1(g))
+        f = birkhoff_factorize(g)
         eye = LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
         assert (f.A, f.D, f.B) == (eye, g, eye)
 
@@ -65,7 +64,7 @@ class TestBirkhoff:
         for _ in range(20):
             b = random_bundle(rng, QQ, rng.randint(1, 3))
             f = birkhoff_factorize(b)
-            assert (f.A @ f.D) @ f.B == b.matrix
+            assert (f.A @ f.D) @ f.B == b
             assert f.A.entries_in_inverse_poly_ring()
             assert f.B.entries_in_poly_ring()
             assert f.A.det_unit_exponent()[0] == 0
@@ -77,8 +76,8 @@ class TestBirkhoff:
         # public constructor, so its determinant is recomputed from scratch
         for n in range(6, 13):
             degrees = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
-            g = planted_bundle(rng, field, degrees).matrix
-            f = birkhoff_factorize(BundleOnP1(LaurentMatrix(field, g.rows)))
+            g = planted_bundle(rng, field, degrees)
+            f = birkhoff_factorize(LaurentMatrix(field, g.rows))
             assert f.splitting_type.degrees == tuple(degrees), (field, n)
             assert (f.A @ f.D) @ f.B == g
 
@@ -89,7 +88,7 @@ class TestBirkhoff:
         degrees = sorted((rng.randint(-2, 2) for _ in range(16)), reverse=True)
         bundle16 = planted_bundle(rng, QQ, degrees)
         path = tmp_path / "dense16.txt"
-        path.write_text(LaurentMatrixDoc(field=QQ, matrix=bundle16.matrix).render())
+        path.write_text(LaurentMatrixDoc(field=QQ, matrix=bundle16).render())
         assert main(["birkhoff", str(path)]) == 0
         out = capsys.readouterr().out
         exponents = out.split("exponents = ")[1].splitlines()[0]
@@ -98,7 +97,7 @@ class TestBirkhoff:
 
 class TestSplittingType:
     def test_identity_rank3(self):
-        b = BundleOnP1(LaurentMatrix.monomial_diagonal(QQ, [0] * 3))
+        b = LaurentMatrix.monomial_diagonal(QQ, [0] * 3)
         assert splitting_type(b).degrees == (0, 0, 0)
 
     def test_twist_convention(self):
@@ -109,7 +108,7 @@ class TestSplittingType:
 
     def test_sorted_output(self):
         g = LaurentMatrix.monomial_diagonal(QQ, [2, -1, 0])
-        assert splitting_type(BundleOnP1(g)).degrees == (1, 0, -2)
+        assert splitting_type(g).degrees == (1, 0, -2)
 
     def test_round_trip_sampled(self, rng):
         for _ in range(40):
@@ -121,7 +120,7 @@ class TestSplittingType:
     def test_degree_identity(self, rng):
         for _ in range(15):
             b = random_bundle(rng, QQ, rng.randint(1, 3))
-            w, _ = b.matrix.det_unit_exponent()
+            w, _ = b.det_unit_exponent()
             assert splitting_type(b).degree == -w
 
     def test_equivalence_invariance(self, rng):
@@ -130,24 +129,24 @@ class TestSplittingType:
             t = splitting_type(b)
             a = random_unimodular(rng, QQ, 2, negative=True)
             c = random_unimodular(rng, QQ, 2, negative=False)
-            twisted = BundleOnP1((a @ b.matrix) @ c)
+            twisted = (a @ b) @ c
             assert splitting_type(twisted) == t
 
     def test_prime_field(self, rng):
         for _ in range(10):
             b = random_bundle(rng, GF(5), rng.randint(1, 3))
-            w, _ = b.matrix.det_unit_exponent()
+            w, _ = b.det_unit_exponent()
             assert splitting_type(b).degree == -w
 
 
 class TestCocharacterToBundle:
     def test_trivial(self):
-        assert cocharacter_to_bundle(SplittingType((0, 0))).matrix == \
+        assert cocharacter_to_bundle(SplittingType((0, 0))) == \
             LaurentMatrix.monomial_diagonal(QQ, [0] * 2)
 
     def test_convention_forced(self):
         b = cocharacter_to_bundle(SplittingType((1, -1)))
-        assert b.matrix == LaurentMatrix.monomial_diagonal(QQ, [-1, 1])
+        assert b == LaurentMatrix.monomial_diagonal(QQ, [-1, 1])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -156,7 +155,7 @@ class TestCocharacterToBundle:
 
 class TestH0:
     def test_trivial_rank2(self):
-        assert h0_dimension(BundleOnP1(LaurentMatrix.monomial_diagonal(QQ, [0] * 2))) == 2
+        assert h0_dimension(LaurentMatrix.monomial_diagonal(QQ, [0] * 2)) == 2
 
     def test_o1_has_two_sections(self):
         assert h0_dimension(bundle(QQ, [[((1, -1),)]])) == 2
@@ -188,7 +187,7 @@ class TestColumnReduce:
         # nullspace found, so every column, top, row of W and det W agree
         for n in range(1, 13):
             degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
-            g = planted_bundle(rng, field, degrees).matrix
+            g = planted_bundle(rng, field, degrees)
             got, want = _column_reduce(g), _column_reduce_reference(g)
             assert got == want and type(got[3]) is type(want[3]), (field, n)
 
@@ -218,7 +217,7 @@ class TestCoefficientRows:
 
         for k in range(60):
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
-            g = random_bundle(rng, field, rng.randint(1, 4)).matrix
+            g = random_bundle(rng, field, rng.randint(1, 4))
             if field.p is None:
                 # rational rows with content, so that the scaling shows
                 scales = [Fraction(rng.choice([1, -2, 6]), rng.randint(1, 4)) for _ in g.rows]
@@ -246,14 +245,13 @@ class TestSparseElimination:
         for k in range(75):
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
             n = rng.randint(1, 3)
-            b = random_bundle(rng, field, n)
+            g = random_bundle(rng, field, n)
             twist = rng.randint(-2, 2)
             bound = rng.randint(1, 5)
-            g = b.matrix
             nvars = n * (bound + 1)
             dense = []
             for i in range(n):
-                entries = [g.entry(i, j) for j in range(n)]
+                entries = [g.rows[i][j] for j in range(n)]
                 max_e = max((e.max_exp() - twist + bound
                              for e in entries if not e.is_zero), default=0)
                 for e in range(1, max_e + 1):
@@ -278,7 +276,7 @@ class TestPivotOrder:
             field = (QQ, GF(5), GF(2**31 - 1))[k % 3]
             p = field.p
             if k % 2:
-                g = random_bundle(rng, field, rng.randint(1, 4)).matrix
+                g = random_bundle(rng, field, rng.randint(1, 4))
                 rows = _constraint_rows(g, rng.randint(-2, 2), rng.randint(1, 6))
             else:
                 nvars = rng.randint(2, 30)
@@ -302,12 +300,12 @@ class TestH0Table:
                 window = (n + 3 * (field is QQ)) % 7
                 degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
                 b = planted_bundle(rng, field, degrees)
-                e_min, e_max = b.matrix.exponent_range()
+                e_min, e_max = b.exponent_range()
                 span = max(e_max, 0) - min(e_min, 0)
                 table = h0_table(b, window)
                 assert list(table) == list(range(-window, window + 1))
                 for m, dim in table.items():
-                    own = _sections_dimension(b.matrix, m, n * span + abs(m) + 1)
+                    own = _sections_dimension(b, m, n * span + abs(m) + 1)
                     assert dim == own == h0_formula(degrees, m), (field, n, window, m)
 
     def test_negative_window_is_empty(self):
@@ -326,7 +324,7 @@ class TestH0Table:
         raised = 0
         for _ in range(30):
             for field in (QQ, GF(5)):
-                g = random_bundle(rng, field, rng.randint(1, 3)).matrix
+                g = random_bundle(rng, field, rng.randint(1, 3))
                 high = rng.randint(-2, 3)
                 low = high - rng.randint(0, 4)
                 bound = rng.randint(0, 6)
@@ -350,14 +348,14 @@ class TestDegreeBound:
         # O(d) is t^(-d): its sections at twist m have degree <= d + m
         for field in (QQ, GF(5)):
             for d in range(-6, 7):
-                g = cocharacter_to_bundle(SplittingType((d,)), field).matrix
+                g = cocharacter_to_bundle(SplittingType((d,)), field)
                 for m in range(-6, 7):
                     assert _bound(g, m) == max(d + m, 0), (field, d, m)
 
     def test_one_entry_t_to_the_n(self):
         # g = [[1, t^n], [0, 1]]: g^-1 = [[1, -t^n], [0, 1]] has top exponent n
         for n in range(0, 7):
-            g = bundle(QQ, [[((1, 0),), ((1, n),)], [(), ((1, 0),)]]).matrix
+            g = bundle(QQ, [[((1, 0),), ((1, n),)], [(), ((1, 0),)]])
             for m in range(-n, 7):
                 assert _bound(g, m) == m + n, (n, m)
 
@@ -368,7 +366,7 @@ class TestDegreeBound:
         t3 = ((1, 3),)
         grid = [[t3, t3, t3], [(), ((1, 0),), ()], [(), (), ((1, 0),)]]
         for rows in (grid, [list(col) for col in zip(*grid)]):
-            g = bundle(QQ, rows).matrix
+            g = bundle(QQ, rows)
             assert g.det_unit_exponent()[0] == 3
             for m in range(0, 5):
                 assert _bound(g, m) == m
@@ -381,8 +379,7 @@ class TestDegreeBound:
             for n in range(1, 11):
                 degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
                 diagonal = cocharacter_to_bundle(SplittingType(tuple(degrees)), field)
-                for b in (diagonal, planted_bundle(rng, field, degrees)):
-                    g = b.matrix
+                for g in (diagonal, planted_bundle(rng, field, degrees)):
                     e_min, e_max = g.exponent_range()
                     span = max(e_max, 0) - min(e_min, 0)
                     m = rng.randint(-3, 3)
@@ -402,7 +399,7 @@ class TestStabilityCheck:
 
         for _ in range(20):
             for field in (QQ, GF(5)):
-                g = random_bundle(rng, field, rng.randint(1, 3)).matrix
+                g = random_bundle(rng, field, rng.randint(1, 3))
                 twist = rng.randint(-2, 2)
                 bound = rng.randint(0, 6)
                 dim = _sections_dimension(g, twist, bound)
@@ -416,7 +413,7 @@ class TestStabilityCheck:
     def test_too_small_bound_raises(self):
         from equibundle.projline import _stable_sections_table
 
-        g = bundle(QQ, [[((1, -5),)]]).matrix  # O(5): six sections, degrees 0..5
+        g = bundle(QQ, [[((1, -5),)]])  # O(5): six sections, degrees 0..5
         with pytest.raises(ArithmeticError, match="degree bound 1 "):
             _stable_sections_table(g, 0, 0, 1)[0]
         assert _stable_sections_table(g, 0, 0, 5)[0] == 6
@@ -450,14 +447,14 @@ def planted_bundle(rng, field, degrees):
     d = LaurentMatrix.monomial_diagonal(field, [-x for x in degrees])
     a = random_unimodular(rng, field, n, negative=True, factors=2 * n)
     c = random_unimodular(rng, field, n, negative=False, factors=2 * n)
-    return BundleOnP1((a @ d) @ c)
+    return (a @ d) @ c
 
 
 def random_bundle(rng, field, n):
     d = LaurentMatrix.monomial_diagonal(field, [rng.randint(-2, 2) for _ in range(n)])
     a = random_unimodular(rng, field, n, negative=True)
     b = random_unimodular(rng, field, n, negative=False)
-    return BundleOnP1((a @ d) @ b)
+    return (a @ d) @ b
 
 
 def random_sparse_row(rng, p, nvars):
@@ -481,7 +478,7 @@ def _column_reduce_reference(g):
     column and runs a fresh nullspace at each step."""
     field = g.field
     n = g.n
-    cols = [[g.entry(i, j) for i in range(n)] for j in range(n)]
+    cols = [[g.rows[i][j] for i in range(n)] for j in range(n)]
     one = LaurentPoly.one(field)
     zero = LaurentPoly.zero(field)
     w = [[one if i == j else zero for j in range(n)] for i in range(n)]

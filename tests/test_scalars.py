@@ -21,8 +21,9 @@ from equibundle.graded import (
     nakayama_zero_test,
 )
 from equibundle.hensel import from_univariate_quotient, jacobson_radical, lift_idempotent
-from equibundle.projline import BundleOnP1, birkhoff_factorize
+from equibundle.projline import birkhoff_factorize
 from fraction_kernel import nullspace
+from radical_reference import unit_vector
 from test_exact_core import random_scalar_matrix
 from test_filtered import random_filtered
 from test_hensel import random_nilpotent_instance, random_quotient
@@ -83,14 +84,13 @@ def test_birkhoff_factors_are_residues(rng, field):
     for k in range(12):
         n = rng.randint(1, 4)
         if k % 2:
-            g = random_bundle(rng, field, n).matrix
+            g = random_bundle(rng, field, n)
         else:
             g = planted_bundle(rng, field, sorted(
-                (rng.randint(-2, 2) for _ in range(n)), reverse=True)).matrix
-        bundle = BundleOnP1((scalar_diagonal(rng, field, n) @ g)
-                            @ scalar_diagonal(rng, field, n))
+                (rng.randint(-2, 2) for _ in range(n)), reverse=True))
+        bundle = (scalar_diagonal(rng, field, n) @ g) @ scalar_diagonal(rng, field, n)
         f = birkhoff_factorize(bundle)
-        for matrix in (bundle.matrix, f.A, f.D, f.B):
+        for matrix in (bundle, f.A, f.D, f.B):
             assert assert_residues(matrix_scalars(matrix), field.p)
 
 
@@ -99,7 +99,7 @@ def test_radical_and_idempotent_are_residues(rng, field):
     for d in range(1, 8):
         algebra = from_univariate_quotient(field, random_quotient(rng, field, d))
         assert assert_residues(algebra.modulus, field.p) == d + 1
-        units = [algebra.unit_vector(i) for i in range(d)]
+        units = [unit_vector(algebra, i) for i in range(d)]
         assert_residues((v for a in units for b in units for v in algebra.mul(a, b)), field.p)
         assert_residues(jacobson_radical(algebra), field.p)
     for _ in range(8):
