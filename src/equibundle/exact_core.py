@@ -11,6 +11,9 @@ freely between threads.  Nothing here ever rounds.
 
 Laurent polynomials (``LaurentPoly``) and multivariate polynomials
 (``Polynomial``) share one sparse term-dict implementation of their arithmetic.
+A ``LaurentMatrix`` checks its determinant by fraction-free (Bareiss)
+elimination over k[t, 1/t] on the entries' own term dicts, so nothing in
+that check is sized by an exponent span.
 
 Linear algebra over a field runs on one sparse elimination kernel: rows are
 reduced against a pivot list, added to it one at a time, or eliminated in
@@ -592,77 +595,82 @@ def invert_matrix(field: Field, rows):
 # ---------------------------------------------------------------------------
 
 
-def _poly_cross(a: list, b: list, c: list, d: list, p: Optional[int]) -> list:
-    """a*b - c*d for dense coefficient lists (index = degree), trimmed."""
-    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+def _cross(a: dict, b: dict, c: dict, d: dict, p: Optional[int]) -> dict:
+    """a*b - c*d for {exponent: int} term dicts, zero terms dropped."""
+    out: dict[int, int] = {}
     for f, g, sign in ((a, b, 1), (c, d, -1)):
-        g_terms = [(j, y) for j, y in enumerate(g) if y]
-        for i, x in enumerate(f):
-            if x:
-                x *= sign
-                for j, y in g_terms:
-                    out[i + j] += x * y
+        for e1, x in f.items():
+            x *= sign
+            for e2, y in g.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + x * y
     if p:
-        out = [v % p for v in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+        return {e: v % p for e, v in out.items() if v % p}
+    return {e: v for e, v in out.items() if v}
 
 
-def _poly_exact_div(num: list, den: list, p: Optional[int]) -> list:
-    """num / den for dense coefficient lists; ArithmeticError unless exact."""
-    top = len(den) - 1
-    lead = den[-1]
+def _exact_div(num: dict, den: dict, p: Optional[int]) -> dict:
+    """num / den in k[t, 1/t] for term dicts; ArithmeticError unless exact.
+
+    Each step clears the top term left, whose exponent comes from a heap, by
+    a quotient term.  A quotient has no term below min(num) - min(den), so a
+    term left below min(num) - min(den) + max(den) is a remainder; so, over
+    Q, is a coefficient that the top coefficient of den does not divide.
+    """
+    top = max(den)
+    lead = den[top]
     inv = pow(lead, -1, p) if p else None
-    rem = list(num)
-    quot = [0] * max(len(num) - top, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + top]
+    rest = [(e - top, c) for e, c in den.items() if e != top]
+    floor = min(num) - min(den) + top
+    rem = dict(num)
+    heap = [-e for e in rem]
+    heapify(heap)
+    quot = {}
+    while rem:
+        e = -heappop(heap)
+        c = rem.pop(e, 0)
         if not c:
-            continue
+            continue  # a term that cancelled after it was pushed
+        if e < floor:
+            raise ArithmeticError("Bareiss division left a term below the quotient")
         if p:
             c = c * inv % p
         else:
             c, r = divmod(c, lead)
             if r:
                 raise ArithmeticError("Bareiss division left a remainder")
-        quot[k] = c
-        for j, d in enumerate(den):
-            rem[k + j] -= c * d
-    if any(v % p if p else v for v in rem[:top]):
-        raise ArithmeticError("Bareiss division left a remainder")
+        quot[e - top] = c
+        for off, y in rest:
+            k = e + off
+            old = rem.pop(k, 0)
+            v = (old - c * y) % p if p else old - c * y
+            if v:
+                rem[k] = v
+                if not old:
+                    heappush(heap, -k)
     return quot
 
 
 def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) -> LaurentPoly:
-    """Determinant by fraction-free (Bareiss) elimination over k[t].
+    """Determinant by fraction-free (Bareiss) elimination over k[t, 1/t].
 
-    Row i is shifted by t^-r_i, its smallest exponent, into k[t] and held as
-    dense coefficient lists of native scalars: int residues over F_p, and
-    over Q integers, after scaling the row by the lcm of its denominators.
-    Every division in the elimination is then exact, and
-    det = t^(sum r_i) * det(shifted) / prod(lcm).
+    Each entry is held as its own {exponent: coefficient} term dict of native
+    scalars: int residues over F_p, and over Q integers, after scaling the
+    row by the lcm of its denominators.  Every division in the elimination
+    is then exact, nothing is sized by an exponent span, and
+    det = det(scaled) / prod(lcm).
     """
     p = field.p
-    shift, scale, mat = 0, 1, []
+    scale, mat = 1, []
     for row in rows:
-        exps = [e for entry in row for e in entry._terms]
-        if not exps:
+        if not any(entry._terms for entry in row):
             return LaurentPoly.zero(field)
-        low = min(exps)
         factor = 1 if p else lcm(*(c.denominator for entry in row for c in entry._terms.values()))
-        dense = []
-        for entry in row:
-            coeffs = [0] * (entry.max_exp() - low + 1) if entry._terms else []
-            for e, c in entry._terms.items():
-                coeffs[e - low] = c if p else c.numerator * (factor // c.denominator)
-            dense.append(coeffs)
-        mat.append(dense)
-        shift += low
+        mat.append([{e: c if p else c.numerator * (factor // c.denominator)
+                     for e, c in entry._terms.items()} for entry in row])
         scale *= factor
 
     n = len(mat)
-    sign, prev = 1, [1]
+    sign, prev = 1, {0: 1}
     for k in range(n - 1):
         candidates = [i for i in range(k, n) if mat[i][k]]
         if not candidates:
@@ -676,12 +684,12 @@ def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) ->
             row_i = mat[i]
             aik = row_i[k]
             for j in range(k + 1, n):
-                entry = _poly_cross(akk, row_i[j], aik, row_k[j], p)
-                row_i[j] = _poly_exact_div(entry, prev, p) if prev != [1] else entry
+                entry = _cross(akk, row_i[j], aik, row_k[j], p)
+                row_i[j] = _exact_div(entry, prev, p) if entry and prev != {0: 1} else entry
         prev = akk
-    det = mat[n - 1][n - 1] if n else [1]
-    return LaurentPoly(field, {e + shift: sign * c if p else Fraction(sign * c, scale)
-                               for e, c in enumerate(det)})
+    det = mat[n - 1][n - 1] if n else {0: 1}
+    return LaurentPoly(field, {e: sign * c if p else Fraction(sign * c, scale)
+                               for e, c in det.items()})
 
 
 class LaurentMatrix:
@@ -703,11 +711,9 @@ class LaurentMatrix:
                 if not isinstance(entry, LaurentPoly) or entry.field != field:
                     raise FieldMismatchError("matrix entry over the wrong field")
         det = _laurent_determinant(rows, field)
-        if det.is_zero or not det.is_monomial:
+        if not det.is_monomial:
             raise UnitDeterminantError(
-                "determinant is not a unit of k[t, 1/t]; "
-                f"support {det.support if not det.is_zero else ()}"
-            )
+                f"determinant is not a unit of k[t, 1/t]; support {det.support}")
         w = det.min_exp()
         self._assign(field, rows, w, det.coeff(w))
 
@@ -742,13 +748,6 @@ class LaurentMatrix:
     def det_unit_exponent(self) -> tuple[int, Scalar]:
         """The pair (w, c) with det = c * t^w exactly."""
         return self._det_exp, self._det_coeff
-
-    def exponent_range(self) -> tuple[int, int]:
-        """Smallest and largest exponent over all nonzero entries."""
-        exps = [e for row in self.rows for entry in row for e in entry.support]
-        if not exps:
-            raise ValueError("unreachable: an invertible matrix has nonzero entries")
-        return min(exps), max(exps)
 
     def entries_in_poly_ring(self) -> bool:
         return all(entry.is_poly_in_t() for row in self.rows for entry in row)

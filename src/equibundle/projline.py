@@ -201,27 +201,25 @@ def splitting_type(g: LaurentMatrix) -> SplittingType:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_rows(g: LaurentMatrix, low: int, top: int) -> dict[int, tuple[dict, ...]]:
-    """The sparse rows "t^e coefficient of g * f = 0" for every e > low, by e:
-    one per output coordinate i, empty where no variable reaches t^e.  The
-    coefficient f[j, d], 0 <= d <= top, is variable j * (top + 1) + d.  Over
-    Q each row of g is scaled once into primitive integers."""
+def _coefficient_rows(g: LaurentMatrix, low: int, top: int) -> dict[int, list[dict]]:
+    """The sparse rows "t^e coefficient of g * f = 0" for every e > low that
+    some variable reaches, by e: one per output coordinate i, empty where no
+    variable of row i reaches t^e.  The coefficient f[j, d], 0 <= d <= top,
+    is variable j * (top + 1) + d.  Over Q each row of g is scaled once into
+    primitive integers."""
     p = g.field.p
-    width = top + 1
-    span = g.exponent_range()[1] + top - low
-    blocks = []
-    for row in g.rows:
-        # block[k] is the row of e = low + 1 + k
-        block: list[dict] = [{} for _ in range(span)]
+    n, width = g.n, top + 1
+    rows: dict[int, list[dict]] = {}
+    for i, row in enumerate(g.rows):
         terms = _primitive({(j, exp): c for j, entry in enumerate(row)
                             for exp, c in entry._terms.items()}, p)
         for (j, exp), coeff in terms.items():
             # distinct exponents of one entry land in distinct variables
-            base, shift = j * width, exp - low - 1
-            for d in range(max(0, -shift), width):
-                block[d + shift][base + d] = coeff
-        blocks.append(block)
-    return {low + 1 + k: rows for k, rows in enumerate(zip(*blocks))}
+            base = j * width - exp
+            for e in range(max(exp, low + 1), exp + width):
+                at_e = rows.get(e) or rows.setdefault(e, [{} for _ in range(n)])
+                at_e[i][base + e] = coeff
+    return rows
 
 
 def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) -> dict[int, int]:
@@ -244,7 +242,7 @@ def _stable_sections_table(g: LaurentMatrix, high: int, low: int, bound: int) ->
     p = g.field.p
     n, top = g.n, bound + 1
     rows = _coefficient_rows(g, low, top)
-    above = [e for e in rows if e > high]
+    above = sorted(e for e in rows if e > high)
     pivots = _eliminate([row for i in range(n) for e in above if (row := rows[e][i])], p)
     size = n * (top + 1)
     recheck = size - len(pivots)

@@ -4,11 +4,14 @@ Before the kernel ran on integer rows over Q, every row held Fractions and
 every pivot was normalized at its column.  This module keeps that kernel, and
 the column reduction and h0 table built on it, as they were, so that tests can
 compare the integer kernel against it on Q (and on F_p, where nothing
-changed).  Nothing in the package imports it.
+changed).  It also keeps the Bareiss determinant as it was before it ran on
+term dicts: each row shifted into k[t] and held as dense coefficient lists.
+Nothing in the package imports it.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 from equibundle.exact_core import LaurentPoly
 from equibundle.projline import _bound, _minus_shifted
@@ -277,7 +280,7 @@ def _coefficient_rows(g, low: int, top: int):
     one per output coordinate i, empty where no variable reaches t^e.  The
     coefficient f[j, d], 0 <= d <= top, is variable j * (top + 1) + d."""
     width = top + 1
-    span = g.exponent_range()[1] + top - low
+    span = max(e for row in g.rows for entry in row for e in entry._terms) + top - low
     blocks = []
     for row in g.rows:
         # block[k] is the row of e = low + 1 + k
@@ -338,3 +341,95 @@ def h0_table(g, window: int) -> dict[int, int]:
     if window < 0:
         return {}
     return dict(sorted(_stable_sections_table(g, window, -window, _bound(g, window)).items()))
+
+
+def _poly_cross(a: list, b: list, c: list, d: list, p) -> list:
+    """a*b - c*d for dense coefficient lists (index = degree), trimmed."""
+    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    for f, g, sign in ((a, b, 1), (c, d, -1)):
+        g_terms = [(j, y) for j, y in enumerate(g) if y]
+        for i, x in enumerate(f):
+            if x:
+                x *= sign
+                for j, y in g_terms:
+                    out[i + j] += x * y
+    if p:
+        out = [v % p for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_exact_div(num: list, den: list, p) -> list:
+    """num / den for dense coefficient lists; ArithmeticError unless exact."""
+    top = len(den) - 1
+    lead = den[-1]
+    inv = pow(lead, -1, p) if p else None
+    rem = list(num)
+    quot = [0] * max(len(num) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + top]
+        if not c:
+            continue
+        if p:
+            c = c * inv % p
+        else:
+            c, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("Bareiss division left a remainder")
+        quot[k] = c
+        for j, d in enumerate(den):
+            rem[k + j] -= c * d
+    if any(v % p if p else v for v in rem[:top]):
+        raise ArithmeticError("Bareiss division left a remainder")
+    return quot
+
+
+def _laurent_determinant(rows, field) -> LaurentPoly:
+    """Determinant by fraction-free (Bareiss) elimination over k[t].
+
+    Row i is shifted by t^-r_i, its smallest exponent, into k[t] and held as
+    dense coefficient lists of native scalars: int residues over F_p, and
+    over Q integers, after scaling the row by the lcm of its denominators.
+    Every division in the elimination is then exact, and
+    det = t^(sum r_i) * det(shifted) / prod(lcm).
+    """
+    p = field.p
+    shift, scale, mat = 0, 1, []
+    for row in rows:
+        exps = [e for entry in row for e in entry._terms]
+        if not exps:
+            return LaurentPoly.zero(field)
+        low = min(exps)
+        factor = 1 if p else lcm(*(c.denominator for entry in row for c in entry._terms.values()))
+        dense = []
+        for entry in row:
+            coeffs = [0] * (entry.max_exp() - low + 1) if entry._terms else []
+            for e, c in entry._terms.items():
+                coeffs[e - low] = c if p else c.numerator * (factor // c.denominator)
+            dense.append(coeffs)
+        mat.append(dense)
+        shift += low
+        scale *= factor
+
+    n = len(mat)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        candidates = [i for i in range(k, n) if mat[i][k]]
+        if not candidates:
+            return LaurentPoly.zero(field)
+        pivot = min(candidates, key=lambda i: len(mat[i][k]))
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        akk, row_k = mat[k][k], mat[k]
+        for i in range(k + 1, n):
+            row_i = mat[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                entry = _poly_cross(akk, row_i[j], aik, row_k[j], p)
+                row_i[j] = _poly_exact_div(entry, prev, p) if prev != [1] else entry
+        prev = akk
+    det = mat[n - 1][n - 1] if n else [1]
+    return LaurentPoly(field, {e + shift: sign * c if p else Fraction(sign * c, scale)
+                               for e, c in enumerate(det)})

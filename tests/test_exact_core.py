@@ -11,8 +11,9 @@ from equibundle.exact_core import (
     LaurentPoly,
     Polynomial,
     UnitDeterminantError,
+    _cross,
+    _exact_div,
     _laurent_determinant,
-    _poly_exact_div,
     invert_matrix,
     matrix_rank,
     row_reduce,
@@ -366,11 +367,48 @@ class TestBareissDeterminant:
 
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
-            _poly_exact_div([1, 1], [0, 2], None)   # (1 + t) / 2t
+            _exact_div({0: 1, 1: 1}, {1: 2}, None)   # (1 + t) / 2t
         with pytest.raises(ArithmeticError):
-            _poly_exact_div([1, 0, 1], [1, 1], 5)   # (1 + t^2) / (1 + t)
-        assert _poly_exact_div([2, 4, 2], [2, 2], None) == [1, 1]
-        assert _poly_exact_div([1, 2, 1], [1, 1], 5) == [1, 1]
+            _exact_div({0: 1, 2: 1}, {0: 1, 1: 1}, 5)   # (1 + t^2) / (1 + t)
+        assert _exact_div({0: 2, 1: 4, 2: 2}, {0: 2, 1: 2}, None) == {0: 1, 1: 1}
+        assert _exact_div({0: 1, 1: 2, 2: 1}, {0: 1, 1: 1}, 5) == {0: 1, 1: 1}
+
+    def test_division_with_negative_exponents(self):
+        # (t^-3 + 2t^-1 + t) / (t^-2 + t^0) = t^-1 + t over Q and F5
+        for p in (None, 5):
+            assert _exact_div({-3: 1, -1: 2, 1: 1}, {-2: 1, 0: 1}, p) == {-1: 1, 1: 1}
+        # (t^-1 - 1) * (2t^-2 + 3) over Q, divided back by t^-1 - 1
+        num = {-3: 2, -2: -2, -1: 3, 0: -3}
+        assert _exact_div(num, {-1: 1, 0: -1}, None) == {-2: 2, 0: 3}
+
+    def test_division_is_not_sized_by_the_exponent_span(self):
+        # (t^(2N) - 1) / (t^N - 1) = t^N + 1 in two steps
+        n = 10**9
+        assert _exact_div({2 * n: 1, 0: -1}, {n: 1, 0: -1}, None) == {n: 1, 0: 1}
+        assert _exact_div({2 * n: 1, 0: 4}, {n: 1, 0: 4}, 5) == {n: 1, 0: 1}
+
+    def test_term_below_the_floor_is_a_remainder(self):
+        # 2t / (1 + 2t): the quotient has no term below t^(1 - 0), so the
+        # constant 2 * t^0 * (1 + 2t) is never subtracted; without the floor
+        # the next step would hit 1 / 2 instead
+        with pytest.raises(ArithmeticError, match="below the quotient"):
+            _exact_div({1: 2}, {0: 1, 1: 2}, None)
+        with pytest.raises(ArithmeticError, match="below the quotient"):
+            _exact_div({5: 1, 3: 1}, {0: 1, 2: 1, 4: 1}, 5)   # (t^5 + t^3) / (1 + t^2 + t^4)
+
+    def test_fp_divisor_with_non_unit_top_coefficient(self):
+        # (3 + 2t) * (1 + 4t^-2) mod 5, divided back by 3 + 2t (top 2)
+        assert _exact_div({-2: 2, -1: 3, 0: 3, 1: 2}, {0: 3, 1: 2}, 5) == {-2: 4, 0: 1}
+        with pytest.raises(ArithmeticError):
+            _exact_div({0: 1, 1: 1}, {0: 3, 1: 2}, 5)   # (1 + t) / (3 + 2t)
+
+    def test_cross_product(self):
+        # a*b - c*d term by term, zero terms dropped, residues over F_p
+        assert _cross({0: 1, 1: 1}, {0: 1, 1: -1}, {1: 1}, {1: -1}, None) == {0: 1}
+        assert _cross({1: 2}, {-1: 3}, {0: 1}, {0: 1}, 5) == {}   # 6 - 1 = 5
+        assert _cross({1: 2}, {2: 4}, {-3: 4}, {0: 1}, 5) == {3: 3, -3: 1}
+        assert _cross({0: 3}, {0: 4}, {}, {}, 7) == {0: 5}
+        assert _cross({}, {0: 1}, {2: 1}, {-2: 1}, None) == {0: -1}
 
     def test_singular_and_non_unit_rejected_over_fp(self):
         one = LaurentPoly.one(F5)

@@ -132,6 +132,9 @@ ERROR_DOCUMENTS = {
     "filtered_exponent_notation.txt": (
         "kind = filtered_module\nfield = F5\nepsilon_power = 2\nwindow = 0, 1\n"
         "ranks = 1, 1\nmap 0 = [[2E1 + 1*e^1]]\n"),
+    # a determinant of huge exponent span is rejected without a dense list
+    "laurent_non_unit_huge_span.txt": (
+        "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0 + 1*t^1000000000]]\n"),
     # a document that is not UTF-8 cannot be read
     "poset_not_utf8.txt": b"kind = poset\nn = 2\nrel = 0<1\n# \xff\n",
 }

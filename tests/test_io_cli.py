@@ -2,6 +2,7 @@ import glob
 import os
 import shlex
 import time
+import tracemalloc
 
 import pytest
 
@@ -696,6 +697,34 @@ class TestCli:
         assert code == 0 and lines[:3] == ["report = pi0", "components = 4000",
                                            "component 0 = {0}"]
         assert lines[-1] == "component 3999 = {3999}" and len(lines) == 4002
+
+    @pytest.mark.parametrize("field, matrix, report", [
+        ("Q", "[[1*t^0, 1*t^4000000, 0], [0, 1*t^0, 1*t^-4000000], [0, 0, 1*t^0]]",
+         ["A = [[1*t^0, 0, 0], [0, 1*t^0, 1*t^-4000000], [0, 0, 1*t^0]]",
+          "D = [[1*t^0, 0, 0], [0, 1*t^0, 0], [0, 0, 1*t^0]]",
+          "B = [[1*t^0, 1*t^4000000, 0], [0, 1*t^0, 0], [0, 0, 1*t^0]]",
+          "exponents = 0, 0, 0"]),
+        ("F5", "[[1*t^0, 1*t^1000000000], [0, 1*t^0]]",
+         ["A = [[1*t^0, 0], [0, 1*t^0]]", "D = [[1*t^0, 0], [0, 1*t^0]]",
+          "B = [[1*t^0, 1*t^1000000000], [0, 1*t^0]]", "exponents = 0, 0"]),
+    ], ids=["Q-4e6", "F5-1e9"])
+    def test_birkhoff_is_not_sized_by_the_exponent_span(self, tmp_path, capsys,
+                                                         field, matrix, report):
+        # the determinant runs on the entries' own terms, so a huge exponent
+        # costs neither time nor memory
+        path = tmp_path / "unipotent.txt"
+        path.write_text(f"kind = laurent_matrix\nfield = {field}\nmatrix = {matrix}\n")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out = run_cli(capsys, "birkhoff", str(path))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.splitlines() == ["report = birkhoff", *report, "exact = yes"]
+        assert elapsed < 1.0 and peak < 5 * 2**20, (elapsed, peak)
 
     def test_wrong_kind_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify-p1", corpus_path("poset_vee.txt"))

@@ -5,7 +5,9 @@ caller reads values; ``fraction_kernel`` keeps the kernel that held Fractions
 throughout.  Every rank, echelon form, kernel basis, inverse, h0 table and
 Birkhoff factorization must come out the same, value for value, on matrices
 with non-integral rational entries.  Over F_p nothing changed; the same
-comparisons run there too.
+comparisons run there too.  The Bareiss determinant on term dicts and the h0
+rows built only at the exponents that occur are compared against the dense
+determinant and the span-indexed rows that ``fraction_kernel`` keeps.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from equibundle.exact_core import (
     LaurentMatrix,
     LaurentPoly,
     _eliminate,
+    _laurent_determinant,
     _normalized,
     _primitive,
     invert_matrix,
@@ -33,6 +36,7 @@ from equibundle.projline import (
     birkhoff_factorize,
     h0_table,
 )
+from test_projline import planted_bundle as integer_planted_bundle
 
 FIELDS = [QQ, GF(5), GF(2**31 - 1)]
 IDS = ["Q", "F5", "F2^31-1"]
@@ -167,3 +171,82 @@ class TestProjectiveLine:
             assert f.A.rows == tuple(map(tuple, a_rows)), n
             assert f.B.rows == tuple(map(tuple, w)), n
             assert f.D == LaurentMatrix.monomial_diagonal(field, tops), n
+
+
+def random_laurent_grid(rng, field, n):
+    """A random n x n matrix over k[t, 1/t] whose entries are nonzero with one
+    probability drawn per matrix, so that the draws run from zero rows and
+    singular matrices to dense ones.  A third are units: D * U * L with D a
+    monomial diagonal, U upper and L lower unitriangular."""
+    density = rng.random()
+    zero, one = LaurentPoly.zero(field), LaurentPoly.one(field)
+
+    def entry():
+        if rng.random() >= density:
+            return zero
+        return LaurentPoly(field, {rng.randint(-2, 2): scalar(rng, field)
+                                   for _ in range(rng.randint(1, 2))})
+
+    if rng.random() >= 1 / 3:
+        return [[entry() for _ in range(n)] for _ in range(n)]
+    upper = [[one if i == j else entry() if i < j else zero for j in range(n)] for i in range(n)]
+    lower = [[one if i == j else entry() if i > j else zero for j in range(n)] for i in range(n)]
+    rows = []
+    for row in upper:
+        diagonal = LaurentPoly.monomial(field, scalar(rng, field) or field.one, rng.randint(-3, 3))
+        rows.append([diagonal * sum((a * b for a, b in zip(row, col)), zero)
+                     for col in zip(*lower)])
+    return rows
+
+
+class TestDenseBareiss:
+    @pytest.mark.parametrize("field", FIELDS, ids=IDS)
+    def test_random_matrices(self, rng, field):
+        units = singular = 0
+        for k in range(1500):
+            rows = random_laurent_grid(rng, field, k % 9 + 1)
+            det = _laurent_determinant(rows, field)
+            assert det == ref._laurent_determinant(rows, field), k
+            units += det.is_monomial
+            singular += det.is_zero
+        assert units > 450 and singular > 100, (units, singular)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=IDS)
+    def test_planted_dense_bundles(self, rng, field):
+        for n in (12, 16, 24):
+            degrees = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            rows = integer_planted_bundle(rng, field, degrees).rows
+            det = _laurent_determinant(rows, field)
+            assert det == ref._laurent_determinant(rows, field), n
+            assert det.is_monomial, n
+
+
+class TestSparseCoefficientRows:
+    @pytest.mark.parametrize("field", FIELDS, ids=IDS)
+    def test_rows_at_the_exponents_that_occur(self, rng, field):
+        # the same non-empty row at every exponent as the span-indexed
+        # reference, whose blocks run over every exponent up to its maximum;
+        # over Q the reference reads g with each row scaled into primitive
+        # integers, as the builder scales it
+        def primitive_rows(g):
+            if field.p:
+                return g
+            rows = []
+            for row in g.rows:
+                terms = dict(enumerate(c for entry in row for c in entry._terms.values()))
+                scale = Fraction(_primitive(dict(terms), None)[0]) / terms[0]
+                rows.append([entry.scaled(scale) for entry in row])
+            return LaurentMatrix(field, rows)
+
+        for window in range(7):
+            for n in range(1, 7):
+                degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
+                g = planted_bundle(rng, field, degrees)
+                top = _bound(g, window) + 1
+                want = {e: list(block) for e, block in
+                        ref._coefficient_rows(primitive_rows(g), -window, top).items()
+                        if any(block)}
+                got = _coefficient_rows(g, -window, top)
+                assert got == want, (window, n)
+                assert all(type(c) is int for block in got.values() for row in block
+                           for c in row.values()), (window, n)
