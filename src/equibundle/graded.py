@@ -9,14 +9,16 @@ degree-zero part; this is the instance class on which the graded Nakayama
 zero test, the lifting of maps along B -> B/IB and the isomorphism test are
 certified, always with respect to I.  No Groebner machinery: dimensions of
 graded components are computed by exact linear algebra on monomial bases,
-which is all the desk scale needs.  Each relation column times each monomial
-of the complementary degree is one sparse row, read off the column's terms,
-and the rows of one degree are eliminated once.
+which is all the desk scale needs.  A module reads its relation columns
+once, as degrees and terms (over Q scaled into primitive integers); a
+column's terms times a monomial of the complementary degree are one sparse
+row, and the rows of one degree are eliminated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Optional, Sequence
 
@@ -102,11 +104,27 @@ class GradedModulePresentation:
             if len(col) != len(self.generator_degrees):
                 raise ValueError("relation column length must match generator count")
             degs.append(_column_degree(self.algebra, self.generator_degrees, col, k))
-        object.__setattr__(self, "_column_degrees", tuple(degs))
+        object.__setattr__(self, "column_degrees", tuple(degs))
 
-    @property
-    def column_degrees(self) -> tuple[int, ...]:
-        return self._column_degrees
+    @cached_property
+    def _columns(self) -> list[tuple[int, dict]]:
+        """Each relation column once: (degree, {(j, exponents): coefficient}).
+
+        An algebra relation rel acts on coordinate j as the one-entry column
+        (j, rel) of degree deg(rel) + m_j; an all-zero column relates nothing.
+        Every row of a column carries its coefficients, validated and nonzero,
+        so over Q one scaling into primitive integers serves them all.
+        """
+        alg = self.algebra
+        columns = [(delta, {(j, m): c for j, e in enumerate(col) for m, c in e._terms.items()})
+                   for col, delta in zip(self.relations, self.column_degrees)
+                   if delta is not None]
+        for rel in alg.relations:
+            d = rel.weighted_degree(alg.degrees)
+            if d is not None:
+                columns += [(d + m, {(j, e): c for e, c in rel._terms.items()})
+                            for j, m in enumerate(self.generator_degrees)]
+        return [(delta, _primitive(terms, alg.field.p)) for delta, terms in columns]
 
     def component_dimension(self, degree: int) -> int:
         """dim_k of the graded component in the given degree (connected algebra).
@@ -116,38 +134,19 @@ class GradedModulePresentation:
         alg = self.algebra
         if not alg.is_connected():
             raise ValueError("component enumeration requires a connected algebra")
-        gens = self.generator_degrees
-        # An algebra relation rel acts on coordinate j as the one-entry
-        # relation column (j, rel) of degree deg(rel) + m_j.
-        columns = [([(j, e) for j, e in enumerate(col) if not e.is_zero], delta)
-                   for col, delta in zip(self.relations, self.column_degrees)
-                   if delta is not None]  # an all-zero column relates nothing
-        for rel in alg.relations:
-            d = rel.weighted_degree(alg.degrees)
-            if d is not None:
-                columns += [([(j, rel)], d + m) for j, m in enumerate(gens)]
+        gens, columns = self.generator_degrees, self._columns
         basis = {d: alg.monomials_of_degree(d) for d in
-                 {degree - m for m in gens} | {degree - delta for _, delta in columns}}
+                 {degree - m for m in gens} | {degree - delta for delta, _ in columns}}
         index, total = [], 0
         for m in gens:
             index.append({mono: total + i for i, mono in enumerate(basis[degree - m])})
             total += len(index[-1])
         if total == 0:
             return 0
-        # The entries' coefficients are validated and nonzero, and distinct
-        # terms of one entry land on distinct coordinates, so a row is its
-        # shifted terms as they stand, over Q scaled into primitive integers.
-        # Every row of a column carries that column's coefficients, so one
-        # scaling serves them all.
-        p = alg.field.p
-        rows = []
-        for entries, delta in columns:
-            terms = [(j, m, c) for j, entry in entries for m, c in entry._terms.items()]
-            scaled = _primitive(dict(enumerate(c for _, _, c in terms)), p)
-            rows += [{index[j][tuple(map(add, mono, m))]: scaled[k]
-                      for k, (j, m, _) in enumerate(terms)}
-                     for mono in basis[degree - delta]]
-        return total - len(_eliminate(rows, p))
+        # distinct terms of a column land on distinct coordinates of its row
+        rows = [{index[j][tuple(map(add, mono, m))]: c for (j, m), c in terms.items()}
+                for delta, terms in columns for mono in basis[degree - delta]]
+        return total - len(_eliminate(rows, alg.field.p))
 
     def default_degree_bound(self) -> int:
         """Enumeration window: max generator degree + 5 (CLI-overridable)."""

@@ -135,6 +135,18 @@ ERROR_DOCUMENTS = {
     # a determinant of huge exponent span is rejected without a dense list
     "laurent_non_unit_huge_span.txt": (
         "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0 + 1*t^1000000000]]\n"),
+    # the document grammar's generic errors, whatever the kind
+    "document_missing_field.txt": "kind = poset\nrel = 0<1\n",
+    "document_unexpected_field.txt": "kind = poset\nn = 2\nfoo = 1\n",
+    "document_kind_not_first.txt": "n = 2\nkind = poset\n",
+    "document_unknown_kind.txt": "kind = banana\nn = 2\n",
+    "document_only_comments.txt": "# kind = poset\n\n   \n  # n = 2\n",
+    "document_line_without_equals.txt": "kind = poset\nn 3\n",
+    "filtered_window_three_values.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1, 2\nranks = 1, 1, 1\n"),
+    "laurent_unknown_field.txt": "kind = laurent_matrix\nfield = G7\nmatrix = [[1*t^0]]\n",
+    "splitting_type_bad_integer_list.txt": "kind = splitting_type\ndegrees = 1, x\n",
+    "poset_bad_relation_pair.txt": "kind = poset\nn = 2\nrel = 0-1\n",
     # a document that is not UTF-8 cannot be read
     "poset_not_utf8.txt": b"kind = poset\nn = 2\nrel = 0<1\n# \xff\n",
 }

@@ -1,8 +1,10 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from equibundle import graded
 from equibundle.exact_core import GF, QQ, Polynomial, matrix_rank
 from equibundle.graded import (
     GradedAlgebra,
@@ -104,6 +106,46 @@ class TestNakayama:
         alg = algebra(QQ, (1, -1))
         with pytest.raises(ValueError):
             nakayama_zero_test(module(alg, (0,)))
+
+
+class TestWitnessChecks:
+    """Each check of `verify_nakayama_witness` rejects, on its own, a
+    corrupted copy of a true witness whose matrix A is nonzero."""
+
+    @staticmethod
+    def cascade(field):
+        # generators in degrees (0, 1), relations e0 = 0 and e1 = x*e0
+        alg = algebra(field, (1,), ("x",))
+        mod = module(alg, (0, 1), [(const(alg, 1), alg.zero()),
+                                   (-var(alg, 0), const(alg, 1))])
+        witness = nakayama_zero_test(mod).witness
+        assert any(not entry.is_zero for row in witness.coefficient_matrix for entry in row)
+        return mod, witness
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_constant_term_in_a(self, field):
+        mod, witness = self.cascade(field)
+        a = [list(row) for row in witness.coefficient_matrix]
+        a[0][0] = a[0][0] + const(mod.algebra, 1)
+        corrupted = replace(witness, coefficient_matrix=tuple(map(tuple, a)))
+        with pytest.raises(AssertionError, match="has a constant term"):
+            verify_nakayama_witness(mod, corrupted)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_changed_combination_scalar(self, field):
+        mod, witness = self.cascade(field)
+        combination = [list(row) for row in witness.combination]
+        combination[0][0] = field(combination[0][0] + 1)
+        corrupted = replace(witness, combination=tuple(map(tuple, combination)))
+        with pytest.raises(AssertionError, match="does not factor through the relations"):
+            verify_nakayama_witness(mod, corrupted)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_order_zero_for_nonzero_a(self, field):
+        mod, witness = self.cascade(field)
+        verify_nakayama_witness(mod, witness)
+        with pytest.raises(AssertionError, match="not nilpotent of the stated order"):
+            verify_nakayama_witness(mod, replace(witness, nilpotency_order=0))
 
 
 
@@ -437,6 +479,34 @@ class TestComponentDimensionAgainstReference:
                                     lambda d: ref_component_dimension(mod, d)):
             with pytest.raises(ValueError):
                 enumerate_component(0)
+
+
+class TestColumnsReadOnce:
+    """A module scales each relation column once, however many degrees it
+    counts: `_primitive` runs once per column, not once per column and
+    degree."""
+
+    @pytest.mark.parametrize("window", [6, 11])
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_one_scaling_per_column(self, monkeypatch, field, window):
+        scaled = []
+        primitive = graded._primitive
+        monkeypatch.setattr(graded, "_primitive",
+                            lambda row, p: scaled.append(row) or primitive(row, p))
+        base = algebra(field, (1, 2), ("x", "y"))
+        x, y = var(base, 0), var(base, 1)
+        half, three = const(base, field(Fraction(1, 2))), const(base, 3)
+        alg = GradedAlgebra(field, base.variables, base.degrees,
+                            (x * x * y - half * y * y, base.zero()))
+        zero = alg.zero()
+        # two module columns and an all-zero one, and one nonzero algebra
+        # relation on each of the three generators: five relation columns
+        mod = module(alg, (0, 1, 1), [(x, three, zero), (zero, zero, zero),
+                                      (half * y, x, three * x)])
+        dims = [mod.component_dimension(d) for d in range(-1, window - 1)]
+        assert len(scaled) == 5
+        assert dims == [ref_component_dimension(mod, d) for d in range(-1, window - 1)]
+        assert any(dims)
 
 
 class TestMonomialsOfDegree:

@@ -346,6 +346,40 @@ class TestLiftIdempotent:
             assert alg.in_span(alg.sub(e, candidate), alg.ideal)
 
 
+class TestLiftChecks:
+    """`lift_idempotent`'s two checks, each reached by a wrong product that is
+    right on squares (so the candidate still passes the entry checks) and
+    wrong on the product e^2 * e of each step."""
+
+    def test_slow_iteration_fails_to_converge(self, monkeypatch):
+        # e^2 * e := (3 e^2 - x e) / 2 turns each step into e <- x * e: from
+        # x in Q[x]/(x^8) that needs 7 steps, and at most 5 are allowed
+        alg = from_univariate_quotient(QQ, [0] * 8 + [1], ideal_generators=[[0, 1]])
+        x = alg.coerce([0, 1] + [0] * 6)
+        true_mul = FiniteDimAlgebra.mul
+
+        def slow(self, a, b):
+            if a == b:
+                return true_mul(self, a, b)
+            return self.scale(Fraction(1, 2),
+                              self.sub(self.scale(3, a), true_mul(self, x, b)))
+
+        monkeypatch.setattr(FiniteDimAlgebra, "mul", slow)
+        with pytest.raises(AssertionError, match="failed to converge"):
+            lift_idempotent(alg, x)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_lift_in_another_class_drifts(self, monkeypatch, field):
+        # e^2 * e := 3 e^2 / 2 sends the first step to 0, an idempotent, but
+        # the candidate 1 + x of k[x]/(x^2) lies in the class of 1
+        alg = from_univariate_quotient(field, [0, 0, 1], ideal_generators=[[0, 1]])
+        true_mul = FiniteDimAlgebra.mul
+        monkeypatch.setattr(FiniteDimAlgebra, "mul", lambda self, a, b: true_mul(self, a, b)
+                            if a == b else self.scale(Fraction(3, 2), a))
+        with pytest.raises(AssertionError, match="drifted away from its residue class"):
+            lift_idempotent(alg, [1, 1])
+
+
 class TestIdempotentSearch:
     def test_henselian_implies_liftable(self):
         alg = from_univariate_quotient(QQ, [0, 0, 1], ideal_generators=[[0, 1]])

@@ -674,6 +674,23 @@ class TestCli:
             crlf.write_bytes(text.replace("\n", newline).encode())
             assert run_cli(capsys, "pi0", str(crlf)) == expected
 
+    @pytest.mark.parametrize("command, name", [
+        ("classify-p1", "laurent_matrix_mixed.txt"),
+        ("nakayama", "graded_module_zero.txt"),
+    ])
+    def test_blank_and_comment_lines_are_ignored(self, tmp_path, capsys, command, name):
+        # a comment may come before the kind line and may hold '=', and an
+        # indented one is a comment too
+        path = corpus_path(name)
+        expected = run_cli(capsys, command, path, "--verify")
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        commented = tmp_path / name
+        commented.write_text("# kind = poset\n\n" + "\n   \n  # field = F5\n".join(lines)
+                             + "\n\n# end\n")
+        assert expected[0] == 0
+        assert run_cli(capsys, command, str(commented), "--verify") == expected
+
     def test_exponent_notation_exits_2_without_computing_the_power(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         for scalar in ("1e4301", "1e10000000", "2.5E99999999999"):

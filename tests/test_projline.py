@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from equibundle import projline
 from equibundle.exact_core import (
     GF, QQ, LaurentMatrix, LaurentPoly, _eliminate, _normalized, _primitive,
 )
@@ -99,6 +100,35 @@ class TestBirkhoff:
         out = capsys.readouterr().out
         exponents = out.split("exponents = ")[1].splitlines()[0]
         assert sorted((-int(k) for k in exponents.split(", ")), reverse=True) == degrees
+
+
+class TestBirkhoffChecks:
+    """Each check of `birkhoff_factorize` rejects, on its own, a column
+    reduction that lies about its tops or its W; the true one passes."""
+
+    @pytest.mark.parametrize("lie, message", [
+        ("top lowered", r"left factor escaped k\[1/t\]"),
+        ("t^-1 in W", r"right factor escaped k\[t\]"),
+        ("top raised", "outer factor determinant is not constant"),
+        ("W off by one", "factorization residual is nonzero"),
+    ], ids=["top lowered", "t^-1 in W", "top raised", "W off by one"])
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_rejects_a_lying_reduction(self, rng, monkeypatch, field, lie, message):
+        g = planted_bundle(rng, field, [2, 0, -1])
+        cols, tops, w, w_det = _column_reduce(g)
+        if lie == "top lowered":  # column 0 of A = C * D^-1 then holds t^1
+            tops[0] -= 1
+        elif lie == "top raised":  # A stays in k[1/t], but det A = t^-1
+            tops[0] += 1
+        elif lie == "t^-1 in W":
+            w[0][0] = w[0][0] + lp(field, (1, -1))
+        else:
+            w[0][1] = w[0][1] + LaurentPoly.one(field)
+        monkeypatch.setattr(projline, "_column_reduce", lambda _: (cols, tops, w, w_det))
+        with pytest.raises(AssertionError, match=message):
+            birkhoff_factorize(g)
+        monkeypatch.undo()
+        assert birkhoff_factorize(g).splitting_type.degrees == (2, 0, -1)
 
 
 class TestSplittingType:
@@ -349,6 +379,35 @@ class TestH0Table:
         assert raised > 0
 
 
+class TestSerreDuality:
+    """A law of the h0 oracle that needs no planted type and no Birkhoff
+    reduction.  Let det g = c*t^w, so deg E = -w, and let the dual E^v have
+    the transition matrix (g^T)^-1.  Riemann-Roch and Serre duality on P^1
+    give h0(E(m)) - h0(E^v(-m-2)) = -w + n(m + 1), and E^v has the negated
+    splitting type of E."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(2**31 - 1)],
+                             ids=["Q", "F5", "F2^31-1"])
+    def test_duality_law(self, rng, field):
+        from equibundle.projline import h0_table
+
+        bounds_differ = one_side_vanishes = 0
+        for n in (1, 1, 2, 2, 3, 3, 4, 4, 6, 8):
+            degrees = sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True)
+            g, dual = planted_with_dual(rng, field, degrees)
+            eye = LaurentMatrix.monomial_diagonal(field, [0] * n)
+            assert g @ LaurentMatrix(field, [list(col) for col in zip(*dual.rows)]) == eye
+            w = g.det_unit_exponent()[0]
+            ours, theirs = h0_table(g, 5), h0_table(dual, 5)
+            for m in range(-3, 4):
+                assert ours[m] - theirs[-m - 2] == -w + n * (m + 1), (field, degrees, m)
+                one_side_vanishes += (ours[m] == 0) != (theirs[-m - 2] == 0)
+            assert splitting_type(dual).degrees == tuple(
+                -d for d in reversed(splitting_type(g).degrees))
+            bounds_differ += _bound(g, 5) != _bound(dual, 5)
+        assert bounds_differ and one_side_vanishes
+
+
 class TestDegreeBound:
     def test_exact_on_line_bundles(self):
         # O(d) is t^(-d): its sections at twist m have degree <= d + m
@@ -454,6 +513,33 @@ def planted_bundle(rng, field, degrees):
     a = random_unimodular(rng, field, n, negative=True, factors=2 * n)
     c = random_unimodular(rng, field, n, negative=False, factors=2 * n)
     return (a @ d) @ c
+
+
+def planted_with_dual(rng, field, degrees):
+    """A bundle g = A * D * C planted as `planted_bundle` plants one, and its
+    dual (g^T)^-1 = A' * D^-1 * C': each elementary factor I + c*t^e*e_ij of
+    A and C is (I - c*t^e*e_ji) in A' and C', in the same order."""
+    n = len(degrees)
+
+    def elementary(i, j, c, e):
+        rows = [[LaurentPoly.one(field) if a == b else LaurentPoly.zero(field)
+                 for b in range(n)] for a in range(n)]
+        rows[i][j] = lp(field, (c, e))
+        return LaurentMatrix(field, rows)
+
+    g = LaurentMatrix.monomial_diagonal(field, [-x for x in degrees])
+    dual = LaurentMatrix.monomial_diagonal(field, list(degrees))
+    for sign in (-1, 1):
+        side = dual_side = LaurentMatrix.monomial_diagonal(field, [0] * n)
+        for k in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c, e = rng.choice([1, -1, 2]), sign * (k % 2)
+            side, dual_side = side @ elementary(i, j, c, e), dual_side @ elementary(j, i, -c, e)
+        if sign < 0:
+            g, dual = side @ g, dual_side @ dual
+        else:
+            g, dual = g @ side, dual @ dual_side
+    return g, dual
 
 
 def random_bundle(rng, field, n):
