@@ -7,7 +7,9 @@ reduces an int or a Fraction into it, ``field.validate`` rejects a scalar of
 the other kind with FieldMismatchError, and ``field.p`` is the characteristic
 (None over Q).  Containers validate their coefficients on construction, which
 reduces them mod p, and are immutable afterwards, so values can be shared
-freely between threads.  Nothing here ever rounds.
+freely between threads.  Nothing here ever rounds.  Each value class of the
+package sets its fields once, in ``__init__``; those compared by value derive
+from ``_Value``, whose equality is by the public slots.
 
 Laurent polynomials (``LaurentPoly``) and multivariate polynomials
 (``Polynomial``) share one sparse term-dict implementation of their arithmetic.
@@ -26,12 +28,11 @@ derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class FieldMismatchError(ValueError):
@@ -67,10 +68,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-Scalar = Union[Fraction, int]
+class _Value:
+    """A value whose fields are set once, in ``__init__``: equal, hashed and
+    printed by its public slots, in order (a slot named ``_...`` is a cache)."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__ if name[0] != "_"])
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        names = [name for name in self.__slots__ if name[0] != "_"]
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
 
-@dataclass(frozen=True)
+Scalar = Fraction | int
+
+
 class RationalField:
     """The field of arbitrary-precision rationals; scalars are Fractions."""
 
@@ -93,8 +115,7 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Value):
     """The prime field F_p for a prime p <= 2**31; scalars are ints in [0, p).
 
     >>> F5 = PrimeField(5)
@@ -102,13 +123,14 @@ class PrimeField:
     (3, 4, 3)
     """
 
-    p: int
+    __slots__ = ("p",)
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        if self.p > 2**31 or not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not a prime <= 2**31")
+    def __init__(self, p: int):
+        if p > 2**31 or not _is_prime(p):
+            raise ValueError(f"{p} is not a prime <= 2**31")
+        self.p = p
 
     def __call__(self, value) -> int:
         if type(value) is int:  # ahead of the ABC check that Fraction costs
@@ -133,14 +155,10 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-Field = Union[RationalField, PrimeField]
+Field = RationalField | PrimeField
 
 QQ = RationalField()
-
-
-def GF(p: int) -> PrimeField:
-    """Return the prime field with p elements."""
-    return PrimeField(p)
+GF = PrimeField  # GF(p) is the prime field with p elements
 
 
 class _Terms:
@@ -340,7 +358,7 @@ class Polynomial(_Terms):
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in mono) for mono in self._terms)
 
-    def weighted_degree(self, degrees: Sequence[int]) -> Optional[int]:
+    def weighted_degree(self, degrees: Sequence[int]) -> int | None:
         """Common weighted degree of all terms, or None if inhomogeneous/zero."""
         seen = {sum(e * d for e, d in zip(mono, degrees)) for mono in self._terms}
         if len(seen) != 1:
@@ -369,7 +387,7 @@ class Polynomial(_Terms):
 # pivots for sparsity.
 
 
-def _primitive(row: dict, p: Optional[int]) -> dict:
+def _primitive(row: dict, p: int | None) -> dict:
     """Over Q, the row of rationals scaled by the lcm of its denominators and
     divided by its content: primitive integers.  Over F_p, the row itself."""
     if p:
@@ -397,12 +415,12 @@ def _scaled(row: dict, lead: int, factor: int) -> tuple[int, int]:
     return lead // g, factor // g
 
 
-def _as_pivot(row: dict, col: int, p: Optional[int]) -> dict:
+def _as_pivot(row: dict, col: int, p: int | None) -> dict:
     """A reduced row as a pivot at col: normalized over F_p, primitive over Q."""
     return _normalized(row, col, p) if p else _content_free(row)
 
 
-def _normalized(row: dict, col: int, p: Optional[int]) -> dict:
+def _normalized(row: dict, col: int, p: int | None) -> dict:
     """The row scaled so that its entry at col is 1: residues over F_p,
     Fractions over Q."""
     if p:
@@ -412,7 +430,7 @@ def _normalized(row: dict, col: int, p: Optional[int]) -> dict:
     return {v: Fraction(c, lead) for v, c in row.items()}
 
 
-def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict:
+def _reduce(row: dict, pivots: list[tuple[int, dict]], p: int | None) -> dict:
     """What is left of the row after reducing it against the pivots in order;
     over Q a nonzero integer multiple of it."""
     for var, pivot_row in pivots:
@@ -433,7 +451,7 @@ def _reduce(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> dict
     return row
 
 
-def _add_row(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> None:
+def _add_row(row: dict, pivots: list[tuple[int, dict]], p: int | None) -> None:
     """Reduce the row and append what is left, as a pivot at its leftmost
     column."""
     row = _reduce(row, pivots, p)
@@ -442,7 +460,7 @@ def _add_row(row: dict, pivots: list[tuple[int, dict]], p: Optional[int]) -> Non
         pivots.append((col, _as_pivot(row, col, p)))
 
 
-def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
+def _eliminate(rows: list[dict], p: int | None) -> list[tuple[int, dict]]:
     """Sparse Gaussian elimination of a whole system; consumes the rows.
 
     Returns the pivots in the order found.  Rows and pivot columns are chosen
@@ -525,7 +543,7 @@ def _eliminate(rows: list[dict], p: Optional[int]) -> list[tuple[int, dict]]:
     return pivots
 
 
-def _sparse(row: Sequence[Scalar], p: Optional[int]) -> dict:
+def _sparse(row: Sequence[Scalar], p: int | None) -> dict:
     """A dense row of scalars as a sparse row, reduced mod p over F_p (a
     pivot must never be a multiple of p), primitive integers over Q."""
     if p:
@@ -533,7 +551,7 @@ def _sparse(row: Sequence[Scalar], p: Optional[int]) -> dict:
     return _primitive({c: v for c, v in enumerate(row) if v}, p)
 
 
-def _echelon(field: Field, rows) -> tuple[Optional[int], list[tuple[int, dict]]]:
+def _echelon(field: Field, rows) -> tuple[int | None, list[tuple[int, dict]]]:
     """(p, pivots) of rows of scalars, added one at a time."""
     p = field.p
     pivots: list[tuple[int, dict]] = []
@@ -595,7 +613,7 @@ def invert_matrix(field: Field, rows):
 # ---------------------------------------------------------------------------
 
 
-def _cross(a: dict, b: dict, c: dict, d: dict, p: Optional[int]) -> dict:
+def _cross(a: dict, b: dict, c: dict, d: dict, p: int | None) -> dict:
     """a*b - c*d for {exponent: int} term dicts, zero terms dropped."""
     out: dict[int, int] = {}
     for f, g, sign in ((a, b, 1), (c, d, -1)):
@@ -608,7 +626,7 @@ def _cross(a: dict, b: dict, c: dict, d: dict, p: Optional[int]) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
-def _exact_div(num: dict, den: dict, p: Optional[int]) -> dict:
+def _exact_div(num: dict, den: dict, p: int | None) -> dict:
     """num / den in k[t, 1/t] for term dicts; ArithmeticError unless exact.
 
     Each step clears the top term left, whose exponent comes from a heap, by

@@ -22,11 +22,10 @@ directly converts every entry into its ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from equibundle.exact_core import (
     Field,
     Scalar,
+    _Value,
     _add_row,
     _reduce,
     _sparse,
@@ -35,8 +34,7 @@ from equibundle.exact_core import (
 from equibundle.projline import SplittingType
 
 
-@dataclass(frozen=True)
-class EpsRing:
+class EpsRing(_Value):
     """Truncated polynomial ring k[eps]/(eps^order); order 1 is the field itself.
 
     Elements are coefficient tuples of length `order`, whose first entry is
@@ -44,12 +42,12 @@ class EpsRing:
     are exactly the elements with invertible constant term.
     """
 
-    field: Field
-    order: int = 1
+    __slots__ = ("field", "order")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, field: Field, order: int = 1):
+        if order < 1:
             raise ValueError("truncation order must be at least 1")
+        self.field, self.order = field, order
 
     def __call__(self, value) -> tuple[Scalar, ...]:
         if isinstance(value, tuple):
@@ -109,8 +107,7 @@ def mat_mul(ring: EpsRing, a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class FilteredModule:
+class FilteredModule(_Value):
     """Window of free modules with split-injective transitions.
 
     ranks[i] is the rank of E_{lo + i}; maps[i] is the matrix of
@@ -118,46 +115,40 @@ class FilteredModule:
     window: zero below, identity above.
     """
 
-    ring: EpsRing
-    lo: int
-    hi: int
-    ranks: tuple[int, ...]
-    maps: tuple[tuple[tuple, ...], ...]
+    __slots__ = ("ring", "lo", "hi", "ranks", "maps")
 
-    def __post_init__(self):
-        self._check_and_freeze(self.ring)
+    def __init__(self, ring: EpsRing, lo: int, hi: int, ranks: tuple[int, ...],
+                 maps: tuple[tuple[tuple, ...], ...]):
+        self._assign(ring, lo, hi, ranks, maps, ring)
 
     @classmethod
     def _of_ring_elements(cls, ring, lo, hi, ranks, maps) -> "FilteredModule":
         """A module whose map entries are ring elements already, as the
         document reader builds them: every shape is checked, and no entry is
         converted again."""
-        module = cls.__new__(cls)
-        for name, value in zip(("ring", "lo", "hi", "ranks", "maps"), (ring, lo, hi, ranks, maps)):
-            object.__setattr__(module, name, value)
-        module._check_and_freeze(None)
+        (module := cls.__new__(cls))._assign(ring, lo, hi, ranks, maps, None)
         return module
 
-    def _check_and_freeze(self, convert) -> None:
-        """Check the window and every map's shape, and store the maps as
-        tuples, each entry passed through `convert` unless it is None."""
-        if self.hi < self.lo:
+    def _assign(self, ring, lo, hi, ranks, maps, convert) -> None:
+        """Check the window and every map's shape, and set the fields, the
+        maps as tuples, each entry passed through `convert` unless it is None."""
+        if hi < lo:
             raise ValueError("window must satisfy lo <= hi")
-        if len(self.ranks) != self.hi - self.lo + 1:
+        if len(ranks) != hi - lo + 1:
             raise ValueError("one rank per window index required")
-        if any(r < 0 for r in self.ranks):
+        if any(r < 0 for r in ranks):
             raise ValueError("ranks must be nonnegative")
-        if len(self.maps) != max(0, self.hi - self.lo):
+        if len(maps) != max(0, hi - lo):
             raise ValueError("one transition map per window step required")
         frozen = []
-        for step, mat in enumerate(self.maps):
-            a, b = self.ranks[step], self.ranks[step + 1]
+        for step, mat in enumerate(maps):
+            a, b = ranks[step], ranks[step + 1]
             if len(mat) != b or any(len(row) != a for row in mat):
                 raise ValueError(
                     f"map {step} must be {b} x {a} (target rank x source rank)")
             frozen.append(tuple(tuple(row if convert is None else map(convert, row))
                                 for row in mat))
-        object.__setattr__(self, "maps", tuple(frozen))
+        self.ring, self.lo, self.hi, self.ranks, self.maps = ring, lo, hi, ranks, tuple(frozen)
 
     def rank(self, index: int) -> int:
         if index < self.lo:
@@ -229,17 +220,18 @@ def graded_to_splitting_type(graded: dict[int, int]) -> SplittingType:
     return SplittingType(tuple(degrees))
 
 
-@dataclass(frozen=True)
 class FiltrationSplitting:
     """A grading of E_inf whose partial sums equal the filtration exactly.
 
-    basis columns are grouped by degree: block for degree d spans the new
-    directions appearing at filtration index d.
+    basis, a square matrix over the ring given by its columns, is grouped by
+    degree: block for degree d spans the new directions appearing at
+    filtration index d.
     """
 
-    graded_ranks: dict[int, int]
-    basis: tuple[tuple[tuple, ...], ...]  # square matrix over the ring, by columns
-    degrees_by_column: tuple[int, ...]
+    def __init__(self, graded_ranks: dict[int, int], basis: tuple[tuple[tuple, ...], ...],
+                 degrees_by_column: tuple[int, ...]):
+        self.graded_ranks, self.basis, self.degrees_by_column = (
+            graded_ranks, basis, degrees_by_column)
 
 
 def split_filtration(f: FilteredModule) -> FiltrationSplitting:

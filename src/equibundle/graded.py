@@ -17,42 +17,41 @@ row, and the rows of one degree are eliminated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from operator import add
-from typing import Optional, Sequence
 
 from equibundle.exact_core import (
     Field,
     Polynomial,
     Scalar,
+    _Value,
     _eliminate,
     _primitive,
     matrix_rank,
     row_reduce,
 )
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(_Value):
     """Graded polynomial algebra k[x_1..x_r] with nonzero variable degrees."""
 
-    field: Field
-    variables: tuple[str, ...]
-    degrees: tuple[int, ...]
-    relations: tuple[Polynomial, ...] = ()
+    __slots__ = ("field", "variables", "degrees", "relations")
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.degrees):
+    def __init__(self, field: Field, variables: tuple[str, ...], degrees: tuple[int, ...],
+                 relations: tuple[Polynomial, ...] = ()):
+        if len(variables) != len(degrees):
             raise ValueError("one degree per variable required")
-        if any(d == 0 for d in self.degrees):
+        if any(d == 0 for d in degrees):
             raise ValueError("variable degrees must be nonzero")
-        for rel in self.relations:
-            if rel.nvars != len(self.variables) or rel.field != self.field:
+        for rel in relations:
+            if rel.nvars != len(variables) or rel.field != field:
                 raise ValueError("relation over the wrong polynomial ring")
-            if not rel.is_homogeneous(self.degrees):
+            if not rel.is_homogeneous(degrees):
                 from equibundle.io import render_polynomial
-                raise ValueError(f"relation {render_polynomial(rel, self.variables)} "
+                raise ValueError(f"relation {render_polynomial(rel, variables)} "
                                  "is not homogeneous")
+        self.field, self.variables, self.degrees, self.relations = (
+            field, variables, degrees, relations)
 
     @property
     def nvars(self) -> int:
@@ -85,26 +84,27 @@ class GradedAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedModulePresentation:
+class GradedModulePresentation(_Value):
     """Finite presentation: shifted free cover + homogeneous relation columns.
 
     Generator j lives in degree generator_degrees[j]; a relation column is a
     vector (r_1, ..., r_p) with r_j homogeneous of degree delta - m_j for a
-    single delta (the column degree).
+    single delta (the column degree).  ``column_degrees`` lists those
+    degrees, None for an all-zero column.
     """
 
-    algebra: GradedAlgebra
-    generator_degrees: tuple[int, ...]
-    relations: tuple[tuple[Polynomial, ...], ...] = ()
+    __slots__ = ("algebra", "generator_degrees", "relations", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, algebra: GradedAlgebra, generator_degrees: tuple[int, ...],
+                 relations: tuple[tuple[Polynomial, ...], ...] = ()):
         degs = []
-        for k, col in enumerate(self.relations):
-            if len(col) != len(self.generator_degrees):
+        for k, col in enumerate(relations):
+            if len(col) != len(generator_degrees):
                 raise ValueError("relation column length must match generator count")
-            degs.append(_column_degree(self.algebra, self.generator_degrees, col, k))
-        object.__setattr__(self, "column_degrees", tuple(degs))
+            degs.append(_column_degree(algebra, generator_degrees, col, k))
+        self.algebra, self.generator_degrees, self.relations = (
+            algebra, generator_degrees, relations)
+        self.column_degrees = tuple(degs)
 
     @cached_property
     def _columns(self) -> list[tuple[int, dict]]:
@@ -176,7 +176,6 @@ def _column_degree(algebra, generator_degrees, column, k):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NakayamaWitness:
     """Certificate that the module vanishes.
 
@@ -187,16 +186,15 @@ class NakayamaWitness:
     1 - a with a = 0 here, the degree-zero part of the ideal being zero).
     """
 
-    coefficient_matrix: tuple[tuple[Polynomial, ...], ...]
-    combination: tuple[tuple[Scalar, ...], ...]
-    nilpotency_order: int
+    def __init__(self, coefficient_matrix, combination, nilpotency_order: int):
+        self.coefficient_matrix, self.combination = coefficient_matrix, combination
+        self.nilpotency_order = nilpotency_order
 
 
-@dataclass(frozen=True)
 class NakayamaResult:
-    is_zero: bool
-    witness: Optional[NakayamaWitness] = None
-    surviving_degree: Optional[int] = None
+    def __init__(self, is_zero: bool, witness: NakayamaWitness | None = None,
+                 surviving_degree: int | None = None):
+        self.is_zero, self.witness, self.surviving_degree = is_zero, witness, surviving_degree
 
     def __bool__(self):
         return self.is_zero

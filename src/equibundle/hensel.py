@@ -15,14 +15,14 @@ is purely combinatorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
 
 from equibundle.exact_core import (
     Field,
     Scalar,
+    _Value,
     _as_pivot,
     _normalized,
     _reduce,
@@ -44,8 +44,7 @@ def trivially_henselian(algebra: GradedAlgebra) -> bool:
     return all(d > 0 for d in degrees) or all(d < 0 for d in degrees)
 
 
-@dataclass(frozen=True)
-class FiniteDimAlgebra:
+class FiniteDimAlgebra(_Value):
     """k[x]/(f) for a monic f of positive degree d, on the basis 1, x, ...,
     x^(d-1); basis vector 0 is 1.
 
@@ -55,9 +54,10 @@ class FiniteDimAlgebra:
     `from_univariate_quotient`.  Element operations reduce mod p over F_p.
     """
 
-    field: Field
-    modulus: Vector
-    generator: Vector
+    __slots__ = ("field", "modulus", "generator")
+
+    def __init__(self, field: Field, modulus: Vector, generator: Vector):
+        self.field, self.modulus, self.generator = field, modulus, generator
 
     @property
     def dim(self) -> int:
@@ -253,7 +253,7 @@ def jacobson_radical(algebra: FiniteDimAlgebra) -> Vector:
 
 
 def is_henselian_pair(algebra: FiniteDimAlgebra,
-                      radical: Optional[Vector] = None) -> bool:
+                      radical: Vector | None = None) -> bool:
     """True iff the ideal (h)/(f) lies in the Jacobson radical (r)/(f), that
     is, iff r divides h.
 
@@ -267,10 +267,9 @@ def is_henselian_pair(algebra: FiniteDimAlgebra,
     return not any(_divmod(algebra.generator, radical, algebra.field)[1])
 
 
-@dataclass(frozen=True)
 class IdempotentLift:
-    element: Vector
-    iterations: int
+    def __init__(self, element: Vector, iterations: int):
+        self.element, self.iterations = element, iterations
 
 
 def lift_idempotent(algebra: FiniteDimAlgebra, candidate) -> IdempotentLift:

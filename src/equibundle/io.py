@@ -25,9 +25,8 @@ grammar round-trips byte-exactly after one normalization pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from equibundle.exact_core import (
     Field,
@@ -39,6 +38,7 @@ from equibundle.exact_core import (
     QQ,
     RationalField,
     Scalar,
+    _Value,
 )
 from equibundle.filtered import EpsRing, FilteredModule
 from equibundle.graded import GradedAlgebra, GradedModulePresentation
@@ -162,7 +162,7 @@ def _parse_terms(text: str, field: Field, read_term, context) -> dict:
     return terms
 
 
-def _read_power(term: str, field: Field, order: Optional[int]) -> tuple[int, Scalar]:
+def _read_power(term: str, field: Field, order: int | None) -> tuple[int, Scalar]:
     """`c*t^k`, `t^k` or `c` (exponent 0) in a Laurent entry (order None), or
     `c*e^j`, `e^j` or `c` with 0 <= j < order in a truncated one."""
     marker = "*t^" if order is None else "*e^"
@@ -357,11 +357,12 @@ def _render_int_list(values) -> str:
     return ", ".join(str(v) for v in values)
 
 
-@dataclass(frozen=True)
-class LaurentMatrixDoc:
+class LaurentMatrixDoc(_Value):
     kind = "laurent_matrix"
-    field: Field
-    matrix: LaurentMatrix
+    __slots__ = ("field", "matrix")
+
+    def __init__(self, field: Field, matrix: LaurentMatrix):
+        self.field, self.matrix = field, matrix
 
     def render(self) -> str:
         return (
@@ -371,10 +372,12 @@ class LaurentMatrixDoc:
         )
 
 
-@dataclass(frozen=True)
-class SplittingTypeDoc:
+class SplittingTypeDoc(_Value):
     kind = "splitting_type"
-    degrees: SplittingType
+    __slots__ = ("degrees",)
+
+    def __init__(self, degrees: SplittingType):
+        self.degrees = degrees
 
     def render(self) -> str:
         return (
@@ -393,10 +396,12 @@ def _algebra_lines(alg: GradedAlgebra) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class GradedAlgebraDoc:
+class GradedAlgebraDoc(_Value):
     kind = "graded_algebra"
-    algebra: GradedAlgebra
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra: GradedAlgebra):
+        self.algebra = algebra
 
     def render(self) -> str:
         alg = self.algebra
@@ -405,12 +410,14 @@ class GradedAlgebraDoc:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GradedModuleDoc:
+class GradedModuleDoc(_Value):
     kind = "graded_module"
-    module: GradedModulePresentation
-    target_degrees: Optional[tuple[int, ...]] = None
-    matrix: Optional[tuple[tuple[Polynomial, ...], ...]] = None
+    __slots__ = ("module", "target_degrees", "matrix")
+
+    def __init__(self, module: GradedModulePresentation,
+                 target_degrees: tuple[int, ...] | None = None,
+                 matrix: tuple[tuple[Polynomial, ...], ...] | None = None):
+        self.module, self.target_degrees, self.matrix = module, target_degrees, matrix
 
     def render(self) -> str:
         alg = self.module.algebra
@@ -428,10 +435,12 @@ class GradedModuleDoc:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FilteredModuleDoc:
+class FilteredModuleDoc(_Value):
     kind = "filtered_module"
-    module: FilteredModule
+    __slots__ = ("module",)
+
+    def __init__(self, module: FilteredModule):
+        self.module = module
 
     def render(self) -> str:
         f = self.module
@@ -449,15 +458,15 @@ class FilteredModuleDoc:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FinDimAlgebraDoc:
+class FinDimAlgebraDoc(_Value):
     kind = "findim_algebra"
-    field: Field
-    quotient: Polynomial          # univariate, variable "x", monic
-    ideal: tuple[Polynomial, ...]
-    idempotent: Optional[Polynomial] = None
+    __slots__ = ("field", "quotient", "ideal", "idempotent")
+    _VARS = ("x",)  # the quotient, monic, and the ideal are polynomials in x
 
-    _VARS = ("x",)
+    def __init__(self, field: Field, quotient: Polynomial, ideal: tuple[Polynomial, ...],
+                 idempotent: Polynomial | None = None):
+        self.field, self.quotient, self.ideal, self.idempotent = (
+            field, quotient, ideal, idempotent)
 
     def render(self) -> str:
         lines = [
@@ -492,11 +501,12 @@ class FinDimAlgebraDoc:
         return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class PosetDoc:
+class PosetDoc(_Value):
     kind = "poset"
-    poset: FinitePoset
-    generators: tuple[tuple[int, int], ...]
+    __slots__ = ("poset", "generators")
+
+    def __init__(self, poset: FinitePoset, generators: tuple[tuple[int, int], ...]):
+        self.poset, self.generators = poset, generators
 
     def render(self) -> str:
         lines = [f"kind = {self.kind}", f"n = {self.poset.size}"]
@@ -505,12 +515,14 @@ class PosetDoc:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class MonotoneMapDoc:
+class MonotoneMapDoc(_Value):
     kind = "monotone_map"
-    map: MonotoneMap
-    source_generators: tuple[tuple[int, int], ...]
-    target_generators: tuple[tuple[int, int], ...]
+    __slots__ = ("map", "source_generators", "target_generators")
+
+    def __init__(self, map: MonotoneMap, source_generators: tuple[tuple[int, int], ...],
+                 target_generators: tuple[tuple[int, int], ...]):
+        self.map, self.source_generators, self.target_generators = (
+            map, source_generators, target_generators)
 
     def render(self) -> str:
         lines = [
@@ -526,16 +538,8 @@ class MonotoneMapDoc:
         return "\n".join(lines) + "\n"
 
 
-Document = Union[
-    LaurentMatrixDoc,
-    SplittingTypeDoc,
-    GradedAlgebraDoc,
-    GradedModuleDoc,
-    FilteredModuleDoc,
-    FinDimAlgebraDoc,
-    PosetDoc,
-    MonotoneMapDoc,
-]
+Document = (LaurentMatrixDoc | SplittingTypeDoc | GradedAlgebraDoc | GradedModuleDoc
+            | FilteredModuleDoc | FinDimAlgebraDoc | PosetDoc | MonotoneMapDoc)
 
 
 def _parse_relation_pair(text: str) -> tuple[int, int]:
@@ -554,7 +558,7 @@ class _Fields:
     def __init__(self, pairs):
         self.pairs = list(pairs)
 
-    def take(self, key: str, required: bool = True) -> Optional[str]:
+    def take(self, key: str, required: bool = True) -> str | None:
         for i, (k, v) in enumerate(self.pairs):
             if k == key:
                 del self.pairs[i]

@@ -15,13 +15,12 @@ which pins the sign of the splitting type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from equibundle.exact_core import (
     Field,
     LaurentMatrix,
     LaurentPoly,
     QQ,
+    _Value,
     _add_row,
     _as_pivot,
     _eliminate,
@@ -31,21 +30,20 @@ from equibundle.exact_core import (
 )
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(_Value):
     """Weakly decreasing integer tuple (d_1 >= ... >= d_n).
 
     Simultaneously the isomorphism class of a direct sum O(d_1)+...+O(d_n)
     and a conjugacy class of cocharacters of GL_n.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = ("degrees",)
 
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
+    def __init__(self, degrees):
+        degrees = tuple(int(d) for d in degrees)
         if any(degrees[i] < degrees[i + 1] for i in range(len(degrees) - 1)):
             raise ValueError(f"degrees must be weakly decreasing, got {degrees}")
-        object.__setattr__(self, "degrees", degrees)
+        self.degrees = degrees
 
     @property
     def degree(self) -> int:
@@ -55,7 +53,6 @@ class SplittingType:
         return iter(self.degrees)
 
 
-@dataclass(frozen=True)
 class BirkhoffFactorization:
     """Exact factorization g = A * D * B.
 
@@ -65,10 +62,9 @@ class BirkhoffFactorization:
     sorted view d_i = -k_i.
     """
 
-    A: LaurentMatrix
-    D: LaurentMatrix
-    B: LaurentMatrix
-    exponents: tuple[int, ...]
+    def __init__(self, A: LaurentMatrix, D: LaurentMatrix, B: LaurentMatrix,
+                 exponents: tuple[int, ...]):
+        self.A, self.D, self.B, self.exponents = A, D, B, exponents
 
     @property
     def splitting_type(self) -> SplittingType:

@@ -16,9 +16,10 @@ closure, of down-sets to its generization, of a map's fibers to its preimage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterable, Iterator
+
+from equibundle.exact_core import _Value
 
 ENUMERATION_LIMIT = 16  # enumerate at most 2^16 subsets, clopen sets or open sets
 
@@ -63,20 +64,15 @@ def _union(masks, subset: int) -> int:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class FinitePoset:
-    """Built by ``from_relations``, which closes the relations, or ``antichain``."""
+class FinitePoset(_Value):
+    """A poset from its up-set and down-set masks, as ``from_relations``,
+    which closes the relations, and ``antichain`` build them.  ``leq`` is the
+    same tuple as ``up``: bit y of leq[x] iff x specializes to y."""
 
-    size: int
-    leq: tuple[int, ...]  # up-set masks: bit y of leq[x] iff x specializes to y
-    up: tuple[int, ...] = field(repr=False, compare=False)  # the same tuple as leq
-    down: tuple[int, ...] = field(repr=False, compare=False)
-    _pi0: Pi0 | None = field(repr=False, compare=False, default=None)
+    __slots__ = ("size", "leq", "up", "down", "_pi0")
 
-    @classmethod
-    def _of_masks(cls, up: tuple[int, ...], down: tuple[int, ...]) -> "FinitePoset":
-        (poset := object.__new__(cls)).__dict__.update(size=len(up), leq=up, up=up, down=down)
-        return poset  # _pi0 reads the class default, None, until pi0 sets it
+    def __init__(self, up: tuple[int, ...], down: tuple[int, ...]):
+        self.size, self.leq, self.up, self.down, self._pi0 = len(up), up, up, down, None
 
     @classmethod
     def from_relations(cls, size: int, relations: Iterable[tuple[int, int]]) -> "FinitePoset":
@@ -100,14 +96,14 @@ class FinitePoset:
                 raise ValueError("mutually specializing distinct points")
             for y in _bits(u):
                 down[y] |= 1 << x
-        return cls._of_masks(tuple(rows), tuple(down))
+        return cls(tuple(rows), tuple(down))
 
     @classmethod
     def antichain(cls, size: int) -> "FinitePoset":
         if size < 0:
             raise ValueError(f"poset size {size} is negative")
         masks = tuple([1 << i for i in range(size)])
-        return cls._of_masks(masks, masks)
+        return cls(masks, masks)
 
     def is_discrete(self) -> bool:
         return all(u == 1 << x for x, u in enumerate(self.up))
@@ -116,12 +112,11 @@ class FinitePoset:
         return range(1 << self.size)
 
 
-@dataclass(frozen=True)
 class Pi0:
-    """Connected-component data: the components as subsets and the index map."""
+    """Connected-component data: the components as subset masks and the index map."""
 
-    masks: tuple[int, ...]  # the components as subsets
-    component_of: tuple[int, ...]
+    def __init__(self, masks: tuple[int, ...], component_of: tuple[int, ...]):
+        self.masks, self.component_of = masks, component_of
 
     @property
     def count(self) -> int:
@@ -164,8 +159,7 @@ def pi0(space: FinitePoset) -> Pi0:
     if space._pi0 is None:
         masks = _components(space)
         owner = {x: i for i, m in enumerate(masks) for x in _bits(m)}
-        object.__setattr__(space, "_pi0", Pi0(
-            tuple(masks), tuple([owner[x] for x in range(space.size)])))
+        space._pi0 = Pi0(tuple(masks), tuple([owner[x] for x in range(space.size)]))
     return space._pi0
 
 
@@ -237,28 +231,25 @@ def non_open_preimage(source: FinitePoset, target: FinitePoset,
     return next((t for t, p in enumerate(preimages) if _union(source.down, p) != p), None)
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(_Value):
     """Specialization-preserving map; continuity is checked on construction."""
 
-    source: FinitePoset
-    target: FinitePoset
-    mapping: tuple[int, ...]
+    __slots__ = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        mapping = tuple([int(v) for v in self.mapping])
-        if len(mapping) != self.source.size:
+    def __init__(self, source: FinitePoset, target: FinitePoset, mapping):
+        mapping = tuple([int(v) for v in mapping])
+        if len(mapping) != source.size:
             raise ValueError("mapping must cover the source")
-        if any(not (0 <= v < self.target.size) for v in mapping):
+        if any(not (0 <= v < target.size) for v in mapping):
             raise ValueError("mapping value out of range")
-        object.__setattr__(self, "mapping", mapping)
-        images, up = [1 << v for v in mapping], self.target.up  # f(up[x]) <= up[f(x)]
-        if any(_union(images, u) & ~up[v] for u, v in zip(self.source.up, mapping)):
+        images, up = [1 << v for v in mapping], target.up  # f(up[x]) <= up[f(x)]
+        if any(_union(images, u) & ~up[v] for u, v in zip(source.up, mapping)):
             raise ValueError("map does not preserve specialization")
         # continuity = openness of preimages, equivalent to monotonicity here;
         # verified directly so the equivalence is exercised, not assumed
-        if non_open_preimage(self.source, self.target, mapping) is not None:
+        if non_open_preimage(source, target, mapping) is not None:
             raise AssertionError("monotone map with a non-open preimage; impossible")
+        self.source, self.target, self.mapping = source, target, mapping
 
 
 def pi0_map(f: MonotoneMap) -> tuple[Pi0, Pi0, tuple[int, ...]]:
@@ -269,11 +260,10 @@ def pi0_map(f: MonotoneMap) -> tuple[Pi0, Pi0, tuple[int, ...]]:
     return src, tgt, induced
 
 
-@dataclass(frozen=True)
 class PropB3Report:
-    clopen_bijection: bool
-    pi0_bijective: bool
-    pi0_homeomorphism: bool
+    def __init__(self, clopen_bijection: bool, pi0_bijective: bool, pi0_homeomorphism: bool):
+        self.clopen_bijection, self.pi0_bijective = clopen_bijection, pi0_bijective
+        self.pi0_homeomorphism = pi0_homeomorphism
 
     @property
     def all_equivalent(self) -> bool:

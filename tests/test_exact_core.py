@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from equibundle.exact_core import (
     UnitDeterminantError,
     _cross,
     _exact_div,
+    _is_prime,
     _laurent_determinant,
     invert_matrix,
     matrix_rank,
@@ -80,6 +82,19 @@ class TestFieldOps:
             GF(6)
         with pytest.raises(ValueError):
             GF(2**31 + 11)
+
+    def test_miller_rabin_against_trial_division(self):
+        # 13 - 1 = 4 * 3 reaches the squaring loop; 2047, 1,373,653 and
+        # 25,326,001 are strong pseudoprimes to base 2 that a later base exposes
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(-3, 20_000) if _is_prime(n) != trial(n)] == []
+        for n in (2047, 1_373_653, 25_326_001):
+            assert not trial(n)
+            with pytest.raises(ValueError, match=f"^{n} is not a prime <= 2\\*\\*31$"):
+                GF(n)
+        assert GF(13).p == 13 and GF(2**31 - 1).p == 2**31 - 1
 
     def test_rational_conversion(self):
         # a Fraction passes through unchanged; anything else, a Fraction

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from equibundle import filtered
 from equibundle.exact_core import GF, QQ
 from equibundle.filtered import (
     EpsRing,
@@ -150,6 +151,17 @@ class TestSplitFiltration:
             f = random_filtered(rng, RD, sorted(rng.randint(0, 2) for _ in range(3)))
             assert split_filtration(f).graded_ranks == associated_graded(f)
 
+    def test_incomplete_basis_is_named(self, monkeypatch):
+        # a colimit whose image of E_0 is zero offers no column of degree 0
+        f = fm(RQ, 0, [1, 2], [[[1], [0]]])
+        top_rank, steps = colimit_module(f)
+        (index, image), rest = steps[0], steps[1:]
+        zeroed = [(index, [[RQ.zero for _ in row] for row in image])] + rest
+        monkeypatch.setattr(filtered, "colimit_module", lambda _: (top_rank, zeroed))
+        with pytest.raises(AssertionError,
+                           match="could not complete the splitting basis at index 0"):
+            split_filtration(f)
+
     def test_split_over_higher_nilpotent_order(self, rng):
         ring = EpsRing(GF(5), 3)
         for _ in range(6):
@@ -252,6 +264,16 @@ class TestVerifySplitting:
         assert kinds == {"higher into lower", "degree labels swapped",
                          "scaled by eps or zeroed"} | (
             {"eps-multiple into lower"} if order > 1 else set())
+
+    @pytest.mark.parametrize("ring", [RQ, RD], ids=["Q", "Q[eps]/(eps^2)"])
+    def test_partial_sum_of_the_wrong_rank(self, ring):
+        # both columns labelled 1: E_0 has rank 1, but no column has degree <= 0
+        f = fm(ring, 0, [1, 2], [((ring.one,), (ring.zero,))])
+        s = split_filtration(f)
+        verify_splitting(f, s)
+        wrong = FiltrationSplitting(s.graded_ranks, s.basis, (1, 1))
+        with pytest.raises(AssertionError, match="partial sum has the wrong rank"):
+            verify_splitting(f, wrong)
 
     def test_wrong_shape_is_named(self):
         f = fm(RD, 0, [1, 2], [((RD.one,), (RD.zero,))])

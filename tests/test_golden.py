@@ -147,6 +147,41 @@ ERROR_DOCUMENTS = {
     "laurent_unknown_field.txt": "kind = laurent_matrix\nfield = G7\nmatrix = [[1*t^0]]\n",
     "splitting_type_bad_integer_list.txt": "kind = splitting_type\ndegrees = 1, x\n",
     "poset_bad_relation_pair.txt": "kind = poset\nn = 2\nrel = 0-1\n",
+    # each object's own checks, reached from a document (exit 3), and two
+    # parse errors (exit 2)
+    "laurent_ragged_matrix.txt": "kind = laurent_matrix\nfield = Q\nmatrix = [[1*t^0, 0], [0]]\n",
+    "laurent_empty_matrix.txt": "kind = laurent_matrix\nfield = F5\nmatrix = []\n",
+    "filtered_window_reversed.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 1, 0\nranks = 1\n"),
+    "filtered_rank_count_mismatch.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1\nranks = 1\nmap 0 = [[1]]\n"),
+    "filtered_negative_rank.txt": (
+        "kind = filtered_module\nfield = F5\nwindow = 0, 0\nranks = -1\n"),
+    "filtered_map_wrong_shape.txt": (
+        "kind = filtered_module\nfield = Q\nwindow = 0, 1\nranks = 1, 2\nmap 0 = [[1, 0]]\n"),
+    "graded_more_variables_than_degrees.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x, y\ndegrees = 1\ngenerators = 0\n"),
+    "graded_zero_degree.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 0\ngenerators = 0\n"),
+    "graded_column_wrong_length.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+        "generators = 0, 1\nmodule_relation = [1*x^1]\n"),
+    "graded_column_mixes_degrees.txt": (
+        "kind = graded_module\nfield = F5\nvariables = x\ndegrees = 1\n"
+        "generators = 0, 0\nmodule_relation = [1*x^1, 1*x^2]\n"),
+    "liftmap_relation_not_killed.txt": (
+        "kind = graded_module\nfield = F5\nvariables = x\ndegrees = 1\n"
+        "generators = 0, 1\nmodule_relation = [1*x^1, 4]\ntarget_generators = 0\n"
+        "matrix = [[1, 0]]\n"),
+    "poset_relation_out_of_range.txt": "kind = poset\nn = 3\nrel = 0<5\n",
+    "monotone_map_too_short.txt": (
+        "kind = monotone_map\nsource_n = 2\ntarget_n = 1\nmap = 0\n"),
+    "monotone_map_value_out_of_range.txt": (
+        "kind = monotone_map\nsource_n = 1\ntarget_n = 1\nmap = 3\n"),
+    "findim_constant_quotient.txt": (
+        "kind = findim_algebra\nfield = Q\nquotient = 1\nideal = []\nidempotent = 1\n"),
+    "laurent_bad_field.txt": "kind = laurent_matrix\nfield = F7x\nmatrix = [[1*t^0]]\n",
+    "poset_bad_relation_point.txt": "kind = poset\nn = 2\nrel = a<1\n",
     # a document that is not UTF-8 cannot be read
     "poset_not_utf8.txt": b"kind = poset\nn = 2\nrel = 0<1\n# \xff\n",
 }

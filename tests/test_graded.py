@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,7 +126,8 @@ class TestWitnessChecks:
         mod, witness = self.cascade(field)
         a = [list(row) for row in witness.coefficient_matrix]
         a[0][0] = a[0][0] + const(mod.algebra, 1)
-        corrupted = replace(witness, coefficient_matrix=tuple(map(tuple, a)))
+        corrupted = graded.NakayamaWitness(tuple(map(tuple, a)), witness.combination,
+                                           witness.nilpotency_order)
         with pytest.raises(AssertionError, match="has a constant term"):
             verify_nakayama_witness(mod, corrupted)
 
@@ -136,7 +136,9 @@ class TestWitnessChecks:
         mod, witness = self.cascade(field)
         combination = [list(row) for row in witness.combination]
         combination[0][0] = field(combination[0][0] + 1)
-        corrupted = replace(witness, combination=tuple(map(tuple, combination)))
+        corrupted = graded.NakayamaWitness(witness.coefficient_matrix,
+                                           tuple(map(tuple, combination)),
+                                           witness.nilpotency_order)
         with pytest.raises(AssertionError, match="does not factor through the relations"):
             verify_nakayama_witness(mod, corrupted)
 
@@ -145,7 +147,8 @@ class TestWitnessChecks:
         mod, witness = self.cascade(field)
         verify_nakayama_witness(mod, witness)
         with pytest.raises(AssertionError, match="not nilpotent of the stated order"):
-            verify_nakayama_witness(mod, replace(witness, nilpotency_order=0))
+            verify_nakayama_witness(mod, graded.NakayamaWitness(
+                witness.coefficient_matrix, witness.combination, 0))
 
 
 

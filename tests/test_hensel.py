@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -637,7 +636,7 @@ def count_calls(monkeypatch, module, name):
 
 def radical_ideal(alg):
     """The basis of the nilradical (r)/(f) that `jacobson_radical` gives."""
-    return replace(alg, generator=jacobson_radical(alg)).ideal
+    return hensel.FiniteDimAlgebra(alg.field, alg.modulus, jacobson_radical(alg)).ideal
 
 
 def rref(field, vectors):

@@ -1,6 +1,8 @@
 import glob
 import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -760,6 +762,56 @@ class TestCli:
             assert code == 1, command
             assert "internal check failed: section space not stable" in err
             assert "Traceback" not in err
+
+    def test_h0_oracle_disagreement_exits_1(self, capsys, monkeypatch):
+        from equibundle import projline
+
+        true = projline.h0_table
+        monkeypatch.setattr(projline, "h0_table", lambda g, window: {
+            m: dim + (m == window) for m, dim in true(g, window).items()})
+        path = corpus_path("laurent_matrix_o1.txt")
+        code = main(["classify-p1", path, "--verify"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: h0 oracle disagrees with the splitting type\n"
+        code, out = run_cli(capsys, "classify-p1", path)  # the oracle is read, not checked
+        assert code == 0 and "h0 twist 3 = 6" in out
+
+    def test_enumeration_disagreement_exits_1(self, capsys, monkeypatch):
+        from equibundle.graded import GradedModulePresentation
+
+        path = corpus_path("graded_module_zero.txt")
+        code, out = run_cli(capsys, "nakayama", path, "--verify")
+        assert code == 0 and "module is zero = yes" in out
+        # an enumeration that finds a nonzero component in a zero module
+        monkeypatch.setattr(GradedModulePresentation, "component_dimension",
+                            lambda self, degree: 1)
+        code = main(["nakayama", path, "--verify"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: verdict disagrees with component enumeration\n"
+
+    @pytest.mark.parametrize("field", ["Q", "F5"])
+    def test_lift_map_on_module_with_relations(self, tmp_path, capsys, field):
+        # e0 = e1 in the module, and the map sends both to f0: an isomorphism
+        doc = tmp_path / "liftmap_relation.txt"
+        doc.write_text(
+            f"kind = graded_module\nfield = {field}\nvariables = x\ndegrees = 1\n"
+            "generators = 0, 0\nmodule_relation = [1, -1]\ntarget_generators = 0\n"
+            "matrix = [[1, 1]]\n")
+        code, out = run_cli(capsys, "lift-map", str(doc))
+        assert code == 0
+        assert out.splitlines()[-2:] == ["reduction is bijective = yes",
+                                         "lift is isomorphism = yes"]
+
+    def test_import_loads_neither_dataclasses_nor_typing(self):
+        # -S skips the site step, whose .pth files may import typing themselves
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        probe = ("import sys, equibundle.cli; "
+                 "print(sorted({'dataclasses', 'typing'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
     def test_nakayama_verify_zero_relation_column(self, tmp_path, capsys):
         doc = tmp_path / "zero_column.txt"

@@ -130,6 +130,20 @@ class TestBirkhoffChecks:
         monkeypatch.undo()
         assert birkhoff_factorize(g).splitting_type.degrees == (2, 0, -1)
 
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_rejects_a_step_that_keeps_the_top(self, monkeypatch, field):
+        # [[1, t], [0, 1]]: both columns have the top vector (1, 0), so the
+        # reduction takes one step; a first dependency that names column 1
+        # alone leaves that column, and its top, as they are
+        g = bundle(field, [[((1, 0),), ((1, 1),)], [None, ((1, 0),)]])
+        true, lies = projline._normalized, [lambda vec, col, p: {col: 1}]
+        monkeypatch.setattr(projline, "_normalized",
+                            lambda *args: (lies.pop() if lies else true)(*args))
+        with pytest.raises(AssertionError, match="column step did not lower the top degree"):
+            birkhoff_factorize(g)
+        assert not lies
+        assert birkhoff_factorize(g).splitting_type.degrees == (0, 0)
+
 
 class TestSplittingType:
     def test_identity_rank3(self):

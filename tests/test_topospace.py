@@ -1,6 +1,5 @@
 import os
 import time
-from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -22,6 +21,11 @@ from equibundle.topospace import (
     prop_b3_check,
 )
 from equibundle.topospace import _is_homeomorphism, _pro_clopens, _union_table
+
+
+def flags(report):
+    """The three conditions of a Prop B.3 report, in order."""
+    return report.clopen_bijection, report.pi0_bijective, report.pi0_homeomorphism
 
 
 def matrix(poset):
@@ -156,24 +160,57 @@ class TestLemmaB2:
                 assert lemma_b2_verify(poset)
 
 
+class TestImpossibleChecks:
+    """The checks that no finite space fails, each made to fail."""
+
+    def test_pro_clopen_and_clopen_must_agree(self):
+        # every subset of a discrete space is clopen; a union table that
+        # holds only the empty set makes it the only pro-clopen subset
+        space = FinitePoset.antichain(2)
+        assert pro_clopens(space) == {0, 1, 2, 3}
+        with pytest.raises(AssertionError, match="pro-clopen and clopen disagree"):
+            _pro_clopens(space, [0] * 4, [0])
+
+    def test_monotone_map_with_a_non_open_preimage(self, monkeypatch):
+        monkeypatch.setattr(topospace, "non_open_preimage", lambda *args: 0)
+        poset = FinitePoset.antichain(1)
+        with pytest.raises(AssertionError, match="monotone map with a non-open preimage"):
+            MonotoneMap(poset, poset, (0,))
+
+    def test_clopen_criterion_must_match_the_direct_test(self, monkeypatch):
+        true = topospace.prop_b3_check
+
+        def flipped(f):
+            report = true(f)
+            return topospace.PropB3Report(not report.clopen_bijection, report.pi0_bijective,
+                                          report.pi0_homeomorphism)
+
+        monkeypatch.setattr(topospace, "prop_b3_check", flipped)
+        poset = FinitePoset.antichain(2)
+        for mapping in ((1, 0), (0, 0)):
+            with pytest.raises(AssertionError,
+                               match="clopen criterion disagrees with homeomorphism test"):
+                homeo_criterion(MonotoneMap(poset, poset, mapping))
+
+
 class TestPropB3:
     def test_identity(self):
         poset = FinitePoset.from_relations(3, [(0, 2), (1, 2)])
         report = prop_b3_check(MonotoneMap(poset, poset, (0, 1, 2)))
-        assert astuple(report) == (True, True, True)
+        assert flags(report) == (True, True, True)
 
     def test_constant_map_from_disconnected(self):
         source = FinitePoset.antichain(2)
         target = FinitePoset.antichain(1)
         report = prop_b3_check(MonotoneMap(source, target, (0, 0)))
-        assert astuple(report) == (False, False, False)
+        assert flags(report) == (False, False, False)
         assert report.all_equivalent
 
     def test_collapse_of_connected(self):
         source = FinitePoset.from_relations(3, [(0, 2), (1, 2)])
         target = FinitePoset.antichain(1)
         report = prop_b3_check(MonotoneMap(source, target, (0, 0, 0)))
-        assert astuple(report) == (True, True, True)
+        assert flags(report) == (True, True, True)
 
     def test_equivalence_exhaustive_tiny(self):
         for sx in range(0, 3):
@@ -554,7 +591,7 @@ class TestComponentSearchOnce:
         assert len(searches) == 2  # the source and the target
         poset = FinitePoset.from_relations(4, [(0, 1), (2, 3)])
         del searches[:]
-        assert astuple(prop_b3_check(MonotoneMap(poset, poset, (0, 1, 2, 3)))) == (
+        assert flags(prop_b3_check(MonotoneMap(poset, poset, (0, 1, 2, 3)))) == (
             True, True, True)
         assert searches == [poset]
 
