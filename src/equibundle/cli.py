@@ -117,7 +117,7 @@ def cmd_birkhoff(doc, args) -> list[str]:
 def cmd_cochar_to_bundle(doc, args) -> list[str]:
     field = parse_field(args.field)
     g = projline.cocharacter_to_bundle(doc.degrees, field)
-    return [LaurentMatrixDoc(field=field, matrix=g).render().rstrip("\n")]
+    return [LaurentMatrixDoc(matrix=g).render().rstrip("\n")]
 
 
 def cmd_h0(doc, args) -> list[str]:

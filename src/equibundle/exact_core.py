@@ -70,7 +70,8 @@ def _is_prime(n: int) -> bool:
 
 class _Value:
     """A value whose fields are set once, in ``__init__``: equal, hashed and
-    printed by its public slots, in order (a slot named ``_...`` is a cache)."""
+    printed by its public slots, in order (a slot named ``_...`` holds data
+    derived from them)."""
 
     __slots__ = ()
 
@@ -139,7 +140,7 @@ class PrimeField(_Value):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
+        return self(Fraction(value))  # exactly, as over Q: a float is never truncated
 
     def validate(self, value) -> int:
         if type(value) is not int:
@@ -710,7 +711,7 @@ def _laurent_determinant(rows: Sequence[Sequence[LaurentPoly]], field: Field) ->
                                for e, c in det.items()})
 
 
-class LaurentMatrix:
+class LaurentMatrix(_Value):
     """Invertible square matrix over k[t, 1/t].
 
     The determinant is required to be a unit c * t^w, i.e., to consist of a
@@ -796,14 +797,3 @@ class LaurentMatrix:
             rows.append(row)
         return LaurentMatrix._with_det(self.field, rows, self._det_exp + other._det_exp,
                                        self.field(self._det_coeff * other._det_coeff))
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.field == other.field and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
-
-    def __repr__(self):
-        return f"LaurentMatrix(n={self.n}, det=t^{self._det_exp})"

@@ -10,15 +10,14 @@ zero test, the lifting of maps along B -> B/IB and the isomorphism test are
 certified, always with respect to I.  No Groebner machinery: dimensions of
 graded components are computed by exact linear algebra on monomial bases,
 which is all the desk scale needs.  A module reads its relation columns
-once, as degrees and terms (over Q scaled into primitive integers); a
-column's terms times a monomial of the complementary degree are one sparse
-row, and the rows of one degree are eliminated once.
+once, at construction, as degrees and terms (over Q scaled into primitive
+integers); a column's terms times a monomial of the complementary degree
+are one sparse row, and the rows of one degree are eliminated once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 from operator import add
 
 from equibundle.exact_core import (
@@ -90,41 +89,47 @@ class GradedModulePresentation(_Value):
     Generator j lives in degree generator_degrees[j]; a relation column is a
     vector (r_1, ..., r_p) with r_j homogeneous of degree delta - m_j for a
     single delta (the column degree).  ``column_degrees`` lists those
-    degrees, None for an all-zero column.
+    degrees, None for an all-zero column.  The columns are read once, at
+    construction, into ``_columns``: (degree, {(j, exponents): coefficient})
+    for each nonzero relation column, then for each algebra relation rel and
+    generator j the one-entry column (j, rel) of degree deg(rel) + m_j.  The
+    coefficients of a column are validated and nonzero, so over Q one
+    scaling into primitive integers serves every row it gives.
     """
 
-    __slots__ = ("algebra", "generator_degrees", "relations", "__dict__")
+    __slots__ = ("algebra", "generator_degrees", "relations", "column_degrees", "_columns")
 
     def __init__(self, algebra: GradedAlgebra, generator_degrees: tuple[int, ...],
                  relations: tuple[tuple[Polynomial, ...], ...] = ()):
-        degs = []
+        degrees, columns = [], []
         for k, col in enumerate(relations):
             if len(col) != len(generator_degrees):
                 raise ValueError("relation column length must match generator count")
-            degs.append(_column_degree(algebra, generator_degrees, col, k))
-        self.algebra, self.generator_degrees, self.relations = (
-            algebra, generator_degrees, relations)
-        self.column_degrees = tuple(degs)
-
-    @cached_property
-    def _columns(self) -> list[tuple[int, dict]]:
-        """Each relation column once: (degree, {(j, exponents): coefficient}).
-
-        An algebra relation rel acts on coordinate j as the one-entry column
-        (j, rel) of degree deg(rel) + m_j; an all-zero column relates nothing.
-        Every row of a column carries its coefficients, validated and nonzero,
-        so over Q one scaling into primitive integers serves them all.
-        """
-        alg = self.algebra
-        columns = [(delta, {(j, m): c for j, e in enumerate(col) for m, c in e._terms.items()})
-                   for col, delta in zip(self.relations, self.column_degrees)
-                   if delta is not None]
-        for rel in alg.relations:
-            d = rel.weighted_degree(alg.degrees)
+            seen, terms = set(), {}
+            for j, (entry, m) in enumerate(zip(col, generator_degrees)):
+                if entry.is_zero:
+                    continue
+                d = entry.weighted_degree(algebra.degrees)
+                if d is None:
+                    from equibundle.io import render_polynomial
+                    text = render_polynomial(entry, algebra.variables)
+                    raise ValueError(f"module_relation {k}, entry {j} ({text}) is not homogeneous")
+                seen.add(d + m)
+                terms.update({(j, e): c for e, c in entry._terms.items()})
+            if len(seen) > 1:
+                raise ValueError(f"relation column mixes degrees {sorted(seen)}")
+            degrees.append(seen.pop() if seen else None)
+            if terms:
+                columns.append((degrees[-1], terms))
+        for rel in algebra.relations:
+            d = rel.weighted_degree(algebra.degrees)
             if d is not None:
                 columns += [(d + m, {(j, e): c for e, c in rel._terms.items()})
-                            for j, m in enumerate(self.generator_degrees)]
-        return [(delta, _primitive(terms, alg.field.p)) for delta, terms in columns]
+                            for j, m in enumerate(generator_degrees)]
+        self.algebra, self.generator_degrees, self.relations = (
+            algebra, generator_degrees, relations)
+        self.column_degrees = tuple(degrees)
+        self._columns = [(delta, _primitive(terms, algebra.field.p)) for delta, terms in columns]
 
     def component_dimension(self, degree: int) -> int:
         """dim_k of the graded component in the given degree (connected algebra).
@@ -152,23 +157,6 @@ class GradedModulePresentation(_Value):
         """Enumeration window: max generator degree + 5 (CLI-overridable)."""
         top = max(self.generator_degrees, default=0)
         return top + 5
-
-
-def _column_degree(algebra, generator_degrees, column, k):
-    """The degree of relation column k, None for an all-zero column."""
-    degrees = set()
-    for j, (entry, m) in enumerate(zip(column, generator_degrees)):
-        if entry.is_zero:
-            continue
-        d = entry.weighted_degree(algebra.degrees)
-        if d is None:
-            from equibundle.io import render_polynomial
-            raise ValueError(f"module_relation {k}, entry {j} "
-                             f"({render_polynomial(entry, algebra.variables)}) is not homogeneous")
-        degrees.add(d + m)
-    if len(degrees) > 1:
-        raise ValueError(f"relation column mixes degrees {sorted(degrees)}")
-    return degrees.pop() if degrees else None
 
 
 # ---------------------------------------------------------------------------

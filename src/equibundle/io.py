@@ -359,15 +359,15 @@ def _render_int_list(values) -> str:
 
 class LaurentMatrixDoc(_Value):
     kind = "laurent_matrix"
-    __slots__ = ("field", "matrix")
+    __slots__ = ("matrix",)
 
-    def __init__(self, field: Field, matrix: LaurentMatrix):
-        self.field, self.matrix = field, matrix
+    def __init__(self, matrix: LaurentMatrix):
+        self.matrix = matrix
 
     def render(self) -> str:
         return (
             f"kind = {self.kind}\n"
-            f"field = {render_field(self.field)}\n"
+            f"field = {render_field(self.matrix.field)}\n"
             f"matrix = {render_laurent_matrix(self.matrix)}\n"
         )
 
@@ -460,18 +460,17 @@ class FilteredModuleDoc(_Value):
 
 class FinDimAlgebraDoc(_Value):
     kind = "findim_algebra"
-    __slots__ = ("field", "quotient", "ideal", "idempotent")
+    __slots__ = ("quotient", "ideal", "idempotent")
     _VARS = ("x",)  # the quotient, monic, and the ideal are polynomials in x
 
-    def __init__(self, field: Field, quotient: Polynomial, ideal: tuple[Polynomial, ...],
+    def __init__(self, quotient: Polynomial, ideal: tuple[Polynomial, ...],
                  idempotent: Polynomial | None = None):
-        self.field, self.quotient, self.ideal, self.idempotent = (
-            field, quotient, ideal, idempotent)
+        self.quotient, self.ideal, self.idempotent = quotient, ideal, idempotent
 
     def render(self) -> str:
         lines = [
             f"kind = {self.kind}",
-            f"field = {render_field(self.field)}",
+            f"field = {render_field(self.quotient.field)}",
             f"quotient = {render_polynomial(self.quotient, self._VARS)}",
             "ideal = [" + ", ".join(
                 render_polynomial(p, self._VARS) for p in self.ideal) + "]",
@@ -486,7 +485,7 @@ class FinDimAlgebraDoc(_Value):
 
     def build(self) -> FiniteDimAlgebra:
         return from_univariate_quotient(
-            self.field,
+            self.quotient.field,
             self._poly_coeffs(self.quotient),
             [self._poly_coeffs(p) for p in self.ideal],
         )
@@ -497,7 +496,7 @@ class FinDimAlgebraDoc(_Value):
         coeffs = self._poly_coeffs(self.idempotent)
         if len(coeffs) > algebra.dim:
             raise ParseError("idempotent degree exceeds the algebra dimension")
-        coeffs += [self.field.zero] * (algebra.dim - len(coeffs))
+        coeffs += [algebra.field.zero] * (algebra.dim - len(coeffs))
         return tuple(coeffs)
 
 
@@ -587,7 +586,7 @@ def parse_document(text: str) -> Document:
         field = parse_field(fields.take("field"))
         rows = parse_matrix(fields.take("matrix"), lambda t: parse_laurent(t, field))
         fields.finish()
-        return LaurentMatrixDoc(field=field, matrix=LaurentMatrix(field, rows))
+        return LaurentMatrixDoc(matrix=LaurentMatrix(field, rows))
     if kind == "splitting_type":
         degrees = _int_list(fields.take("degrees"))
         fields.finish()
@@ -641,8 +640,7 @@ def parse_document(text: str) -> Document:
         idempotent = (parse_polynomial(idem_text, field, variables)
                       if idem_text is not None else None)
         fields.finish()
-        return FinDimAlgebraDoc(field=field, quotient=quotient, ideal=ideal,
-                                idempotent=idempotent)
+        return FinDimAlgebraDoc(quotient=quotient, ideal=ideal, idempotent=idempotent)
     if kind == "poset":
         size = _int(fields.take("n"), "poset size")
         generators = tuple(_parse_relation_pair(t) for t in fields.take_all("rel"))

@@ -104,6 +104,30 @@ def test_every_public_name_is_needed():
     assert unreferenced_public_names() == []
 
 
+def test_values_compare_through_one_base():
+    # every compared value derives from exact_core._Value, which compares by
+    # the public slots; _Terms keeps its own equality because its term dict
+    # is the private ``_terms``.  Every field is a slot: no class keeps a
+    # ``__dict__`` for fields set after ``__init__``.
+    equalities, dict_slots = [], []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_tree(os.path.join(PACKAGE, name))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__eq__":
+                    equalities.append(f"{name[:-3]}.{node.name}")
+                if (isinstance(item, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__" for t in item.targets)
+                        and any(getattr(c, "value", None) == "__dict__"
+                                for c in ast.walk(item.value))):
+                    dict_slots.append(f"{name[:-3]}.{node.name}")
+    assert sorted(equalities) == ["exact_core._Terms", "exact_core._Value"]
+    assert dict_slots == []
+
+
 def test_src_within_line_budget():
     # counted as `cat src/equibundle/*.py | wc -l` counts: newlines over every
     # module of the package

@@ -112,6 +112,14 @@ class TestFieldOps:
     def test_rational_coercion_into_fp(self):
         assert F5(Fraction(1, 2)) == F5(3)
 
+    def test_prime_field_reads_every_value_exactly(self):
+        # a float is the exact rational it holds, as over Q: never truncated
+        assert F5(2.5) == F5(Fraction(5, 2)) == 0
+        assert F5(0.5) == 3
+        assert Polynomial.constant(F5, 1, 0.5) == Polynomial.constant(F5, 1, 3)
+        with pytest.raises(ZeroDivisionError):
+            GF(2)(0.5)
+
 
 class TestLaurentPoly:
     def test_difference_of_squares(self):
@@ -213,6 +221,22 @@ class TestLaurentMatrix:
         one = LaurentPoly.one(QQ)
         with pytest.raises(UnitDeterminantError):
             LaurentMatrix(QQ, [[one, one], [one, one]])
+
+    def test_entry_over_the_wrong_field_rejected(self):
+        one, zero = LaurentPoly.one(QQ), LaurentPoly.zero(QQ)
+        for entry in (LaurentPoly.one(F5), Fraction(1)):
+            with pytest.raises(FieldMismatchError, match="^matrix entry over the wrong field$"):
+                LaurentMatrix(QQ, [[one, entry], [zero, one]])
+
+    def test_incompatible_product_rejected(self):
+        g = LaurentMatrix.monomial_diagonal(QQ, [1, -1])
+        for other in (LaurentMatrix.monomial_diagonal(F5, [1, -1]),
+                      LaurentMatrix.monomial_diagonal(QQ, [0, 0, 0])):
+            with pytest.raises(FieldMismatchError,
+                               match="^cannot multiply incompatible matrices$"):
+                g @ other
+        with pytest.raises(TypeError):
+            g @ 3
 
     def test_det_exponent_additive(self, rng):
         for _ in range(25):

@@ -63,6 +63,26 @@ class TestEpsRing:
         assert ring.mul(a, eps_inv(ring, a)) == ring.one
 
 
+class TestInputChecks:
+    def test_eps_element_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^expected 2 coefficients, got 3$"):
+            RD((1, 2, 3))
+
+    def test_mat_mul_of_mismatched_shapes(self):
+        row = [RQ.one, RQ.one]
+        with pytest.raises(ValueError, match="^matrix dimensions do not match$"):
+            mat_mul(RQ, [row], [row])
+
+    def test_one_map_per_step(self):
+        with pytest.raises(ValueError, match="^one transition map per window step required$"):
+            FilteredModule(RQ, 0, 1, (1, 1), ())
+
+    def test_rank_outside_the_window(self):
+        # zero below the window, the top rank above it
+        f = fm(RQ, 2, [1, 2], [[[RQ.one], [RQ.zero]]])
+        assert [f.rank(i) for i in range(6)] == [0, 0, 1, 2, 2, 2]
+
+
 class TestValidate:
     def test_zero_bundle(self):
         assert rejection(fm(RQ, 0, [0, 0], [[]])) is None

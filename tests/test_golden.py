@@ -182,6 +182,16 @@ ERROR_DOCUMENTS = {
         "kind = findim_algebra\nfield = Q\nquotient = 1\nideal = []\nidempotent = 1\n"),
     "laurent_bad_field.txt": "kind = laurent_matrix\nfield = F7x\nmatrix = [[1*t^0]]\n",
     "poset_bad_relation_point.txt": "kind = poset\nn = 2\nrel = a<1\n",
+    # an eps ring of order 0, and lift-map on a non-connected algebra and on
+    # a matrix of the wrong shape (exit 3)
+    "filtered_zero_epsilon_power.txt": (
+        "kind = filtered_module\nfield = Q\nepsilon_power = 0\nwindow = 0, 0\nranks = 1\n"),
+    "liftmap_not_connected.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x, y\ndegrees = 1, -1\n"
+        "generators = 0\ntarget_generators = 0\nmatrix = [[1]]\n"),
+    "liftmap_wrong_shape.txt": (
+        "kind = graded_module\nfield = Q\nvariables = x\ndegrees = 1\n"
+        "generators = 0\ntarget_generators = 0\nmatrix = [[1, 0]]\n"),
     # a document that is not UTF-8 cannot be read
     "poset_not_utf8.txt": b"kind = poset\nn = 2\nrel = 0<1\n# \xff\n",
 }

@@ -45,6 +45,26 @@ class TestMessages:
             module(alg, (0, 1), columns)
 
 
+class TestInputChecks:
+    def test_relation_over_the_wrong_ring(self):
+        for rel in (Polynomial.monomial(QQ, 1, (1,), 1), Polynomial.monomial(F5, 2, (1, 0), 1)):
+            with pytest.raises(ValueError, match="^relation over the wrong polynomial ring$"):
+                GradedAlgebra(QQ, ("x", "y"), (1, 1), (rel,))
+
+    def test_monomials_need_a_connected_algebra(self):
+        with pytest.raises(ValueError,
+                           match="^monomial enumeration requires a connected algebra$"):
+            algebra(QQ, (1, -1)).monomials_of_degree(1)
+
+    def test_iso_test_checks(self):
+        mixed = algebra(QQ, (1, -1))
+        with pytest.raises(ValueError, match="^isomorphism test requires a connected algebra$"):
+            graded_iso_test([[const(mixed, 1)]], module(mixed, (0,)), (0,))
+        alg = algebra(QQ, (1,))
+        with pytest.raises(ValueError, match="^matrix must be 1 x 2$"):
+            graded_iso_test([[const(alg, 1)]], module(alg, (0, 0)), (0,))
+
+
 class TestConnected:
     def test_single_positive(self):
         assert algebra(QQ, (1,)).is_connected()

@@ -49,6 +49,14 @@ class TestTriviallyHenselian:
         assert not trivially_henselian(graded(QQ, (1, -1)))
 
 
+class TestCoerce:
+    def test_coordinates_of_the_wrong_length(self):
+        alg = from_univariate_quotient(QQ, [0, 0, 1])  # x^2, dimension 2
+        assert alg.coerce([1, 2]) == (Fraction(1), Fraction(2))
+        with pytest.raises(ValueError, match="^expected 2 coordinates$"):
+            alg.coerce([1, 2, 3])
+
+
 class TestJacobsonRadical:
     def test_product_of_fields(self):
         alg = from_univariate_quotient(QQ, [0, -1, 1])  # x^2 - x

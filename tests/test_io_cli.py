@@ -456,8 +456,7 @@ class TestFuzzRoundTrip:
 
         for _ in range(20):
             field = QQ if rng.random() < 0.5 else GF(5)
-            doc = LaurentMatrixDoc(field=field,
-                                   matrix=random_bundle(rng, field, rng.randint(1, 3)))
+            doc = LaurentMatrixDoc(matrix=random_bundle(rng, field, rng.randint(1, 3)))
             text = doc.render()
             reparsed = parse_document(text)
             assert reparsed.matrix == doc.matrix
@@ -822,6 +821,24 @@ class TestCli:
         assert code == 0
         assert "module is zero = no" in out
         assert "component enumeration up to degree 5 = agrees" in out
+
+    @pytest.mark.parametrize("text, expected", [
+        # a blank variables line: the algebra is the field itself
+        ("kind = graded_module\nfield = Q\nvariables =\ngenerators = 0\nmodule_relation = [1]\n",
+         ["module is zero = yes", "witness order = 1"]),
+        # an empty generators line: the module on no generators
+        ("kind = graded_module\nfield = F5\nvariables = x\ndegrees = 1\ngenerators =\n",
+         ["witness order = 0", "witness matrix = []"]),
+    ], ids=["blank variables", "empty generators"])
+    def test_nakayama_verify_on_empty_lists(self, tmp_path, capsys, text, expected):
+        doc = tmp_path / "empty_list.txt"
+        doc.write_text(text)
+        code, out = run_cli(capsys, "nakayama", str(doc), "--verify")
+        assert code == 0
+        assert set(expected) <= set(out.splitlines())
+        once = parse_document(text).render()
+        assert parse_document(once) == parse_document(text)
+        assert parse_document(once).render() == once
 
     def test_nakayama_degree_bound_below_surviving_degree(self, tmp_path, capsys):
         # the "no" verdict survives in degree 3; a bound of 2 never sees it

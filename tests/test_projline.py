@@ -95,7 +95,7 @@ class TestBirkhoff:
         degrees = sorted((rng.randint(-2, 2) for _ in range(16)), reverse=True)
         bundle16 = planted_bundle(rng, QQ, degrees)
         path = tmp_path / "dense16.txt"
-        path.write_text(LaurentMatrixDoc(field=QQ, matrix=bundle16).render())
+        path.write_text(LaurentMatrixDoc(matrix=bundle16).render())
         assert main(["birkhoff", str(path)]) == 0
         out = capsys.readouterr().out
         exponents = out.split("exponents = ")[1].splitlines()[0]
